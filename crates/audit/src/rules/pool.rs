@@ -9,15 +9,14 @@
 //!
 //! * `std::thread::spawn` / `thread::scope` — per-call OS threads defeat
 //!   the park/wake runtime and the no-spawn contract;
-//! * `par_for(..)` / `par_reduce(..)` / `global_pool()` — the implicit
-//!   process-global pool is for leaf utilities and tests; a hot path
-//!   using it hides its parallelism from `run_dns --threads` and from
-//!   the utilization telemetry;
+//! * `par_for(..)` / `par_reduce(..)` / `global_pool()` — an implicit
+//!   process-global pool hides a hot path's parallelism from `run_dns
+//!   --threads` and from the utilization telemetry;
 //! * `WorkerPool::auto()` / `WorkerPool::new(..)` — constructing a pool
 //!   inside a kernel spawns threads per call; pools are built once at
 //!   startup and plumbed through operator structs (`set_pool`).
 //!
-//! Deliberate exceptions (e.g. a no-pool fallback path) carry an inline
+//! Deliberate exceptions (e.g. the setup-time default pool) carry an inline
 //! `// audit:allow(pool-discipline): reason` waiver.
 
 use crate::config::AuditConfig;

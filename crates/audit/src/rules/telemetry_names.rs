@@ -267,7 +267,7 @@ mod tests {
             "fn f(tel: &Telemetry) {\n",
             "  tel.counter_add(\"rbx_steps_total\", 1);\n",
             "  tel.gauge_set(\"rbx_bogus_gauge\", 0.0);\n",
-            "  let _g = tel.tracer().span_abs(\"schwarz/fdm\");\n",
+            "  let _g = tel.tracer().span_abs(\"schwarz/coarse\");\n",
             "  let _h = tel.tracer().span_abs(\"schwarz/bogus\");\n",
             "}\n",
         );
@@ -333,7 +333,7 @@ mod tests {
         let mut out = Vec::new();
         coverage(&cfg, &seen, &mut out);
         assert!(out.is_empty());
-        seen.remove("span:gs/local");
+        seen.remove("span:gs/shared");
         coverage(&cfg, &seen, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].severity, crate::report::Severity::Note);

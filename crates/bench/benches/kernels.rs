@@ -49,6 +49,7 @@ fn fixture(p: usize, nx: usize) -> Fixture {
         &geom.mass,
         1.0,
         0.0,
+        &rbx::device::WorkerPool::new(1),
     );
     let n = geom.total_nodes();
     let mut u: Vec<f64> = (0..n).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();

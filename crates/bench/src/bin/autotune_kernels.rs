@@ -25,7 +25,7 @@ use rbx::comm::SingleComm;
 use rbx::device::{set_tuning, KernelTuning, WorkerPool};
 use rbx::gs::{GatherScatter, GsOp};
 use rbx::la::helmholtz::{HelmholtzOp, HelmholtzScratch};
-use rbx::la::ops::DotProduct;
+use rbx::la::ops::{DotProduct, ElemLayout};
 use rbx::la::ElementFdm;
 use rbx::mesh::generators::box_mesh;
 use rbx::mesh::GeomFactors;
@@ -33,6 +33,7 @@ use rbx::telemetry::json::Value;
 use rbx::telemetry::schema::{bench_record, validate_bench};
 use rbx_bench::out_dir;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 struct Args {
     threads: usize,
@@ -290,8 +291,10 @@ fn main() {
     };
     record_sweep(&mut rows, "gs_local", &gs_sweep);
 
-    // Dot product: the sweep unit is the vector length.
+    // Dot product: the sweep unit is the vector length, split into
+    // degree-p elements as in the solver's element layout.
     let dot_sweep = {
+        let n_per = (p + 1).pow(3);
         let lens = [1usize << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18];
         let nmax = *lens.last().unwrap();
         let a: Vec<f64> = (0..nmax)
@@ -302,7 +305,11 @@ fn main() {
             .collect();
         let dps: Vec<DotProduct> = lens
             .iter()
-            .map(|&l| DotProduct::new(&vec![1.0; l]))
+            .map(|&l| {
+                let nelem = l / n_per;
+                let layout = Arc::new(ElemLayout::new(n_per, (0..nelem).collect(), nelem));
+                DotProduct::with_layout(&vec![1.0; l], layout)
+            })
             .collect();
         sweep_crossover(
             &lens,

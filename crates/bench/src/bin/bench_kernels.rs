@@ -34,7 +34,7 @@ use rbx::comm::SingleComm;
 use rbx::device::WorkerPool;
 use rbx::gs::{GatherScatter, GsOp};
 use rbx::la::helmholtz::{HelmholtzOp, HelmholtzScratch};
-use rbx::la::ops::DotProduct;
+use rbx::la::ops::{DotProduct, ElemLayout};
 use rbx::la::ElementFdm;
 use rbx::mesh::generators::box_mesh;
 use rbx::mesh::GeomFactors;
@@ -290,9 +290,12 @@ fn main() {
         gate_rows.push(("helmholtz_apply", p, serial / pooled, dispatched));
         rows.push(row("helmholtz_apply", p, serial, pooled));
 
-        // Solver dot product (pooled bits are schedule-independent).
+        // Solver dot product over the element layout the solver attaches
+        // (pooled bits equal the serial ones).
         let mult = gs.multiplicity(&comm);
-        let dp = DotProduct::new(&mult);
+        let nelem = mesh.num_elements();
+        let layout = Arc::new(ElemLayout::new(geom.nodes_per_element(), my.clone(), nelem));
+        let dp = DotProduct::with_layout(&mult, layout);
         let b: Vec<f64> = (0..n)
             .map(|i| ((i * 17 % 89) as f64) * 0.02 - 0.9)
             .collect();
@@ -305,16 +308,14 @@ fn main() {
         gate_rows.push(("dot_product", p, serial / pooled, dispatched));
         rows.push(row("dot_product", p, serial, pooled));
 
-        // Gather-scatter local phase (pool handle is set-once, so the
-        // pooled timing uses a second operator instance).
-        let gs_pooled = GatherScatter::build(&mesh, p, &part, &my, &comm);
-        gs_pooled.set_pool(&pool);
+        // Gather-scatter local phase: the operator's default one-thread
+        // pool, then the same operator on the bench pool.
         let mut v = u.clone();
         let serial = time_us(reps, || gs.apply(&mut v, GsOp::Add, &comm));
+        gs.set_pool(&pool);
         let mut v2 = u.clone();
-        let (pooled, dispatched) = time_pooled(reps, &pool, &mut || {
-            gs_pooled.apply(&mut v2, GsOp::Add, &comm)
-        });
+        let (pooled, dispatched) =
+            time_pooled(reps, &pool, &mut || gs.apply(&mut v2, GsOp::Add, &comm));
         gate_rows.push(("gs_local", p, serial / pooled, dispatched));
         rows.push(row("gs_local", p, serial, pooled));
 

@@ -164,14 +164,14 @@ pub fn phys_grad_with(
 
 /// Pointwise curl `ω = ∇ × u` of a vector field.
 // audit:allow(hot-alloc): field-sized scratch per call; a shared scratch arena is the planned fix (ROADMAP), and each allocation is amortized by the O(N) kernel work that follows
-pub fn curl(geom: &GeomFactors, u: [&[f64]; 3], w: [&mut [f64]; 3], scratch: &mut DiffScratch) {
+pub fn curl(geom: &GeomFactors, u: [&[f64]; 3], w: [&mut [f64]; 3], pool: &WorkerPool) {
     let ntot = geom.total_nodes();
     let mut g = [vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]];
     let [wx, wy, wz] = w;
     // ∇u_z → contributes to wx (+∂uz/∂y) and wy (−∂uz/∂x)
     {
         let [gx, gy, _gz] = &mut g;
-        phys_grad(geom, u[2], gx, gy, &mut vec![0.0; ntot], scratch);
+        phys_grad_with(geom, u[2], gx, gy, &mut vec![0.0; ntot], pool);
         for i in 0..ntot {
             wx[i] = gy[i];
             wy[i] = -gx[i];
@@ -180,7 +180,7 @@ pub fn curl(geom: &GeomFactors, u: [&[f64]; 3], w: [&mut [f64]; 3], scratch: &mu
     // ∇u_y → wx −= ∂uy/∂z ; wz += ∂uy/∂x
     {
         let [gx, _gy, gz] = &mut g;
-        phys_grad(geom, u[1], gx, &mut vec![0.0; ntot], gz, scratch);
+        phys_grad_with(geom, u[1], gx, &mut vec![0.0; ntot], gz, pool);
         for i in 0..ntot {
             wx[i] -= gz[i];
         }
@@ -189,7 +189,7 @@ pub fn curl(geom: &GeomFactors, u: [&[f64]; 3], w: [&mut [f64]; 3], scratch: &mu
     // ∇u_x → wy += ∂ux/∂z ; wz −= ∂ux/∂y
     {
         let [_gx, gy, gz] = &mut g;
-        phys_grad(geom, u[0], &mut vec![0.0; ntot], gy, gz, scratch);
+        phys_grad_with(geom, u[0], &mut vec![0.0; ntot], gy, gz, pool);
         for i in 0..ntot {
             wy[i] += gz[i];
             wz[i] -= gy[i];
@@ -413,7 +413,6 @@ impl Dealias {
     /// The physical gradient of `v` is formed on the collocation grid;
     /// gradient and advecting velocity are interpolated to the fine grid,
     /// multiplied there, and projected back through the coarse mass.
-    // audit:allow(hot-alloc): field-sized scratch per call; a shared scratch arena is the planned fix (ROADMAP), and each allocation is amortized by the O(N) kernel work that follows
     pub fn advect(
         &self,
         geom: &GeomFactors,
@@ -652,7 +651,8 @@ mod tests {
         let mut wx = vec![0.0; ntot];
         let mut wy = vec![0.0; ntot];
         let mut wz = vec![0.0; ntot];
-        curl(&geom, [&gx, &gy, &gz], [&mut wx, &mut wy, &mut wz], &mut s);
+        let pool = WorkerPool::new(1);
+        curl(&geom, [&gx, &gy, &gz], [&mut wx, &mut wy, &mut wz], &pool);
         let max = wx
             .iter()
             .chain(&wy)
@@ -673,8 +673,8 @@ mod tests {
         let mut wx = vec![0.0; ntot];
         let mut wy = vec![0.0; ntot];
         let mut wz = vec![0.0; ntot];
-        let mut s = DiffScratch::default();
-        curl(&geom, [&ux, &uy, &uz], [&mut wx, &mut wy, &mut wz], &mut s);
+        let pool = WorkerPool::new(1);
+        curl(&geom, [&ux, &uy, &uz], [&mut wx, &mut wy, &mut wz], &pool);
         for i in 0..ntot {
             assert_close(wx[i], 0.0, 1e-11);
             assert_close(wy[i], 0.0, 1e-11);

@@ -15,9 +15,7 @@
 //! Wall time is attributed to the paper's Fig. 4 phases throughout.
 
 use crate::config::{SolverConfig, ThermalBc};
-use crate::diffops::{
-    curl, phys_grad, phys_grad_with, weak_divergence, weak_divergence_with, Dealias, DiffScratch,
-};
+use crate::diffops::{curl, phys_grad_with, weak_divergence_with, Dealias};
 use crate::error::{SimError, StepFault, StepPhase, StepVerdict};
 use crate::fields::FlowState;
 use crate::timeint::{bdf_coeffs_variable, effective_order, ext_coeffs_variable};
@@ -28,7 +26,7 @@ use rbx_comm::Communicator;
 use rbx_device::{PoolStats, WorkerPool};
 use rbx_gs::{GatherScatter, GsOp};
 use rbx_la::bc::{dirichlet_mask, set_on_tagged_faces};
-use rbx_la::helmholtz::{HelmholtzOp, HelmholtzScratch};
+use rbx_la::helmholtz::HelmholtzOp;
 use rbx_la::jacobi::{assembled_diagonal, jacobi_apply};
 use rbx_la::krylov::{fgmres, pcg, ResidualHistory, SolveStats};
 use rbx_la::ops::{hadamard, ortho_project_mean_layout, DotProduct, ElemLayout};
@@ -122,11 +120,9 @@ pub struct Simulation<'a> {
     pub last: StepStats,
     /// Previous-solution recycling space for the pressure solve.
     p_proj: SolutionProjection,
-    scratch_h: HelmholtzScratch,
-    scratch_d: DiffScratch,
-    /// Persistent worker pool for the hot-path kernels (`None` keeps every
-    /// kernel on the calling thread — the legacy serial configuration).
-    pool: Option<WorkerPool>,
+    /// Worker pool every hot-path kernel runs on: one thread unless
+    /// [`Simulation::set_pool`] installs a larger one.
+    pool: WorkerPool,
     /// Pool counter snapshot at the end of the previous step, for per-step
     /// telemetry deltas.
     pool_prev: PoolStats,
@@ -199,6 +195,9 @@ impl<'a> Simulation<'a> {
             }
         }
 
+        // audit:allow(pool-discipline): setup, once per Simulation — the one-thread pool the step runs on until set_pool replaces it
+        let pool = WorkerPool::new(1);
+        gs.set_pool(&pool);
         let fdm = ElementFdm::new(&geom);
         let coarse =
             CoarseGrid::build_with_order(mesh, p, cfg.coarse_order, part, &my_elems, &[], comm);
@@ -211,6 +210,7 @@ impl<'a> Simulation<'a> {
             &geom.mass,
             1.0,
             0.0,
+            &pool,
         );
         schwarz.set_elem_layout(elem_layout.clone());
 
@@ -244,25 +244,22 @@ impl<'a> Simulation<'a> {
             tel: Telemetry::disabled(),
             last: StepStats::default(),
             p_proj,
-            scratch_h: HelmholtzScratch::default(),
-            scratch_d: DiffScratch::default(),
-            pool: None,
-            pool_prev: PoolStats::default(),
+            pool_prev: pool.stats(),
+            pool,
             obs_prev_gs_bytes: 0,
             obs_prev_comm_s: 0.0,
         }
     }
 
-    /// Route every hot-path kernel — Helmholtz applies inside the Krylov
-    /// solves, the Schwarz FDM sweep (and its coarse∥fine overlap), the
-    /// gather-scatter local phases, the dealiased advection/derivative
-    /// kernels, and the solver dot products — through a persistent
-    /// [`WorkerPool`]. The pooled step is bitwise identical for every
-    /// thread count of the pool (the reduction order is fixed by the data
-    /// layout, not the schedule), though not to the unpooled serial step,
-    /// whose dot products use a different summation order.
+    /// Replace the worker pool every hot-path kernel runs on — Helmholtz
+    /// applies inside the Krylov solves, the Schwarz FDM sweep (and its
+    /// coarse∥fine overlap), the gather-scatter local phases, the dealiased
+    /// advection/derivative kernels and the solver dot products. The step
+    /// produces the same bits for every thread count × rank count: every
+    /// reduction order is fixed by the mesh (per-element partials folded in
+    /// global element order), never by the schedule or the partition.
     pub fn set_pool(&mut self, pool: &WorkerPool) {
-        self.pool = Some(pool.clone());
+        self.pool = pool.clone();
         self.pool_prev = pool.stats();
         self.schwarz.set_pool(pool);
         self.gs.set_pool(pool);
@@ -387,42 +384,29 @@ impl<'a> Simulation<'a> {
     /// Compute the explicit forcings from the current state:
     /// `f = −(u·∇)u + T·e_z`, `f_T = −(u·∇)T`.
     // audit:allow(hot-alloc): field-sized scratch per call; a shared scratch arena is the planned fix (ROADMAP), and each allocation is amortized by the O(N) kernel work that follows
-    fn compute_forcing(&mut self) -> ([Vec<f64>; 3], Vec<f64>) {
+    fn compute_forcing(&self) -> ([Vec<f64>; 3], Vec<f64>) {
         let n = self.n_local();
         let u = &self.state.u;
         let mut f = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
         let mut ft = vec![0.0; n];
-        if let Some(pool) = &self.pool {
-            let _g = self.tel.span_abs("pool/advect");
-            for d in 0..3 {
-                self.dealias
-                    .advect_with(&self.geom, [&u[0], &u[1], &u[2]], &u[d], &mut f[d], pool);
-            }
+        let span = self.tel.span_abs("pool/advect");
+        for d in 0..3 {
             self.dealias.advect_with(
                 &self.geom,
                 [&u[0], &u[1], &u[2]],
-                &self.state.t,
-                &mut ft,
-                pool,
-            );
-        } else {
-            for d in 0..3 {
-                self.dealias.advect(
-                    &self.geom,
-                    [&u[0], &u[1], &u[2]],
-                    &u[d],
-                    &mut f[d],
-                    &mut self.scratch_d,
-                );
-            }
-            self.dealias.advect(
-                &self.geom,
-                [&u[0], &u[1], &u[2]],
-                &self.state.t,
-                &mut ft,
-                &mut self.scratch_d,
+                &u[d],
+                &mut f[d],
+                &self.pool,
             );
         }
+        self.dealias.advect_with(
+            &self.geom,
+            [&u[0], &u[1], &u[2]],
+            &self.state.t,
+            &mut ft,
+            &self.pool,
+        );
+        drop(span);
         for i in 0..n {
             f[0][i] = -f[0][i];
             f[1][i] = -f[1][i];
@@ -596,26 +580,23 @@ impl<'a> Simulation<'a> {
         if !self.tel.is_enabled() {
             return;
         }
-        if let Some(pool) = &self.pool {
-            let now = pool.stats();
-            let prev = self.pool_prev;
-            self.pool_prev = now;
-            self.tel.gauge_set("rbx_pool_threads", now.threads as f64);
-            self.tel.counter_add(
-                "rbx_pool_dispatches_total",
-                now.dispatches.saturating_sub(prev.dispatches),
-            );
-            self.tel.counter_add(
-                "rbx_pool_chunks_total",
-                now.chunks.saturating_sub(prev.chunks),
-            );
-            self.tel
-                .counter_add("rbx_pool_items_total", now.items.saturating_sub(prev.items));
-            self.tel.counter_add(
-                "rbx_pool_grained_total",
-                now.grained.saturating_sub(prev.grained),
-            );
-        }
+        let now = self.pool.stats();
+        let prev = std::mem::replace(&mut self.pool_prev, now);
+        self.tel.gauge_set("rbx_pool_threads", now.threads as f64);
+        self.tel.counter_add(
+            "rbx_pool_dispatches_total",
+            now.dispatches.saturating_sub(prev.dispatches),
+        );
+        self.tel.counter_add(
+            "rbx_pool_chunks_total",
+            now.chunks.saturating_sub(prev.chunks),
+        );
+        self.tel
+            .counter_add("rbx_pool_items_total", now.items.saturating_sub(prev.items));
+        self.tel.counter_add(
+            "rbx_pool_grained_total",
+            now.grained.saturating_sub(prev.grained),
+        );
         // Constant for the whole process (the kernel level is pinned at
         // first use), but exported every step so any scrape sees it.
         self.tel.gauge_set(
@@ -794,7 +775,7 @@ impl<'a> Simulation<'a> {
                 &self.geom,
                 [&u_ext[0], &u_ext[1], &u_ext[2]],
                 [&mut wx, &mut wy, &mut wz],
-                &mut self.scratch_d,
+                &self.pool,
             );
             let mut cx = vec![0.0; n];
             let mut cy = vec![0.0; n];
@@ -803,7 +784,7 @@ impl<'a> Simulation<'a> {
                 &self.geom,
                 [&wx, &wy, &wz],
                 [&mut cx, &mut cy, &mut cz],
-                &mut self.scratch_d,
+                &self.pool,
             );
             for i in 0..n {
                 sx[i] -= nu * cx[i];
@@ -812,11 +793,7 @@ impl<'a> Simulation<'a> {
             }
         }
         let mut rhs = vec![0.0; n];
-        if let Some(pool) = &self.pool {
-            weak_divergence_with(&self.geom, [&sx, &sy, &sz], &mut rhs, pool);
-        } else {
-            weak_divergence(&self.geom, [&sx, &sy, &sz], &mut rhs, &mut self.scratch_d);
-        }
+        weak_divergence_with(&self.geom, [&sx, &sy, &sz], &mut rhs, &self.pool);
         self.gs.apply(&mut rhs, GsOp::Add, self.comm);
         // Consistency projection: the singular Neumann system needs
         // ⟨rhs, 1⟩ = 0 in the *unique-dof* inner product, so the weights
@@ -833,7 +810,6 @@ impl<'a> Simulation<'a> {
         };
         let dp = &self.dp;
         let comm = self.comm;
-        let mut scratch = HelmholtzScratch::default();
         let schwarz = &self.schwarz;
         let mode = self.cfg.schwarz_mode;
         let use_schwarz = self.cfg.schwarz_enabled;
@@ -841,7 +817,7 @@ impl<'a> Simulation<'a> {
         let mask_p = &self.mask_p;
         let mass = &self.geom.mass;
         let layout = &self.elem_layout;
-        let pool = self.pool.as_ref();
+        let pool = &self.pool;
         let tel = &self.tel;
 
         if self.cfg.p_projection > 0 {
@@ -851,12 +827,9 @@ impl<'a> Simulation<'a> {
             self.p_proj.project_out(&mut rhs, &mut x0, dp, comm);
             let mut dx = vec![0.0; n];
             let stats = fgmres(
-                |x, y| match pool {
-                    Some(pool) => {
-                        let _g = tel.span_abs("pool/helmholtz");
-                        op.apply_with(x, y, pool, comm);
-                    }
-                    None => op.apply(x, y, &mut scratch, comm),
+                |x, y| {
+                    let _g = tel.span_abs("pool/helmholtz");
+                    op.apply_with(x, y, pool, comm);
                 },
                 |r, z| {
                     if use_schwarz {
@@ -866,12 +839,9 @@ impl<'a> Simulation<'a> {
                         ortho_project_mean_layout(z, mass, layout, comm);
                     }
                 },
-                |a, b| match pool {
-                    Some(pool) => {
-                        let _g = tel.span_abs("pool/dot");
-                        dp.dot_with(a, b, pool, comm)
-                    }
-                    None => dp.dot(a, b, comm),
+                |a, b| {
+                    let _g = tel.span_abs("pool/dot");
+                    dp.dot_with(a, b, pool, comm)
                 },
                 &rhs,
                 &mut dx,
@@ -907,13 +877,7 @@ impl<'a> Simulation<'a> {
             // a warm space the A-orthogonalization reduces this to the
             // correction automatically.
             let mut ap = vec![0.0; n];
-            match pool {
-                Some(pool) => op.apply_with(p, &mut ap, pool, comm),
-                None => {
-                    let mut scratch2 = HelmholtzScratch::default();
-                    op.apply(p, &mut ap, &mut scratch2, comm);
-                }
-            }
+            op.apply_with(p, &mut ap, pool, comm);
             let p_snapshot = self.state.p.clone();
             self.p_proj.absorb(&p_snapshot, &ap, dp, comm);
             stats
@@ -921,12 +885,9 @@ impl<'a> Simulation<'a> {
             let p = &mut self.state.p;
             ortho_project_mean_layout(p, mass, layout, comm);
             let stats = fgmres(
-                |x, y| match pool {
-                    Some(pool) => {
-                        let _g = tel.span_abs("pool/helmholtz");
-                        op.apply_with(x, y, pool, comm);
-                    }
-                    None => op.apply(x, y, &mut scratch, comm),
+                |x, y| {
+                    let _g = tel.span_abs("pool/helmholtz");
+                    op.apply_with(x, y, pool, comm);
                 },
                 |r, z| {
                     if use_schwarz {
@@ -937,12 +898,9 @@ impl<'a> Simulation<'a> {
                         ortho_project_mean_layout(z, mass, layout, comm);
                     }
                 },
-                |a, b| match pool {
-                    Some(pool) => {
-                        let _g = tel.span_abs("pool/dot");
-                        dp.dot_with(a, b, pool, comm)
-                    }
-                    None => dp.dot(a, b, comm),
+                |a, b| {
+                    let _g = tel.span_abs("pool/dot");
+                    dp.dot_with(a, b, pool, comm)
                 },
                 &rhs,
                 p,
@@ -963,18 +921,14 @@ impl<'a> Simulation<'a> {
         let mut gx = vec![0.0; n];
         let mut gy = vec![0.0; n];
         let mut gz = vec![0.0; n];
-        if let Some(pool) = &self.pool {
-            phys_grad_with(&self.geom, &self.state.p, &mut gx, &mut gy, &mut gz, pool);
-        } else {
-            phys_grad(
-                &self.geom,
-                &self.state.p,
-                &mut gx,
-                &mut gy,
-                &mut gz,
-                &mut self.scratch_d,
-            );
-        }
+        phys_grad_with(
+            &self.geom,
+            &self.state.p,
+            &mut gx,
+            &mut gy,
+            &mut gz,
+            &self.pool,
+        );
         let grads = [gx, gy, gz];
 
         let diag: Vec<f64> = self
@@ -993,7 +947,7 @@ impl<'a> Simulation<'a> {
         let dp = &self.dp;
         let comm = self.comm;
         let mask_v = &self.mask_v;
-        let pool = self.pool.as_ref();
+        let pool = &self.pool;
         let tel = &self.tel;
         let mut out = [SolveStats {
             iterations: 0,
@@ -1014,22 +968,15 @@ impl<'a> Simulation<'a> {
             // homogeneous).
             let u = &mut self.state.u[d];
             hadamard(mask_v, u);
-            let mut scratch = HelmholtzScratch::default();
             out[d] = pcg(
-                |x, y| match pool {
-                    Some(pool) => {
-                        let _g = tel.span_abs("pool/helmholtz");
-                        op.apply_with(x, y, pool, comm);
-                    }
-                    None => op.apply(x, y, &mut scratch, comm),
+                |x, y| {
+                    let _g = tel.span_abs("pool/helmholtz");
+                    op.apply_with(x, y, pool, comm);
                 },
                 |r, z| jacobi_apply(&diag, mask_v, r, z),
-                |a, b| match pool {
-                    Some(pool) => {
-                        let _g = tel.span_abs("pool/dot");
-                        dp.dot_with(a, b, pool, comm)
-                    }
-                    None => dp.dot(a, b, comm),
+                |a, b| {
+                    let _g = tel.span_abs("pool/dot");
+                    dp.dot_with(a, b, pool, comm)
                 },
                 &rhs,
                 u,
@@ -1053,11 +1000,7 @@ impl<'a> Simulation<'a> {
             h2: bd0_dt,
         };
         let mut h_lift = vec![0.0; n];
-        if let Some(pool) = &self.pool {
-            op_unmasked.apply_with(&self.t_lift, &mut h_lift, pool, self.comm);
-        } else {
-            op_unmasked.apply(&self.t_lift, &mut h_lift, &mut self.scratch_h, self.comm);
-        }
+        op_unmasked.apply_with(&self.t_lift, &mut h_lift, &self.pool, self.comm);
 
         let mut rhs = vec![0.0; n];
         for i in 0..n {
@@ -1085,7 +1028,7 @@ impl<'a> Simulation<'a> {
         let dp = &self.dp;
         let comm = self.comm;
         let mask_t = &self.mask_t;
-        let pool = self.pool.as_ref();
+        let pool = &self.pool;
         let tel = &self.tel;
         // θ initial guess from the previous temperature.
         let mut theta: Vec<f64> = self
@@ -1096,22 +1039,15 @@ impl<'a> Simulation<'a> {
             .map(|(t, l)| t - l)
             .collect();
         hadamard(mask_t, &mut theta);
-        let mut scratch = HelmholtzScratch::default();
         let stats = pcg(
-            |x, y| match pool {
-                Some(pool) => {
-                    let _g = tel.span_abs("pool/helmholtz");
-                    op.apply_with(x, y, pool, comm);
-                }
-                None => op.apply(x, y, &mut scratch, comm),
+            |x, y| {
+                let _g = tel.span_abs("pool/helmholtz");
+                op.apply_with(x, y, pool, comm);
             },
             |r, z| jacobi_apply(&diag, mask_t, r, z),
-            |a, b| match pool {
-                Some(pool) => {
-                    let _g = tel.span_abs("pool/dot");
-                    dp.dot_with(a, b, pool, comm)
-                }
-                None => dp.dot(a, b, comm),
+            |a, b| {
+                let _g = tel.span_abs("pool/dot");
+                dp.dot_with(a, b, pool, comm)
             },
             &rhs,
             &mut theta,
@@ -1380,10 +1316,10 @@ mod telemetry_tests {
         assert!(tel.metrics().gauge("rbx_step_dt").unwrap() > 0.0);
         // Gather-scatter traffic flowed through the shared handle (single
         // rank: local work only, but the spans must be there).
-        assert!(tel.tracer().calls("gs/local") > 0);
+        assert!(tel.tracer().calls("pool/gs") > 0);
         // Schwarz sub-stages appear in the span tree.
         assert!(tel.tracer().calls("schwarz/coarse") > 0);
-        assert!(tel.tracer().calls("schwarz/fdm") > 0);
+        assert!(tel.tracer().calls("pool/fdm") > 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -365,7 +365,7 @@ mod tests {
         assert_eq!(report.schedules, 1);
     }
 
-    /// Model of [`crate::pool::par_reduce_with`]: workers claim chunks off
+    /// Model of [`crate::pool::WorkerPool::sum`]: workers claim chunks off
     /// a shared counter (the fetch_add is one atomic step), accumulate
     /// into per-chunk slots, and the partials combine in index order after
     /// the join. The claim order varies per schedule; the sum must not.
@@ -406,7 +406,7 @@ mod tests {
                 (s, vec![mk("w0"), mk("w1")])
             },
             |s| {
-                // Index-ordered combine, as in par_reduce_with.
+                // Index-ordered combine, as in WorkerPool::sum.
                 fingerprint_f64(&[s.partials.iter().sum::<f64>()])
             },
             100_000,

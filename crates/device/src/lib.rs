@@ -26,8 +26,6 @@ pub mod vgpu;
 
 pub use desim::{simulate, SimConfig, SimKernel, SimResult};
 pub use host::HostBackend;
-pub use pool::{
-    global_pool, loop_chunk, par_for, par_reduce, reduce_chunk, PoolStats, RangePtr, WorkerPool,
-};
+pub use pool::{loop_chunk, reduce_chunk, PoolStats, RangePtr, WorkerPool};
 pub use tuning::{set_tuning, tuning, KernelTuning};
 pub use vgpu::{busy_wait, Event, Stream, StreamPriority, TraceEvent, VgpuConfig, VirtualGpu};

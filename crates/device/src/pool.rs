@@ -35,7 +35,7 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Signature of the monomorphized trampoline a job dispatches through:
@@ -497,13 +497,6 @@ impl WorkerPool {
         Self::new(n)
     }
 
-    /// Single-participant pool: dispatch runs inline on the caller with
-    /// zero worker threads, through the same chunked traversal as the
-    /// parallel path so reductions keep identical bits.
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
     /// Total participants per dispatch (workers + the calling thread).
     pub fn threads(&self) -> usize {
         self.threads
@@ -831,30 +824,6 @@ impl<T> RangePtr<T> {
     }
 }
 
-static GLOBAL_POOL: OnceLock<WorkerPool> = OnceLock::new();
-
-/// The process-wide shared pool, created on first use with
-/// [`WorkerPool::auto`] sizing — so the free functions below never spawn
-/// per call. Hot paths should carry an explicit pool handle through their
-/// operator structs instead (the audit's pool-discipline rule enforces
-/// this); the global is for leaf utilities, tools and tests.
-pub fn global_pool() -> &'static WorkerPool {
-    GLOBAL_POOL.get_or_init(WorkerPool::auto)
-}
-
-/// Parallel-for on the lazily-initialized [`global_pool`].
-pub fn par_for(n: usize, f: impl Fn(usize) + Sync) {
-    let pool = global_pool();
-    pool.for_each(n, loop_chunk(n, pool.threads()), f);
-}
-
-/// Deterministic parallel sum on the lazily-initialized [`global_pool`];
-/// the chunk partition depends on `n` only, so the result bits do not
-/// depend on the machine's thread count.
-pub fn par_reduce(n: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {
-    global_pool().sum(n, reduce_chunk(n), f)
-}
-
 /// Chunk size for a parallel loop: aim for ~4 chunks per participant so
 /// dynamic self-scheduling can balance uneven progress.
 pub fn loop_chunk(n: usize, threads: usize) -> usize {
@@ -1059,18 +1028,6 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i as f64);
         }
-    }
-
-    #[test]
-    fn free_functions_use_one_global_pool() {
-        let hits = AtomicUsize::new(0);
-        par_for(100, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-        let s = par_reduce(10, |i| i as f64);
-        assert_eq!(s, 45.0);
-        assert!(std::ptr::eq(global_pool(), global_pool()));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use rbx_mesh::topology::{classify_node, NodeClass, HEX_EDGES, HEX_FACES};
 use rbx_mesh::HexMesh;
 use rbx_telemetry::Telemetry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// Reduction operator applied across nodes sharing a global id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,10 +167,9 @@ pub struct GatherScatter {
     /// Observability handle, settable once through a shared reference
     /// (the operator lives behind an `Arc` in the simulation).
     tel: OnceLock<Telemetry>,
-    /// Persistent worker pool for the local gather and scatter phases,
-    /// settable once through a shared reference (like `tel`). Unset means
-    /// the phases run serially on the calling thread.
-    pool: OnceLock<WorkerPool>,
+    /// Worker pool for the local gather and scatter phases — a one-thread
+    /// pool until [`GatherScatter::set_pool`] replaces it.
+    pool: RwLock<WorkerPool>,
 }
 
 impl GatherScatter {
@@ -371,29 +370,25 @@ impl GatherScatter {
             send_values,
             tag: 0x6753,
             tel: OnceLock::new(),
-            pool: OnceLock::new(),
+            // audit:allow(pool-discipline): setup, once per operator — the one-thread default that set_pool replaces
+            pool: RwLock::new(WorkerPool::new(1)),
         }
     }
 
-    /// Route the rank-local gather and scatter phases through a persistent
-    /// [`WorkerPool`]. Callable through `&self` (the operator is typically
-    /// shared via `Arc`); only the first call takes effect. Each group's
-    /// reduction still runs in member order on one thread, so the pooled
-    /// phases are bitwise identical to the serial ones for every thread
-    /// count. The shared (communication) phase is unaffected.
+    /// Run the rank-local gather and scatter phases on `pool`, replacing
+    /// the current pool. Callable through `&self` (the operator is
+    /// typically shared via `Arc`); every call takes effect. Each group
+    /// still reduces in member order on one thread, so the result bits are
+    /// the same for every thread count. The shared (communication) phase
+    /// is unaffected.
     pub fn set_pool(&self, pool: &WorkerPool) {
-        let _ = self.pool.set(pool.clone());
-    }
-
-    #[inline]
-    fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.get()
+        *self.pool.write().unwrap_or_else(PoisonError::into_inner) = pool.clone();
     }
 
     /// Attach a telemetry handle. Callable through `&self` (the operator
     /// is typically shared via `Arc`); only the first call takes effect.
     /// When the handle is enabled, each [`GatherScatter::apply`] records
-    /// `gs/local`, `gs/shared` and `gs/scatter` spans plus exchange-volume
+    /// `pool/gs` (gather, scatter) and `gs/shared` spans plus exchange-volume
     /// counters (`rbx_gs_messages_total`, `rbx_gs_bytes_total`).
     pub fn set_telemetry(&self, tel: &Telemetry) {
         let _ = self.tel.set(tel.clone());
@@ -469,42 +464,32 @@ impl GatherScatter {
         // audit:allow(hot-alloc): per-apply group buffer — hoisting it into self would need interior mutability on a handle shared across threads (Schwarz overlap); one ngroups vec amortizes over the whole reduce+scatter
         let mut gval = vec![0.0; ngroups];
 
+        // Read once per apply; a concurrent `set_pool` waits for it.
+        let pool = self.pool.read().unwrap_or_else(PoisonError::into_inner);
+        let chunk = loop_chunk(ngroups, pool.threads());
+        let grain = tuning().gs_groups;
+
         // Phase 1: local gather. Groups are independent (each node belongs
-        // to at most one group), so chunks of the group range can gather in
-        // parallel; each group still reduces in member order on a single
-        // thread, keeping the result bitwise identical to the serial phase.
-        match self.pool() {
-            Some(pool) => {
-                let _g = tel.map(|t| t.span_abs("pool/gs"));
-                let gp = RangePtr::new(&mut gval);
-                let chunk = loop_chunk(ngroups, pool.threads());
-                pool.for_each_range_min(ngroups, chunk, tuning().gs_groups, |g0, g1| {
-                    // SAFETY: chunk ranges of the group index are pairwise
-                    // disjoint, so each gval slot has exactly one writer.
-                    let gsub = unsafe { gp.range_mut(g0, g1) };
-                    for (gi, slot) in (g0..g1).zip(gsub.iter_mut()) {
-                        let lo = self.group_ptr[gi] as usize;
-                        let hi = self.group_ptr[gi + 1] as usize;
-                        let mut acc = op.identity();
-                        for &m in &self.members[lo..hi] {
-                            acc = op.combine(acc, u[m as usize]);
-                        }
-                        *slot = acc;
-                    }
-                });
-            }
-            None => {
-                let _g = tel.map(|t| t.span_abs("gs/local"));
-                for gi in 0..ngroups {
+        // to at most one group), so chunks of the group range gather in
+        // parallel; each group reduces in member order on a single thread,
+        // so the result bits do not depend on the thread count.
+        {
+            let _g = tel.map(|t| t.span_abs("pool/gs"));
+            let gp = RangePtr::new(&mut gval);
+            pool.for_each_range_min(ngroups, chunk, grain, |g0, g1| {
+                // SAFETY: chunk ranges of the group index are pairwise
+                // disjoint, so each gval slot has exactly one writer.
+                let gsub = unsafe { gp.range_mut(g0, g1) };
+                for (gi, slot) in (g0..g1).zip(gsub.iter_mut()) {
                     let lo = self.group_ptr[gi] as usize;
                     let hi = self.group_ptr[gi + 1] as usize;
                     let mut acc = op.identity();
                     for &m in &self.members[lo..hi] {
                         acc = op.combine(acc, u[m as usize]);
                     }
-                    gval[gi] = acc;
+                    *slot = acc;
                 }
-            }
+            });
         }
 
         // Phase 2: shared exchange. Each rank sends the raw *member values*
@@ -590,36 +575,20 @@ impl GatherScatter {
 
         // Scatter back. Member sets of distinct groups are disjoint, so the
         // scatter writes of parallel group chunks never alias.
-        match self.pool() {
-            Some(pool) => {
-                let _g = tel.map(|t| t.span_abs("pool/gs"));
-                let up = RangePtr::new(u);
-                let gv = &gval;
-                let chunk = loop_chunk(ngroups, pool.threads());
-                pool.for_each_range_min(ngroups, chunk, tuning().gs_groups, |g0, g1| {
-                    for gi in g0..g1 {
-                        let lo = self.group_ptr[gi] as usize;
-                        let hi = self.group_ptr[gi + 1] as usize;
-                        for &m in &self.members[lo..hi] {
-                            // SAFETY: each node index appears in at most one
-                            // group, so writes from different chunks are
-                            // disjoint.
-                            unsafe { up.write(m as usize, gv[gi]) };
-                        }
-                    }
-                });
-            }
-            None => {
-                let _g = tel.map(|t| t.span_abs("gs/scatter"));
-                for gi in 0..ngroups {
-                    let lo = self.group_ptr[gi] as usize;
-                    let hi = self.group_ptr[gi + 1] as usize;
-                    for &m in &self.members[lo..hi] {
-                        u[m as usize] = gval[gi];
-                    }
+        let _g = tel.map(|t| t.span_abs("pool/gs"));
+        let up = RangePtr::new(u);
+        let gv = &gval;
+        pool.for_each_range_min(ngroups, chunk, grain, |g0, g1| {
+            for gi in g0..g1 {
+                let lo = self.group_ptr[gi] as usize;
+                let hi = self.group_ptr[gi + 1] as usize;
+                for &m in &self.members[lo..hi] {
+                    // SAFETY: each node index appears in at most one group,
+                    // so writes from different chunks are disjoint.
+                    unsafe { up.write(m as usize, gv[gi]) };
                 }
             }
-        }
+        });
         Ok(())
     }
 
@@ -964,9 +933,24 @@ mod tests {
         // both loops are grain-gated to the caller thread and counted in
         // `grained` rather than `dispatches`.
         assert_eq!(tel.tracer().calls("pool/gs"), 2);
-        assert_eq!(tel.tracer().calls("gs/local"), 0);
         let stats = pool.stats();
         assert!(stats.dispatches + stats.grained >= 2);
+    }
+
+    #[test]
+    fn set_pool_replaces_the_previous_pool() {
+        let p = 2;
+        let mesh = box_mesh(2, 1, 1, [0., 2.], [0., 1.], [0., 1.], false, false);
+        let (gs, comm) = single_gs(&mesh, p);
+        let first = rbx_device::WorkerPool::new(2);
+        let second = rbx_device::WorkerPool::new(3);
+        gs.set_pool(&first);
+        gs.set_pool(&second);
+        let mut u = vec![1.0; gs.n_local()];
+        gs.apply(&mut u, GsOp::Add, &comm);
+        let work = |s: rbx_device::PoolStats| s.dispatches + s.grained;
+        assert_eq!(work(first.stats()), 0);
+        assert_eq!(work(second.stats()), 2);
     }
 
     #[test]
@@ -978,8 +962,7 @@ mod tests {
         gs.set_telemetry(&tel);
         let mut u = vec![1.0; gs.n_local()];
         gs.apply(&mut u, GsOp::Add, &comm);
-        assert_eq!(tel.tracer().calls("gs/local"), 1);
-        assert_eq!(tel.tracer().calls("gs/scatter"), 1);
+        assert_eq!(tel.tracer().calls("pool/gs"), 2);
         assert_eq!(tel.tracer().calls("gs/shared"), 0);
         assert_eq!(tel.metrics().counter("rbx_gs_bytes_total"), 0);
     }

@@ -39,17 +39,6 @@ impl PodBatch {
         Self { weights }
     }
 
-    /// Weighted local inner product, reduced across ranks.
-    fn dot(&self, a: &[f64], b: &[f64], comm: &dyn Communicator) -> f64 {
-        let local: f64 = a
-            .iter()
-            .zip(b)
-            .zip(&self.weights)
-            .map(|((x, y), w)| x * y * w)
-            .sum();
-        rbx_comm::allreduce_scalar(comm, local)
-    }
-
     /// Compute the POD of `snapshots` (each of rank-local length). Every
     /// rank holds its share of every snapshot; the m×m Gram matrix is the
     /// only cross-rank reduction ("partitioned method of snapshots").
@@ -102,7 +91,6 @@ impl PodBatch {
             singular_values.push(sigma);
             modes.push(mode);
         }
-        let _ = self.dot(&modes[0], &modes[0], comm); // touch: keep method used
         PodResult {
             singular_values,
             modes,
@@ -142,6 +130,16 @@ mod tests {
             })
             .collect();
         (snaps, w)
+    }
+
+    #[test]
+    fn all_zero_snapshots_yield_an_empty_result() {
+        // A quiescent field (e.g. `uz` at rest) has no energetic modes.
+        let comm = SingleComm::new();
+        let pod = PodBatch::new(vec![0.25; 4]);
+        let result = pod.compute(&[vec![0.0; 4], vec![0.0; 4]], &comm);
+        assert!(result.singular_values.is_empty());
+        assert!(result.modes.is_empty());
     }
 
     #[test]

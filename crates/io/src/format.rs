@@ -329,7 +329,7 @@ pub fn write_bpl_atomic(path: &Path, steps: &[StepData]) -> std::io::Result<()> 
 
 /// Convenience: read all steps from a file.
 pub fn read_bpl(path: &Path) -> std::io::Result<Vec<StepData>> {
-    Ok(BplReader::open(path)?.steps.clone())
+    Ok(BplReader::open(path)?.steps)
 }
 
 #[cfg(test)]

@@ -12,11 +12,14 @@ use std::sync::OnceLock;
 /// Reflected ECMA-182 generator polynomial (CRC-64/XZ).
 const POLY: u64 = 0xC96C_5795_D787_0F42;
 
-fn table() -> &'static [u64; 256] {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u64; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
+/// Slicing-by-8 tables: `[0]` is the bytewise CRC table, and `[k][b]` is
+/// `[k - 1][b]` advanced over one more zero byte, so one lookup per byte
+/// folds eight input bytes into the state at once.
+fn tables() -> &'static [[u64; 256]; 8] {
+    static TABLES: OnceLock<[[u64; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u64; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut crc = i as u64;
             for _ in 0..8 {
                 crc = if crc & 1 == 1 {
@@ -27,8 +30,19 @@ fn table() -> &'static [u64; 256] {
             }
             *entry = crc;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][low_byte(prev)];
+            }
+        }
         t
     })
+}
+
+/// The least significant byte of `x`, as a table index.
+fn low_byte(x: u64) -> usize {
+    (x & 0xff) as usize
 }
 
 /// Incremental CRC-64/XZ state, for checksumming without materializing a
@@ -52,11 +66,26 @@ impl Crc64 {
 
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) {
-        let t = table();
-        for &b in data {
-            let idx = ((self.state ^ b as u64) & 0xff) as usize;
-            self.state = (self.state >> 8) ^ t[idx];
+        let t = tables();
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(w);
+            let x = crc ^ u64::from_le_bytes(le);
+            crc = t[7][low_byte(x)]
+                ^ t[6][low_byte(x >> 8)]
+                ^ t[5][low_byte(x >> 16)]
+                ^ t[4][low_byte(x >> 24)]
+                ^ t[3][low_byte(x >> 32)]
+                ^ t[2][low_byte(x >> 40)]
+                ^ t[1][low_byte(x >> 48)]
+                ^ t[0][low_byte(x >> 56)];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][low_byte(crc ^ u64::from(b))];
+        }
+        self.state = crc;
     }
 
     /// Final checksum value.

@@ -413,6 +413,7 @@ mod multilevel_tests {
     use crate::ops::DotProduct;
     use crate::{ElementFdm, SchwarzMg, SchwarzMode};
     use rbx_comm::SingleComm;
+    use rbx_device::WorkerPool;
     use rbx_mesh::generators::box_mesh;
     use std::sync::Arc;
 
@@ -445,6 +446,7 @@ mod multilevel_tests {
             &geom.mass,
             1.0,
             0.0,
+            &WorkerPool::new(1),
         );
         let op = HelmholtzOp {
             geom: &geom,

@@ -173,12 +173,9 @@ impl ElementFdm {
         let mm = m * m * m;
         debug_assert_eq!(r.len(), self.factors.len() * nn);
         debug_assert_eq!(z.len(), r.len());
-        // Per-apply scratch: `&self` must stay immutable so the overlapped
-        // Schwarz phase can run this concurrently with the coarse solve;
-        // two m³ buffers per apply are amortized over the element loop.
-        // audit:allow(hot-alloc): m³ scratch kept local so &self stays Sync for the overlapped phase; amortized over all elements
+        // Per-apply scratch keeps `&self` immutable; two m³ buffers per
+        // apply are amortized over the element loop.
         let mut rint = vec![0.0; mm];
-        // audit:allow(hot-alloc): m³ scratch kept local so &self stays Sync for the overlapped phase; amortized over all elements
         let mut tmp = vec![0.0; mm];
         let mut scratch = Tensor3Scratch::new();
         self.apply_element_range(

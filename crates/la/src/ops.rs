@@ -7,7 +7,7 @@
 
 use rbx_basis::simd;
 use rbx_comm::Communicator;
-use rbx_device::{loop_chunk, reduce_chunk, tuning, RangePtr, WorkerPool};
+use rbx_device::{loop_chunk, tuning, RangePtr, WorkerPool};
 use std::sync::Arc;
 
 /// Element-wise layout of a duplicated-node field: which global elements
@@ -36,13 +36,17 @@ pub struct ElemLayout {
 
 impl ElemLayout {
     /// Build a layout; `gids` must be strictly ascending (the local
-    /// element order every production partitioner produces).
+    /// element order every production partitioner produces) and below
+    /// `nelem_global`. Panics otherwise.
     pub fn new(n_per: usize, gids: Vec<usize>, nelem_global: usize) -> Self {
-        debug_assert!(
+        assert!(
             gids.windows(2).all(|w| w[0] < w[1]),
             "ElemLayout gids must be strictly ascending"
         );
-        debug_assert!(gids.iter().all(|&g| g < nelem_global));
+        assert!(
+            gids.iter().all(|&g| g < nelem_global),
+            "ElemLayout gids must be below nelem_global"
+        );
         Self {
             n_per,
             gids,
@@ -58,13 +62,13 @@ impl ElemLayout {
     /// Canonically reduce `k` simultaneous sums. `partial` is a row-major
     /// `k × nelem_global` buffer holding this rank's per-element partial
     /// sums scattered by global element id (zero in every slot this rank
-    /// does not own). Returns the `k` rank-count-invariant totals.
+    /// does not own). Returns the `k` rank-count-invariant totals. The
+    /// element-wise allreduce runs on every rank count (a no-op on one
+    /// rank), so each canonical reduction is one synchronisation point.
     // audit:allow(hot-alloc): k result cells plus comm staging, bounded by vector count not field size
     pub fn fold_sums(&self, partial: &mut [f64], k: usize, comm: &dyn Communicator) -> Vec<f64> {
         debug_assert_eq!(partial.len(), k * self.nelem_global);
-        if comm.size() > 1 {
-            comm.allreduce_sum(partial);
-        }
+        comm.allreduce_sum(partial);
         (0..k)
             .map(|row| {
                 let lo = row * self.nelem_global;
@@ -82,36 +86,6 @@ impl ElemLayout {
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     simd::axpy(a, x, y);
-}
-
-/// Pooled `y ← a·x + y`: chunk ranges write disjointly and the SIMD
-/// kernel is pointwise (subrange-safe), so the result is bitwise
-/// identical to [`axpy`] for every thread count. Work below the tuned
-/// `elemwise_len` crossover runs inline (same bits, no dispatch cost).
-pub fn axpy_with(a: f64, x: &[f64], y: &mut [f64], pool: &WorkerPool) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = y.len();
-    let yp = RangePtr::new(y);
-    let gate = tuning().elemwise_len;
-    pool.for_each_range_min(n, loop_chunk(n, pool.threads()), gate, |start, end| {
-        // SAFETY: chunk ranges are pairwise disjoint.
-        let ysub = unsafe { yp.range_mut(start, end) };
-        simd::axpy(a, &x[start..end], ysub);
-    });
-}
-
-/// Pooled `y ← x + b·y` (see [`xpby`]); bitwise identical to the serial
-/// form for every thread count, grain-gated at `elemwise_len`.
-pub fn xpby_with(x: &[f64], b: f64, y: &mut [f64], pool: &WorkerPool) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = y.len();
-    let yp = RangePtr::new(y);
-    let gate = tuning().elemwise_len;
-    pool.for_each_range_min(n, loop_chunk(n, pool.threads()), gate, |start, end| {
-        // SAFETY: chunk ranges are pairwise disjoint.
-        let ysub = unsafe { yp.range_mut(start, end) };
-        simd::xpby(&x[start..end], b, ysub);
-    });
 }
 
 /// `y ← x + b·y` (useful for CG direction updates; SIMD-dispatched).
@@ -138,29 +112,15 @@ pub fn hadamard(x: &[f64], y: &mut [f64]) {
     simd::hadamard(x, y);
 }
 
-/// Pooled element-wise product `y ← x ∘ y`; bitwise identical to
-/// [`hadamard`] for every thread count (disjoint chunk writes),
-/// grain-gated at `elemwise_len`.
-pub fn hadamard_with(x: &[f64], y: &mut [f64], pool: &WorkerPool) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = y.len();
-    let yp = RangePtr::new(y);
-    let gate = tuning().elemwise_len;
-    pool.for_each_range_min(n, loop_chunk(n, pool.threads()), gate, |start, end| {
-        // SAFETY: chunk ranges are pairwise disjoint.
-        let ysub = unsafe { yp.range_mut(start, end) };
-        simd::hadamard(&x[start..end], ysub);
-    });
-}
-
 /// Globally consistent inner product over duplicated-node storage.
 pub struct DotProduct {
     /// Inverse multiplicity per local node.
     mult_inv: Vec<f64>,
-    /// Optional element layout. When set, [`DotProduct::dot`] reduces
-    /// canonically (per-element partials folded in global-element order),
-    /// making the bits independent of the rank count; when unset it keeps
-    /// the legacy flat local sum + scalar allreduce.
+    /// Optional element layout. When set, [`DotProduct::dot`] and
+    /// [`DotProduct::dot_with`] reduce canonically (per-element partials
+    /// folded in global-element order), making the bits independent of the
+    /// thread and rank counts; when unset, `dot` is a flat local sum plus a
+    /// scalar allreduce.
     layout: Option<Arc<ElemLayout>>,
 }
 
@@ -207,17 +167,10 @@ impl DotProduct {
         debug_assert_eq!(b.len(), self.mult_inv.len());
         match &self.layout {
             Some(l) => {
-                let e = l.nelem_global;
-                let np = l.n_per;
                 // audit:allow(hot-alloc): canonical-reduction scatter buffer is sized by the global element count and owned per call; hoisting it into &self would need interior mutability on a handle shared across the Schwarz overlap threads
-                let mut partial = vec![0.0; e];
+                let mut partial = vec![0.0; l.nelem_global];
                 for (le, &ge) in l.gids.iter().enumerate() {
-                    let lo = le * np;
-                    partial[ge] = simd::dot3(
-                        &a[lo..lo + np],
-                        &b[lo..lo + np],
-                        &self.mult_inv[lo..lo + np],
-                    );
+                    partial[ge] = self.elem_dot(l.n_per, le, a, b);
                 }
                 l.fold_sums(&mut partial, 1, comm)[0]
             }
@@ -233,12 +186,11 @@ impl DotProduct {
         self.dot(a, a, comm).sqrt()
     }
 
-    /// Pooled global inner product. The chunk partition is a function of
-    /// the vector length only ([`rbx_device::reduce_chunk`]) and partials
-    /// combine in index order, so the result bits are identical for every
-    /// thread count — though not to the unchunked serial [`DotProduct::dot`]
-    /// (a different, equally valid summation order). A solve must use one
-    /// variant throughout to stay bitwise reproducible.
+    /// Pooled global inner product. With an [`ElemLayout`] attached, the
+    /// per-element partials are computed on the pool and folded by
+    /// [`ElemLayout::fold_sums`] — the same values in the same order as
+    /// [`DotProduct::dot`], so the result bits equal `dot`'s for every
+    /// thread count and every rank count. Without a layout it is `dot`.
     pub fn dot_with(
         &self,
         a: &[f64],
@@ -248,18 +200,37 @@ impl DotProduct {
     ) -> f64 {
         debug_assert_eq!(a.len(), self.mult_inv.len());
         debug_assert_eq!(b.len(), self.mult_inv.len());
-        let n = self.mult_inv.len();
-        let w = &self.mult_inv;
-        let local = pool.sum_range_min(n, reduce_chunk(n), tuning().dot_len, |start, end| {
-            simd::dot3(&a[start..end], &b[start..end], &w[start..end])
+        let Some(l) = &self.layout else {
+            return self.dot(a, b, comm);
+        };
+        let (np, nel) = (l.n_per, l.gids.len());
+        // audit:allow(hot-alloc): canonical-reduction scatter buffer plus the local partials, one per dot; see DotProduct::dot
+        let mut buf = vec![0.0; l.nelem_global + nel];
+        let (partial, local) = buf.split_at_mut(l.nelem_global);
+        let lp = RangePtr::new(local);
+        let gate = tuning().dot_len.div_ceil(np.max(1));
+        pool.for_each_range_min(nel, loop_chunk(nel, pool.threads()), gate, |e0, e1| {
+            // SAFETY: the pool hands out disjoint local element ranges.
+            let out = unsafe { lp.range_mut(e0, e1) };
+            for (le, v) in (e0..e1).zip(out) {
+                *v = self.elem_dot(np, le, a, b);
+            }
         });
-        rbx_comm::allreduce_scalar(comm, local)
+        for (&ge, &v) in l.gids.iter().zip(local.iter()) {
+            partial[ge] = v;
+        }
+        l.fold_sums(partial, 1, comm)[0]
     }
 
-    /// Pooled global L² norm (same determinism contract as
-    /// [`DotProduct::dot_with`]).
-    pub fn norm_with(&self, a: &[f64], pool: &WorkerPool, comm: &dyn Communicator) -> f64 {
-        self.dot_with(a, a, pool, comm).sqrt()
+    /// Weighted partial `Σ a·b/mult` over the nodes of local element `le`.
+    #[inline]
+    fn elem_dot(&self, np: usize, le: usize, a: &[f64], b: &[f64]) -> f64 {
+        let lo = le * np;
+        simd::dot3(
+            &a[lo..lo + np],
+            &b[lo..lo + np],
+            &self.mult_inv[lo..lo + np],
+        )
     }
 
     /// Global number of unique degrees of freedom (`Σ 1/mult`).
@@ -362,29 +333,14 @@ mod tests {
         assert!(weighted.abs() < 1e-13);
     }
 
-    #[test]
-    fn pooled_elementwise_match_serial_bitwise() {
-        let n = 3001;
-        let x: Vec<f64> = (0..n)
-            .map(|i| ((i * 31 % 97) as f64) * 0.01 - 0.5)
+    fn dot_operands(n: usize) -> (Vec<f64>, Vec<f64>) {
+        let a = (0..n)
+            .map(|i| ((i * 29 % 101) as f64) * 1e-2 - 0.5)
             .collect();
-        let y0: Vec<f64> = (0..n)
-            .map(|i| ((i * 17 % 89) as f64) * 0.02 - 0.9)
+        let b = (0..n)
+            .map(|i| ((i * 43 % 97) as f64) * 1e-2 - 0.4)
             .collect();
-        for threads in [1usize, 4, 7] {
-            let pool = WorkerPool::new(threads);
-            let mut ys = y0.clone();
-            let mut yp = y0.clone();
-            axpy(1.3, &x, &mut ys);
-            axpy_with(1.3, &x, &mut yp, &pool);
-            assert_eq!(ys, yp, "axpy threads={threads}");
-            xpby(&x, -0.7, &mut ys);
-            xpby_with(&x, -0.7, &mut yp, &pool);
-            assert_eq!(ys, yp, "xpby threads={threads}");
-            hadamard(&x, &mut ys);
-            hadamard_with(&x, &mut yp, &pool);
-            assert_eq!(ys, yp, "hadamard threads={threads}");
-        }
+        (a, b)
     }
 
     #[test]
@@ -393,20 +349,85 @@ mod tests {
         let n = 5417;
         let mult = vec![1.0; n];
         let dp = DotProduct::new(&mult);
-        let a: Vec<f64> = (0..n)
-            .map(|i| ((i * 29 % 101) as f64) * 1e-2 - 0.5)
-            .collect();
-        let b: Vec<f64> = (0..n)
-            .map(|i| ((i * 43 % 97) as f64) * 1e-2 - 0.4)
-            .collect();
-        let r1 = dp.dot_with(&a, &b, &WorkerPool::new(1), &comm);
-        let r4 = dp.dot_with(&a, &b, &WorkerPool::new(4), &comm);
-        let r7 = dp.dot_with(&a, &b, &WorkerPool::new(7), &comm);
-        assert_eq!(r1.to_bits(), r4.to_bits());
-        assert_eq!(r1.to_bits(), r7.to_bits());
-        // And the value agrees with the serial variant to rounding.
+        let (a, b) = dot_operands(n);
+        // Without a layout `dot_with` is the flat `dot`.
         let serial = dp.dot(&a, &b, &comm);
-        assert!((serial - r1).abs() <= 1e-12 * serial.abs().max(1.0));
+        for threads in [1usize, 4, 7] {
+            let pooled = dp.dot_with(&a, &b, &WorkerPool::new(threads), &comm);
+            assert_eq!(serial.to_bits(), pooled.to_bits(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn layout_rejects_duplicate_gids() {
+        ElemLayout::new(1, vec![0, 2, 2], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "below nelem_global")]
+    fn layout_rejects_out_of_range_gids() {
+        ElemLayout::new(1, vec![0, 3], 3);
+    }
+
+    #[test]
+    #[should_panic]
+    fn pooled_dot_panics_on_a_malformed_layout() {
+        // Bypass `ElemLayout::new`: an out-of-range gid must hit a
+        // bounds check, not an unchecked write.
+        let layout = Arc::new(ElemLayout {
+            n_per: 2,
+            gids: vec![0, 5],
+            nelem_global: 2,
+        });
+        let dp = DotProduct::with_layout(&[1.0; 4], layout);
+        let a = [1.0; 4];
+        dp.dot_with(&a, &a, &WorkerPool::new(2), &SingleComm::new());
+    }
+
+    #[test]
+    fn canonical_pooled_dot_equals_dot_bitwise() {
+        let comm = SingleComm::new();
+        let (n_per, nelem) = (27, 41);
+        let n = n_per * nelem;
+        let mult: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
+        let layout = Arc::new(ElemLayout::new(n_per, (0..nelem).collect(), nelem));
+        let dp = DotProduct::with_layout(&mult, layout);
+        let (a, b) = dot_operands(n);
+        let serial = dp.dot(&a, &b, &comm);
+        for threads in [1usize, 4, 7] {
+            let pooled = dp.dot_with(&a, &b, &WorkerPool::new(threads), &comm);
+            assert_eq!(serial.to_bits(), pooled.to_bits(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn canonical_pooled_dot_is_rank_count_invariant() {
+        let (n_per, nelem) = (8, 13);
+        let n = n_per * nelem;
+        let (a, b) = dot_operands(n);
+        let whole = {
+            let layout = Arc::new(ElemLayout::new(n_per, (0..nelem).collect(), nelem));
+            let dp = DotProduct::with_layout(&vec![1.0; n], layout);
+            dp.dot(&a, &b, &SingleComm::new())
+        };
+        let (a_ref, b_ref) = (&a, &b);
+        let per_rank = rbx_comm::run_on_ranks(3, move |comm| {
+            // Interleaved ownership: rank r holds elements r, r+3, ….
+            let gids: Vec<usize> = (comm.rank()..nelem).step_by(3).collect();
+            let slice = |v: &[f64]| -> Vec<f64> {
+                gids.iter()
+                    .flat_map(|&g| v[g * n_per..(g + 1) * n_per].to_vec())
+                    .collect()
+            };
+            let (la, lb) = (slice(a_ref), slice(b_ref));
+            let layout = Arc::new(ElemLayout::new(n_per, gids.clone(), nelem));
+            let dp = DotProduct::with_layout(&vec![1.0; la.len()], layout);
+            dp.dot_with(&la, &lb, &WorkerPool::new(2), comm)
+        });
+        for (r, v) in per_rank.iter().enumerate() {
+            assert_eq!(v.to_bits(), whole.to_bits(), "rank {r}");
+        }
     }
 
     #[test]

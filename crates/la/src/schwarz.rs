@@ -1,5 +1,5 @@
-//! Two-level additive Schwarz preconditioner (paper Eq. 3), serial and
-//! task-overlapped.
+//! Two-level additive Schwarz preconditioner (paper Eq. 3), sequential
+//! and task-overlapped.
 //!
 //! `M⁻¹ r = R₀ᵀ A₀⁻¹ R₀ r + Σₖ Rₖᵀ Ãₖ⁻¹ Rₖ r`
 //!
@@ -30,17 +30,19 @@ use std::sync::Arc;
 /// Execution strategy for the two additive terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchwarzMode {
-    /// Coarse solve, then fine solves, on the calling thread.
+    /// Coarse solve, then the fine sweep, one after the other.
     Serial,
-    /// Coarse solve on a helper thread, fine solves on the calling thread,
-    /// concurrently. The short fine-level gather-scatter runs after the
-    /// join (host-side communication, as on the GPU systems the paper
-    /// targets).
+    /// Coarse solve on the pool's helper thread, fine sweep on the calling
+    /// thread and the pool's workers, concurrently. The short fine-level
+    /// gather-scatter runs after the join (host-side communication, as on
+    /// the GPU systems the paper targets).
     Overlapped,
 }
 
 /// The assembled two-level preconditioner for a Helmholtz problem with
-/// coefficients `(h1, h2)`.
+/// coefficients `(h1, h2)`. The fine sweep always runs on the
+/// preconditioner's worker pool (one thread unless told otherwise); both
+/// modes give the same bits for every thread count.
 pub struct SchwarzMg {
     /// Element-local fast-diagonalization solver (fine level).
     pub fdm: ElementFdm,
@@ -61,10 +63,9 @@ pub struct SchwarzMg {
     pub h2: f64,
     /// Observability handle (disabled by default).
     tel: Telemetry,
-    /// Persistent worker pool for the fine-level FDM sweep (and, in
-    /// overlapped mode, the coarse∥fine pairing). `None` keeps the legacy
-    /// single-threaded sweep with a per-apply `thread::scope` overlap.
-    pool: Option<WorkerPool>,
+    /// Worker pool for the fine-level FDM sweep and, in overlapped mode,
+    /// the coarse∥fine pairing on its helper thread.
+    pool: WorkerPool,
     /// Optional fine element layout: when set, the final Neumann mean
     /// projection reduces canonically (rank-count-invariant bits).
     elem_layout: Option<Arc<ElemLayout>>,
@@ -80,7 +81,9 @@ impl SchwarzMg {
     /// * `mult` — fine-node multiplicities;
     /// * `mask` — fine-level Dirichlet mask;
     /// * `mass` — fine diagonal mass (for the Neumann mean projection);
-    /// * `(h1, h2)` — coefficients of the operator being preconditioned.
+    /// * `(h1, h2)` — coefficients of the operator being preconditioned;
+    /// * `pool` — where the fine sweep runs (`WorkerPool::new(1)` for one
+    ///   thread; the bits do not depend on the thread count).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         fdm: ElementFdm,
@@ -91,6 +94,7 @@ impl SchwarzMg {
         mass: &[f64],
         h1: f64,
         h2: f64,
+        pool: &WorkerPool,
     ) -> Self {
         let wt: Vec<f64> = mult.iter().map(|&m| 1.0 / m).collect();
         let bw: Vec<f64> = mass.iter().zip(&wt).map(|(b, w)| b * w).collect();
@@ -104,7 +108,7 @@ impl SchwarzMg {
             h1,
             h2,
             tel: Telemetry::disabled(),
-            pool: None,
+            pool: pool.clone(),
             elem_layout: None,
         }
     }
@@ -116,18 +120,18 @@ impl SchwarzMg {
         self.elem_layout = Some(layout);
     }
 
-    /// Route the fine-level FDM sweep (and, in overlapped mode, the
-    /// coarse∥fine pairing) through a persistent [`WorkerPool`]. The pooled
-    /// sweep is bitwise identical to the serial one for every thread count,
-    /// so this only changes where the work runs — never what it computes.
+    /// Replace the worker pool the fine-level FDM sweep (and, in
+    /// overlapped mode, the coarse∥fine pairing) runs on. The sweep's bits
+    /// are the same for every thread count, so this changes where the work
+    /// runs — never what it computes.
     pub fn set_pool(&mut self, pool: &WorkerPool) {
-        self.pool = Some(pool.clone());
+        self.pool = pool.clone();
     }
 
     /// Share a telemetry handle with this preconditioner and its coarse
     /// level. Each apply then records the paper's §5.3 sub-stages as
     /// absolute spans — `schwarz/coarse` (with restrict/solve/prolong
-    /// children), `schwarz/fdm`, `schwarz/gs` — identically for the serial
+    /// children), `pool/fdm`, `schwarz/gs` — identically for the serial
     /// and the overlapped execution mode.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
@@ -151,67 +155,31 @@ impl SchwarzMg {
         // audit:allow(hot-alloc): disjoint per-apply buffer is the overlap-correctness mechanism; &self must stay immutable across both tasks
         let mut z_fine = vec![0.0; n];
 
-        match (mode, &self.pool) {
-            (SchwarzMode::Serial, None) => {
-                {
-                    let _g = self.tel.span_abs("schwarz/coarse");
-                    self.coarse.correct_add(&rw, &mut z_coarse, comm);
-                }
-                let _g = self.tel.span_abs("schwarz/fdm");
-                self.fdm.apply_add(&rw, &mut z_fine, self.h1, self.h2);
+        let coarse = &self.coarse;
+        let tel = &self.tel;
+        let rw_ref = &rw;
+        let zc = &mut z_coarse;
+        // Coarse task: restriction → fixed-iteration PCG (with its
+        // allreduces) → prolongation.
+        let mut coarse_task = move || {
+            let _g = tel.span_abs("schwarz/coarse");
+            coarse.correct_add(rw_ref, zc, comm);
+        };
+        let zf = &mut z_fine;
+        let mut fine_task = move || {
+            let _g = tel.span_abs("pool/fdm");
+            self.fdm
+                .apply_add_with(rw_ref, zf, self.h1, self.h2, &self.pool);
+        };
+        match mode {
+            SchwarzMode::Serial => {
+                coarse_task();
+                fine_task();
             }
-            (SchwarzMode::Serial, Some(pool)) => {
-                {
-                    let _g = self.tel.span_abs("schwarz/coarse");
-                    self.coarse.correct_add(&rw, &mut z_coarse, comm);
-                }
-                let _g = self.tel.span_abs("pool/fdm");
-                self.fdm
-                    .apply_add_with(&rw, &mut z_fine, self.h1, self.h2, pool);
-            }
-            (SchwarzMode::Overlapped, None) => {
-                // Legacy overlap: one short-lived scoped thread per apply.
-                // Kept as the no-pool fallback so the preconditioner stays
-                // usable without a runtime handle (tests, tooling).
-                // audit:allow(pool-discipline): explicit no-pool fallback path; run_dns always installs a pool via set_pool
-                std::thread::scope(|scope| {
-                    // Coarse task: restriction → fixed-iteration PCG (with
-                    // its allreduces) → prolongation. All communication
-                    // lives on this helper thread while the fine task
-                    // computes.
-                    let coarse = &self.coarse;
-                    let tel = &self.tel;
-                    let rw_ref = &rw;
-                    let zc = &mut z_coarse;
-                    scope.spawn(move || {
-                        let _g = tel.span_abs("schwarz/coarse");
-                        coarse.correct_add(rw_ref, zc, comm);
-                    });
-                    let _g = self.tel.span_abs("schwarz/fdm");
-                    self.fdm.apply_add(&rw, &mut z_fine, self.h1, self.h2);
-                });
-            }
-            (SchwarzMode::Overlapped, Some(pool)) => {
-                // Pool-composed overlap: the coarse task runs on the pool's
-                // persistent helper thread while the caller drives the
-                // pooled FDM sweep across the pool's workers — no thread is
-                // spawned per apply.
-                let coarse = &self.coarse;
-                let tel = &self.tel;
-                let rw_ref = &rw;
-                let zc = &mut z_coarse;
-                let zf = &mut z_fine;
-                pool.pair(
-                    move || {
-                        let _g = tel.span_abs("schwarz/coarse");
-                        coarse.correct_add(rw_ref, zc, comm);
-                    },
-                    || {
-                        let _g = self.tel.span_abs("pool/fdm");
-                        self.fdm.apply_add_with(rw_ref, zf, self.h1, self.h2, pool);
-                    },
-                );
-            }
+            // The coarse task runs on the pool's persistent helper thread
+            // — all its communication off the caller — while the caller
+            // drives the pooled FDM sweep; no thread is spawned per apply.
+            SchwarzMode::Overlapped => self.pool.pair(coarse_task, fine_task),
         }
 
         // Restore continuity of the fine-level corrections by weighted
@@ -287,6 +255,7 @@ mod tests {
             &geom.mass,
             1.0,
             0.0,
+            &WorkerPool::new(1),
         );
         Setup {
             geom,
@@ -533,8 +502,18 @@ mod tests {
             let mult = gs.multiplicity(comm);
             let fdm = ElementFdm::new(&geom);
             let coarse = CoarseGrid::build(mesh_ref, p, part_ref, my, &ALL_WALLS, comm);
-            let schwarz =
-                SchwarzMg::new(fdm, coarse, gs.clone(), &mult, mask, &geom.mass, 1.0, 0.0);
+            let pool = WorkerPool::new(1);
+            let schwarz = SchwarzMg::new(
+                fdm,
+                coarse,
+                gs.clone(),
+                &mult,
+                mask,
+                &geom.mass,
+                1.0,
+                0.0,
+                &pool,
+            );
             let r: Vec<f64> = my
                 .iter()
                 .flat_map(|&ge| r_global[ge * n_per..(ge + 1) * n_per].to_vec())

@@ -77,6 +77,7 @@ fn every_interleaving_of_overlapped_schwarz_is_bitwise_identical() {
         &geom.mass,
         1.0,
         0.0,
+        &rbx_device::WorkerPool::new(1),
     );
     let mut z_serial = vec![0.0; n];
     let mut z_overlap = vec![0.0; n];

@@ -76,24 +76,12 @@ pub const SPANS: &[SpanDef] = &[
         help: "coarse-to-fine prolongation transfer",
     },
     SpanDef {
-        path: "schwarz/fdm",
-        help: "element-local fast-diagonalization sweep (fine branch)",
-    },
-    SpanDef {
         path: "schwarz/gs",
         help: "weighted gather-scatter averaging after the overlap joins",
     },
     SpanDef {
-        path: "gs/local",
-        help: "gather-scatter: rank-local group reduction",
-    },
-    SpanDef {
         path: "gs/shared",
         help: "gather-scatter: inter-rank exchange + combine",
-    },
-    SpanDef {
-        path: "gs/scatter",
-        help: "gather-scatter: write combined values back to nodes",
     },
     SpanDef {
         path: "pool/helmholtz",
@@ -415,7 +403,7 @@ mod tests {
 
     #[test]
     fn lookups_hit_registered_names() {
-        assert!(find_span("schwarz/fdm").is_some());
+        assert!(find_span("pool/fdm").is_some());
         assert!(find_span("nope/nope").is_none());
         assert_eq!(
             find_metric("rbx_steps_total").map(|m| m.kind),

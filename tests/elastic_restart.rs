@@ -2,9 +2,9 @@
 //! checkpointed at N ranks restores and continues on M ranks — and the
 //! physics after the restart is byte-identical to an uninterrupted run at
 //! the target rank count. The foundation is the canonical-reduction
-//! contract: on the serial (unpooled) path every global reduction and
-//! every gather-scatter combine folds in global-element-id order, so the
-//! bits never depend on how elements are distributed.
+//! contract: every global reduction and every gather-scatter combine
+//! folds in global-element-id order, so the bits never depend on how
+//! elements are distributed (nor, at any pool size, on the thread count).
 
 use rbx::comm::{run_on_ranks, Communicator, SingleComm};
 use rbx::core::{read_checkpoint, write_checkpoint, Simulation, SolverConfig};

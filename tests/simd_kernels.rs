@@ -118,34 +118,30 @@ fn fdm_bits_stable_across_thread_counts_and_replay() {
     }
 }
 
-/// The deterministic pooled dot product: schedule-independent bits across
-/// thread counts (chunk boundaries are a function of length only, partials
-/// combined in chunk-index order). Note `dot` and `dot_with` each pin a
-/// *different* summation order — a solve must pick one variant throughout —
-/// so the contract here is thread-count invariance, not serial equality.
+/// The pooled dot product. With an element layout attached (the solver's
+/// configuration) `dot_with` folds the same per-element partials in the
+/// same order as `dot`, so the two agree bit for bit at every thread
+/// count.
 #[test]
 fn dot_bits_stable_across_thread_counts() {
-    use rbx::la::ops::DotProduct;
+    use rbx::la::ops::{DotProduct, ElemLayout};
+    use std::sync::Arc;
     for n in PRODUCTION_N {
         let p = n - 1;
         let s = setup(p);
         let mult = s.gs.multiplicity(&s.comm);
-        let dp = DotProduct::new(&mult);
         let b = rand_vec(s.u.len(), 77);
-        let pool1 = WorkerPool::new(1);
-        let reference = dp.dot_with(&s.u, &b, &pool1, &s.comm);
-        let serial = dp.dot(&s.u, &b, &s.comm);
-        assert!(
-            (reference - serial).abs() <= 1e-12 * serial.abs().max(1.0),
-            "dot n={n}: pooled {reference:e} far from serial {serial:e}"
-        );
-        for threads in [4usize, 7] {
+        let nelem = s.geom.nelv;
+        let layout = Arc::new(ElemLayout::new(n * n * n, (0..nelem).collect(), nelem));
+        let canonical = DotProduct::with_layout(&mult, layout);
+        let serial = canonical.dot(&s.u, &b, &s.comm);
+        for threads in [1usize, 4, 7] {
             let pool = WorkerPool::new(threads);
-            let pooled = dp.dot_with(&s.u, &b, &pool, &s.comm);
+            let pooled = canonical.dot_with(&s.u, &b, &pool, &s.comm);
             assert_eq!(
-                reference.to_bits(),
+                serial.to_bits(),
                 pooled.to_bits(),
-                "dot n={n} threads={threads}: {reference:e} vs {pooled:e}"
+                "dot n={n} threads={threads}: {serial:e} vs {pooled:e}"
             );
         }
     }

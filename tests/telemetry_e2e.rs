@@ -102,7 +102,7 @@ fn enabled_run_emits_valid_stream_with_phase_accounting() {
     // Schwarz internals show up as hierarchical paths.
     let snap = tel.tracer().snapshot();
     let paths: Vec<&str> = snap.iter().map(|s| s.path.as_str()).collect();
-    for want in ["gs/local", "gs/scatter", "schwarz/coarse", "schwarz/fdm"] {
+    for want in ["pool/gs", "schwarz/coarse", "pool/fdm"] {
         assert!(
             paths.contains(&want),
             "missing span path {want:?} in {paths:?}"
