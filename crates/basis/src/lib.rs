@@ -31,7 +31,7 @@ pub use modal::ModalBasis;
 pub use quadrature::{gauss, gll, Quadrature};
 pub use tensor::{
     deriv_x, deriv_x_t_add, deriv_y, deriv_y_t_add, deriv_z, deriv_z_t_add, grad_ref, interp3,
-    tensor_apply3, tensor_apply3_naive, TensorScratch,
+    tensor_apply3, tensor_apply3_naive, tensor_apply3_scalar, TensorScratch,
 };
 
 /// Number of nodes in one direction for polynomial degree `p` (`p + 1`).

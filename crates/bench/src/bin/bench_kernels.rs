@@ -1,8 +1,9 @@
 //! **bench_kernels** — serial vs pooled hot-kernel timings.
 //!
-//! Times the four kernels the persistent worker pool accelerates —
-//! Helmholtz apply, solver dot product, gather-scatter local phase, and
-//! the element-FDM batch sweep — at polynomial degrees 5, 7 and 9, serial
+//! Times the five kernels the persistent worker pool accelerates —
+//! Helmholtz apply, solver dot product, gather-scatter local phase, the
+//! element-FDM batch sweep, and the dealiased advection of the four
+//! forcing fields (u, v, w, T) — at polynomial degrees 5, 7 and 9, serial
 //! against pooled, and writes an `rbx.bench.v1` record (validated by
 //! `telemetry_check --bench`).
 //!
@@ -31,6 +32,7 @@
 //! accumulate a performance trajectory instead of overwriting it.
 
 use rbx::comm::SingleComm;
+use rbx::core::Dealias;
 use rbx::device::WorkerPool;
 use rbx::gs::{GatherScatter, GsOp};
 use rbx::la::helmholtz::{HelmholtzOp, HelmholtzScratch};
@@ -334,6 +336,30 @@ fn main() {
         assert_eq!(z_serial, z, "pooled FDM sweep diverged at p={p}");
         gate_rows.push(("fdm_batch", p, serial / pooled, dispatched));
         rows.push(row("fdm_batch", p, serial, pooled));
+
+        // Dealiased advection of four fields by one velocity (the step's
+        // forcing): a one-thread pool — the solver's serial path — vs the
+        // bench pool.
+        let dealias = Dealias::new(&geom, true);
+        let vel = [u.as_slice(), b.as_slice(), mask.as_slice()];
+        let fields = [vel[0], vel[1], vel[2], y_serial.as_slice()];
+        let mut adv = [vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let one = WorkerPool::new(1);
+        let serial = time_us(reps, || {
+            let [a0, a1, a2, a3] = &mut adv;
+            dealias.advect_with(&geom, vel, fields, [a0, a1, a2, a3], &one);
+        });
+        let adv_serial = adv.clone();
+        let (pooled, dispatched) = time_pooled(reps, &pool, &mut || {
+            let [a0, a1, a2, a3] = &mut adv;
+            dealias.advect_with(&geom, vel, fields, [a0, a1, a2, a3], &pool);
+        });
+        assert_eq!(
+            adv_serial, adv,
+            "pooled dealiased advection diverged at p={p}"
+        );
+        gate_rows.push(("dealias_advect", p, serial / pooled, dispatched));
+        rows.push(row("dealias_advect", p, serial, pooled));
     }
 
     for r in &rows {

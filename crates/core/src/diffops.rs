@@ -30,6 +30,8 @@ pub struct DiffScratch {
 struct PoolDiffScratch {
     ds: DiffScratch,
     ts: TensorScratch,
+    /// One element's physical gradient (advection only).
+    grad: [Vec<f64>; 3],
     fine_a: [Vec<f64>; 3],
     fine_g: Vec<f64>,
     prod: Vec<f64>,
@@ -48,46 +50,38 @@ pub fn phys_grad(
     gz: &mut [f64],
     scratch: &mut DiffScratch,
 ) {
+    let nn = geom.nodes_per_element();
+    debug_assert_eq!(u.len(), geom.total_nodes());
+    for base in (0..geom.total_nodes()).step_by(nn) {
+        let end = base + nn;
+        let g = [&mut gx[base..end], &mut gy[base..end], &mut gz[base..end]];
+        elem_grad(geom, base, &u[base..end], g, scratch);
+    }
+}
+
+/// Physical gradient of the element whose nodes start at `base`: the
+/// reference derivatives of its values `ue` combined through the
+/// inverse-map metrics into `g`.
+fn elem_grad(geom: &GeomFactors, base: usize, ue: &[f64], g: [&mut [f64]; 3], s: &mut DiffScratch) {
     let n = geom.nx1;
     let nn = n * n * n;
-    debug_assert_eq!(u.len(), geom.total_nodes());
-    scratch.ur.resize(nn, 0.0);
-    scratch.us.resize(nn, 0.0);
-    scratch.ut.resize(nn, 0.0);
-    for e in 0..geom.nelv {
-        let base = e * nn;
-        let ue = &u[base..base + nn];
-        deriv_x(&geom.d, ue, &mut scratch.ur, n);
-        deriv_y(&geom.d, ue, &mut scratch.us, n);
-        deriv_z(&geom.d, ue, &mut scratch.ut, n);
-        let dr = &geom.dr;
-        let (ur, us, ut) = (&scratch.ur[..nn], &scratch.us[..nn], &scratch.ut[..nn]);
+    let end = base + nn;
+    s.ur.resize(nn, 0.0);
+    s.us.resize(nn, 0.0);
+    s.ut.resize(nn, 0.0);
+    deriv_x(&geom.d, ue, &mut s.ur, n);
+    deriv_y(&geom.d, ue, &mut s.us, n);
+    deriv_z(&geom.d, ue, &mut s.ut, n);
+    let dr = &geom.dr;
+    for (c, gc) in g.into_iter().enumerate() {
         simd::combine3(
-            &mut gx[base..base + nn],
-            &dr[0][base..base + nn],
-            ur,
-            &dr[3][base..base + nn],
-            us,
-            &dr[6][base..base + nn],
-            ut,
-        );
-        simd::combine3(
-            &mut gy[base..base + nn],
-            &dr[1][base..base + nn],
-            ur,
-            &dr[4][base..base + nn],
-            us,
-            &dr[7][base..base + nn],
-            ut,
-        );
-        simd::combine3(
-            &mut gz[base..base + nn],
-            &dr[2][base..base + nn],
-            ur,
-            &dr[5][base..base + nn],
-            us,
-            &dr[8][base..base + nn],
-            ut,
+            gc,
+            &dr[c][base..end],
+            &s.ur,
+            &dr[3 + c][base..end],
+            &s.us,
+            &dr[6 + c][base..end],
+            &s.ut,
         );
     }
 }
@@ -103,60 +97,26 @@ pub fn phys_grad_with(
     gz: &mut [f64],
     pool: &WorkerPool,
 ) {
-    let n = geom.nx1;
-    let nn = n * n * n;
+    let nn = geom.nodes_per_element();
     let nelv = geom.nelv;
     debug_assert_eq!(u.len(), geom.total_nodes());
-    let gxp = RangePtr::new(gx);
-    let gyp = RangePtr::new(gy);
-    let gzp = RangePtr::new(gz);
+    let gp = [RangePtr::new(gx), RangePtr::new(gy), RangePtr::new(gz)];
     let chunk = loop_chunk(nelv, pool.threads());
     pool.for_each_range_min(nelv, chunk, tuning().grad_elems, |e0, e1| {
         POOL_SCRATCH.with(|cell| {
             let s = &mut cell.borrow_mut().ds;
-            s.ur.resize(nn, 0.0);
-            s.us.resize(nn, 0.0);
-            s.ut.resize(nn, 0.0);
             for e in e0..e1 {
-                let base = e * nn;
-                let ue = &u[base..base + nn];
-                deriv_x(&geom.d, ue, &mut s.ur, n);
-                deriv_y(&geom.d, ue, &mut s.us, n);
-                deriv_z(&geom.d, ue, &mut s.ut, n);
+                let (base, end) = (e * nn, (e + 1) * nn);
+                let [gx, gy, gz] = &gp;
                 // SAFETY: element ranges of distinct chunks are disjoint.
-                let gxs = unsafe { gxp.range_mut(base, base + nn) };
-                // SAFETY: same disjoint-chunk invariant as `gxs` above.
-                let gys = unsafe { gyp.range_mut(base, base + nn) };
-                let gzs = unsafe { gzp.range_mut(base, base + nn) };
-                let dr = &geom.dr;
-                let (ur, us, ut) = (&s.ur[..nn], &s.us[..nn], &s.ut[..nn]);
-                simd::combine3(
-                    gxs,
-                    &dr[0][base..base + nn],
-                    ur,
-                    &dr[3][base..base + nn],
-                    us,
-                    &dr[6][base..base + nn],
-                    ut,
-                );
-                simd::combine3(
-                    gys,
-                    &dr[1][base..base + nn],
-                    ur,
-                    &dr[4][base..base + nn],
-                    us,
-                    &dr[7][base..base + nn],
-                    ut,
-                );
-                simd::combine3(
-                    gzs,
-                    &dr[2][base..base + nn],
-                    ur,
-                    &dr[5][base..base + nn],
-                    us,
-                    &dr[8][base..base + nn],
-                    ut,
-                );
+                let g = unsafe {
+                    [
+                        gx.range_mut(base, end),
+                        gy.range_mut(base, end),
+                        gz.range_mut(base, end),
+                    ]
+                };
+                elem_grad(geom, base, &u[base..end], g, s);
             }
         });
     });
@@ -361,6 +321,8 @@ pub struct Dealias {
     pub mf: usize,
     /// Coarse→fine interpolation matrix (per dimension).
     jmat: DMat,
+    /// Its transpose, the fine→coarse projection.
+    jt: DMat,
     /// Fine-grid diagonal mass per element node (`w_f³ · J_f`).
     bf: Vec<f64>,
     enabled: bool,
@@ -402,6 +364,7 @@ impl Dealias {
         }
         Self {
             mf,
+            jt: jmat.transpose(),
             jmat,
             bf,
             enabled,
@@ -413,6 +376,9 @@ impl Dealias {
     /// The physical gradient of `v` is formed on the collocation grid;
     /// gradient and advecting velocity are interpolated to the fine grid,
     /// multiplied there, and projected back through the coarse mass.
+    ///
+    /// The serial one-field reference the solver's
+    /// [`Dealias::advect_with`] is tested against, bit for bit.
     pub fn advect(
         &self,
         geom: &GeomFactors,
@@ -440,128 +406,97 @@ impl Dealias {
         let mut fine_a = [vec![0.0; mmf], vec![0.0; mmf], vec![0.0; mmf]];
         let mut fine_g = vec![0.0; mmf];
         let mut prod = vec![0.0; mmf];
-        let jt = self.jmat.transpose();
         for e in 0..geom.nelv {
             let base = e * nn;
             for d in 0..3 {
-                tensor_apply3(
-                    &self.jmat,
-                    &self.jmat,
-                    &self.jmat,
-                    &a[d][base..base + nn],
-                    &mut fine_a[d],
-                    &mut ts,
-                );
+                self.interp(&a[d][base..base + nn], &mut fine_a[d], &mut ts);
             }
             prod.fill(0.0);
             for (d, g) in [&gx, &gy, &gz].into_iter().enumerate() {
-                tensor_apply3(
-                    &self.jmat,
-                    &self.jmat,
-                    &self.jmat,
-                    &g[base..base + nn],
-                    &mut fine_g,
-                    &mut ts,
-                );
+                self.interp(&g[base..base + nn], &mut fine_g, &mut ts);
                 simd::fma_acc(&fine_a[d], &fine_g, &mut prod);
             }
-            // Weight by the fine mass and project back: B_c·out = Jᵀ(B_f·prod).
-            simd::hadamard(&self.bf[e * mmf..(e + 1) * mmf], &mut prod);
-            let oe = &mut out[base..base + nn];
-            tensor_apply3(&jt, &jt, &jt, &prod, oe, &mut ts);
-            for (o, m) in oe.iter_mut().zip(&geom.mass[base..base + nn]) {
-                *o /= m;
-            }
+            self.project(geom, e, &mut prod, &mut out[base..base + nn], &mut ts);
         }
     }
 
-    /// Pooled [`Dealias::advect`]: the collocation gradient and the
-    /// per-element fine-grid product both self-schedule across the pool.
-    /// Bitwise identical to the serial operator for every thread count.
-    pub fn advect_with(
+    /// Coarse → fine interpolation of one element's values.
+    fn interp(&self, ue: &[f64], fine: &mut [f64], ts: &mut TensorScratch) {
+        tensor_apply3(&self.jmat, &self.jmat, &self.jmat, ue, fine, ts);
+    }
+
+    /// Weight element `e`'s fine-grid product by the fine mass and
+    /// project it back: `B_c·out = Jᵀ(B_f·prod)`.
+    fn project(
+        &self,
+        geom: &GeomFactors,
+        e: usize,
+        prod: &mut [f64],
+        oe: &mut [f64],
+        ts: &mut TensorScratch,
+    ) {
+        let nn = oe.len();
+        let mmf = prod.len();
+        simd::hadamard(&self.bf[e * mmf..(e + 1) * mmf], prod);
+        tensor_apply3(&self.jt, &self.jt, &self.jt, prod, oe, ts);
+        for (o, m) in oe.iter_mut().zip(&geom.mass[e * nn..(e + 1) * nn]) {
+            *o /= m;
+        }
+    }
+
+    /// Pooled advection of several fields by one velocity:
+    /// `out[f] = (a·∇)v[f]` for every `f`, in one pass over the elements.
+    /// Per element the velocity is interpolated to the fine grid once and
+    /// shared by every field, and each field's gradient is formed in the
+    /// worker's scratch. Every output is bitwise identical to a serial
+    /// [`Dealias::advect`] of that field, for every thread count.
+    pub fn advect_with<const F: usize>(
         &self,
         geom: &GeomFactors,
         a: [&[f64]; 3],
-        v: &[f64],
-        out: &mut [f64],
+        v: [&[f64]; F],
+        out: [&mut [f64]; F],
         pool: &WorkerPool,
     ) {
-        let ntot = geom.total_nodes();
-        // audit:allow(hot-alloc): whole-field gradient buffers are read concurrently by every pool worker in the product stage — shared immutable data, not per-worker scratch
-        let mut gx = vec![0.0; ntot];
-        // audit:allow(hot-alloc): whole-field gradient buffers are read concurrently by every pool worker in the product stage — shared immutable data, not per-worker scratch
-        let mut gy = vec![0.0; ntot];
-        // audit:allow(hot-alloc): whole-field gradient buffers are read concurrently by every pool worker in the product stage — shared immutable data, not per-worker scratch
-        let mut gz = vec![0.0; ntot];
-        phys_grad_with(geom, v, &mut gx, &mut gy, &mut gz, pool);
-
-        if !self.enabled {
-            let op = RangePtr::new(out);
-            let chunk = loop_chunk(ntot, pool.threads());
-            pool.for_each_range_min(ntot, chunk, tuning().elemwise_len, |i0, i1| {
-                // SAFETY: chunk ranges are pairwise disjoint.
-                let os = unsafe { op.range_mut(i0, i1) };
-                simd::combine3(
-                    os,
-                    &a[0][i0..i1],
-                    &gx[i0..i1],
-                    &a[1][i0..i1],
-                    &gy[i0..i1],
-                    &a[2][i0..i1],
-                    &gz[i0..i1],
-                );
-            });
-            return;
-        }
-
-        let n = geom.nx1;
-        let nn = n * n * n;
+        let nn = geom.nodes_per_element();
         let nelv = geom.nelv;
-        let mf = self.mf;
-        let mmf = mf * mf * mf;
-        // Transposed interpolation matrix, shared read-only by all workers
-        // (one small alloc per apply, same as the serial path).
-        let jt = self.jmat.transpose();
-        let op = RangePtr::new(out);
+        let mmf = self.mf * self.mf * self.mf;
+        let op = out.map(RangePtr::new);
         let chunk = loop_chunk(nelv, pool.threads());
         pool.for_each_range_min(nelv, chunk, tuning().grad_elems, |e0, e1| {
             POOL_SCRATCH.with(|cell| {
                 let s = &mut *cell.borrow_mut();
-                for d in 0..3 {
-                    s.fine_a[d].resize(mmf, 0.0);
+                for g in &mut s.grad {
+                    g.resize(nn, 0.0);
+                }
+                for f in &mut s.fine_a {
+                    f.resize(mmf, 0.0);
                 }
                 s.fine_g.resize(mmf, 0.0);
                 s.prod.resize(mmf, 0.0);
                 for e in e0..e1 {
-                    let base = e * nn;
-                    for d in 0..3 {
-                        tensor_apply3(
-                            &self.jmat,
-                            &self.jmat,
-                            &self.jmat,
-                            &a[d][base..base + nn],
-                            &mut s.fine_a[d],
-                            &mut s.ts,
-                        );
+                    let (base, end) = (e * nn, (e + 1) * nn);
+                    if self.enabled {
+                        for (ad, fa) in a.iter().zip(&mut s.fine_a) {
+                            self.interp(&ad[base..end], fa, &mut s.ts);
+                        }
                     }
-                    s.prod.fill(0.0);
-                    for (d, g) in [&gx, &gy, &gz].into_iter().enumerate() {
-                        tensor_apply3(
-                            &self.jmat,
-                            &self.jmat,
-                            &self.jmat,
-                            &g[base..base + nn],
-                            &mut s.fine_g,
-                            &mut s.ts,
-                        );
-                        simd::fma_acc(&s.fine_a[d], &s.fine_g, &mut s.prod);
-                    }
-                    simd::hadamard(&self.bf[e * mmf..(e + 1) * mmf], &mut s.prod);
-                    // SAFETY: element ranges of distinct chunks are disjoint.
-                    let oe = unsafe { op.range_mut(base, base + nn) };
-                    tensor_apply3(&jt, &jt, &jt, &s.prod, oe, &mut s.ts);
-                    for (o, m) in oe.iter_mut().zip(&geom.mass[base..base + nn]) {
-                        *o /= m;
+                    for (vf, of) in v.iter().zip(&op) {
+                        let [gx, gy, gz] = &mut s.grad;
+                        elem_grad(geom, base, &vf[base..end], [gx, gy, gz], &mut s.ds);
+                        // SAFETY: element ranges of distinct chunks are disjoint.
+                        let oe = unsafe { of.range_mut(base, end) };
+                        if !self.enabled {
+                            let [ax, ay, az] = a.map(|ad| &ad[base..end]);
+                            simd::combine3(oe, ax, gx, ay, gy, az, gz);
+                            continue;
+                        }
+                        s.prod.fill(0.0);
+                        for (fa, g) in s.fine_a.iter().zip(&s.grad) {
+                            self.interp(g, &mut s.fine_g, &mut s.ts);
+                            simd::fma_acc(fa, &s.fine_g, &mut s.prod);
+                        }
+                        self.project(geom, e, &mut s.prod, oe, &mut s.ts);
                     }
                 }
             });
@@ -752,48 +687,91 @@ mod tests {
 
     #[test]
     fn pooled_kernels_match_serial_bitwise_across_thread_counts() {
+        // The box has affine metrics; the cylinder's curved elements give
+        // every metric term and the fine Jacobian a non-trivial value.
         let p = 4;
-        let mesh = box_mesh(3, 2, 2, [0., 1.], [0., 1.], [0., 1.], false, false);
-        let geom = GeomFactors::new(&mesh, p);
-        let ntot = geom.total_nodes();
-        let u: Vec<f64> = (0..ntot)
-            .map(|i| ((i * 29 % 83) as f64) * 0.02 - 0.8)
-            .collect();
-        let ax: Vec<f64> = (0..ntot).map(|i| geom.coords[1][i] - 0.3).collect();
-        let ay: Vec<f64> = (0..ntot).map(|i| geom.coords[0][i] * 0.5).collect();
-        let az: Vec<f64> = (0..ntot).map(|i| geom.coords[2][i] - 0.1).collect();
-        let mut s = DiffScratch::default();
+        let meshes = [
+            box_mesh(3, 2, 2, [0., 1.], [0., 1.], [0., 1.], false, false),
+            cylinder_mesh(CylinderParams {
+                n_z: 2,
+                ..CylinderParams::default()
+            }),
+        ];
+        for mesh in &meshes {
+            let geom = GeomFactors::new(mesh, p);
+            let ntot = geom.total_nodes();
+            let field = |seed: usize| -> Vec<f64> {
+                (0..ntot)
+                    .map(|i| ((i * (29 + seed) % 83) as f64) * 0.02 - 0.8)
+                    .collect()
+            };
+            let u = field(0);
+            let ax: Vec<f64> = (0..ntot).map(|i| geom.coords[1][i] - 0.3).collect();
+            let ay: Vec<f64> = (0..ntot).map(|i| geom.coords[0][i] * 0.5).collect();
+            let az: Vec<f64> = (0..ntot).map(|i| geom.coords[2][i] - 0.1).collect();
+            // The advected fields: the velocity itself plus a scalar, as in
+            // the solver's forcing.
+            let t = field(4);
+            let fields: [&[f64]; 4] = [&ax, &ay, &az, &t];
+            let mut s = DiffScratch::default();
 
-        let mut gx = vec![0.0; ntot];
-        let mut gy = vec![0.0; ntot];
-        let mut gz = vec![0.0; ntot];
-        phys_grad(&geom, &u, &mut gx, &mut gy, &mut gz, &mut s);
+            let mut gx = vec![0.0; ntot];
+            let mut gy = vec![0.0; ntot];
+            let mut gz = vec![0.0; ntot];
+            phys_grad(&geom, &u, &mut gx, &mut gy, &mut gz, &mut s);
 
-        let mut wd = vec![0.0; ntot];
-        weak_divergence(&geom, [&ax, &ay, &az], &mut wd, &mut s);
+            let mut wd = vec![0.0; ntot];
+            weak_divergence(&geom, [&ax, &ay, &az], &mut wd, &mut s);
 
-        let mut adv = [vec![0.0; ntot], vec![0.0; ntot]];
-        let dealias = [Dealias::new(&geom, true), Dealias::new(&geom, false)];
-        for (d, o) in dealias.iter().zip(adv.iter_mut()) {
-            d.advect(&geom, [&ax, &ay, &az], &u, o, &mut s);
-        }
+            // Serial reference: one `advect` call per field.
+            let dealias = [Dealias::new(&geom, true), Dealias::new(&geom, false)];
+            let adv: Vec<Vec<Vec<f64>>> = dealias
+                .iter()
+                .map(|d| {
+                    fields
+                        .iter()
+                        .map(|f| {
+                            let mut o = vec![0.0; ntot];
+                            d.advect(&geom, [&ax, &ay, &az], f, &mut o, &mut s);
+                            o
+                        })
+                        .collect()
+                })
+                .collect();
 
-        for threads in [1usize, 4, 7] {
-            let pool = rbx_device::WorkerPool::new(threads);
-            let (mut px, mut py, mut pz) = (vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]);
-            phys_grad_with(&geom, &u, &mut px, &mut py, &mut pz, &pool);
-            assert_eq!(gx, px, "grad x threads={threads}");
-            assert_eq!(gy, py, "grad y threads={threads}");
-            assert_eq!(gz, pz, "grad z threads={threads}");
+            for threads in [1usize, 4, 7] {
+                let pool = rbx_device::WorkerPool::new(threads);
+                let (mut px, mut py, mut pz) = (vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]);
+                phys_grad_with(&geom, &u, &mut px, &mut py, &mut pz, &pool);
+                assert_eq!(gx, px, "grad x threads={threads}");
+                assert_eq!(gy, py, "grad y threads={threads}");
+                assert_eq!(gz, pz, "grad z threads={threads}");
 
-            let mut pwd = vec![0.0; ntot];
-            weak_divergence_with(&geom, [&ax, &ay, &az], &mut pwd, &pool);
-            assert_eq!(wd, pwd, "weak divergence threads={threads}");
+                let mut pwd = vec![0.0; ntot];
+                weak_divergence_with(&geom, [&ax, &ay, &az], &mut pwd, &pool);
+                assert_eq!(wd, pwd, "weak divergence threads={threads}");
 
-            for (d, o) in dealias.iter().zip(adv.iter()) {
-                let mut padv = vec![0.0; ntot];
-                d.advect_with(&geom, [&ax, &ay, &az], &u, &mut padv, &pool);
-                assert_eq!(o, &padv, "advect threads={threads}");
+                for (d, reference) in dealias.iter().zip(&adv) {
+                    let mut o = [
+                        vec![0.0; ntot],
+                        vec![0.0; ntot],
+                        vec![0.0; ntot],
+                        vec![0.0; ntot],
+                    ];
+                    let [o0, o1, o2, o3] = &mut o;
+                    d.advect_with(&geom, [&ax, &ay, &az], fields, [o0, o1, o2, o3], &pool);
+                    for (f, (want, got)) in reference.iter().zip(&o).enumerate() {
+                        let same = want
+                            .iter()
+                            .zip(got)
+                            .all(|(x, y)| x.to_bits() == y.to_bits());
+                        assert!(
+                            same,
+                            "advect field {f} dealias={} threads={threads} nelv={}",
+                            d.enabled, geom.nelv
+                        );
+                    }
+                }
             }
         }
     }

@@ -390,20 +390,12 @@ impl<'a> Simulation<'a> {
         let mut f = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
         let mut ft = vec![0.0; n];
         let span = self.tel.span_abs("pool/advect");
-        for d in 0..3 {
-            self.dealias.advect_with(
-                &self.geom,
-                [&u[0], &u[1], &u[2]],
-                &u[d],
-                &mut f[d],
-                &self.pool,
-            );
-        }
+        let [f0, f1, f2] = &mut f;
         self.dealias.advect_with(
             &self.geom,
             [&u[0], &u[1], &u[2]],
-            &self.state.t,
-            &mut ft,
+            [&u[0], &u[1], &u[2], &self.state.t],
+            [f0, f1, f2, &mut ft],
             &self.pool,
         );
         drop(span);

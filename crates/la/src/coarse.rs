@@ -18,7 +18,26 @@ use rbx_comm::Communicator;
 use rbx_gs::GatherScatter;
 use rbx_mesh::{BoundaryTag, GeomFactors, HexMesh};
 use rbx_telemetry::Telemetry;
+use std::cell::RefCell;
 use std::sync::Arc;
+
+/// Buffers of one coarse correction, reused across applies. They live in
+/// a thread-local, not in the `CoarseGrid`, because the overlapped
+/// Schwarz mode runs the correction on the pool's `pair()` helper thread.
+/// All are coarse- or element-sized, far below a field.
+#[derive(Default)]
+struct CoarseScratch {
+    rc: Vec<f64>,
+    zc: Vec<f64>,
+    rhs: Vec<f64>,
+    elem: Vec<f64>,
+    ts: TensorScratch,
+    hs: HelmholtzScratch,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<CoarseScratch> = RefCell::new(CoarseScratch::default());
+}
 
 /// The degree-1 coarse problem with fixed-iteration PCG solve.
 pub struct CoarseGrid {
@@ -178,18 +197,30 @@ impl CoarseGrid {
 
     /// Prolongate a coarse correction to the fine lattice and add:
     /// `z += R₀ᵀ z₀`.
-    // audit:allow(hot-alloc): coefficient/coarse-space sized buffers, bounded well below field size
     pub fn prolong_add(&self, z_coarse: &[f64], z_fine: &mut [f64], scratch: &mut TensorScratch) {
+        SCRATCH.with(|cell| {
+            let elem = &mut cell.borrow_mut().elem;
+            self.prolong_add_in(z_coarse, z_fine, scratch, elem);
+        });
+    }
+
+    /// [`CoarseGrid::prolong_add`] with the element buffer passed in.
+    fn prolong_add_in(
+        &self,
+        z_coarse: &[f64],
+        z_fine: &mut [f64],
+        scratch: &mut TensorScratch,
+        elem: &mut Vec<f64>,
+    ) {
         let nf = self.fine_n;
         let nnf = nf * nf * nf;
         let nc = self.coarse_n;
         let nnc = nc * nc * nc;
-        let nelv = self.geom.nelv;
-        let mut buf = vec![0.0; nnf];
-        for e in 0..nelv {
+        elem.resize(nnf, 0.0);
+        for e in 0..self.geom.nelv {
             let zin = &z_coarse[e * nnc..(e + 1) * nnc];
-            tensor_apply3(&self.j_up, &self.j_up, &self.j_up, zin, &mut buf, scratch);
-            for (zf, b) in z_fine[e * nnf..(e + 1) * nnf].iter_mut().zip(&buf) {
+            tensor_apply3(&self.j_up, &self.j_up, &self.j_up, zin, elem, scratch);
+            for (zf, b) in z_fine[e * nnf..(e + 1) * nnf].iter_mut().zip(elem.iter()) {
                 *zf += b;
             }
         }
@@ -197,15 +228,30 @@ impl CoarseGrid {
 
     /// Approximately solve `A₀ z₀ = r₀` with the fixed-iteration
     /// block-Jacobi PCG. `z₀` is overwritten (starts from zero).
-    // audit:allow(hot-alloc): coefficient/coarse-space sized buffers, bounded well below field size
     pub fn solve(&self, r_coarse: &[f64], z_coarse: &mut [f64], comm: &dyn Communicator) {
-        let mut rhs = r_coarse.to_vec();
+        SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            self.solve_in(r_coarse, z_coarse, &mut s.rhs, &mut s.hs, comm);
+        });
+    }
+
+    /// [`CoarseGrid::solve`] with its buffers passed in.
+    fn solve_in(
+        &self,
+        r_coarse: &[f64],
+        z_coarse: &mut [f64],
+        rhs: &mut Vec<f64>,
+        hs: &mut HelmholtzScratch,
+        comm: &dyn Communicator,
+    ) {
+        rhs.clear();
+        rhs.extend_from_slice(r_coarse);
         if self.neumann {
             // Solvability of the singular Neumann system requires
             // ⟨rhs, 1⟩ = 0 in the unique-dof inner product → project with
             // inverse-multiplicity weights (canonical reduction: the
             // projected rhs bits are identical for every rank count).
-            ortho_project_mean_layout(&mut rhs, self.dp.weights(), &self.layout, comm);
+            ortho_project_mean_layout(rhs, self.dp.weights(), &self.layout, comm);
         }
         z_coarse.fill(0.0);
         let op = HelmholtzOp {
@@ -215,12 +261,11 @@ impl CoarseGrid {
             h1: 1.0,
             h2: 0.0,
         };
-        let mut scratch = HelmholtzScratch::default();
         let _ = pcg(
-            |p, ap| op.apply(p, ap, &mut scratch, comm),
+            |p, ap| op.apply(p, ap, hs, comm),
             |r, z| jacobi_apply(&self.diag, &self.mask, r, z),
             |a, b| self.dp.dot(a, b, comm),
-            &rhs,
+            rhs,
             z_coarse,
             1e-14,
             1e-4,
@@ -233,25 +278,26 @@ impl CoarseGrid {
 
     /// Full coarse correction `z += R₀ᵀ A₀⁻¹ R₀ r` from a weighted fine
     /// residual.
-    // audit:allow(hot-alloc): coefficient/coarse-space sized buffers, bounded well below field size
     pub fn correct_add(&self, r_weighted: &[f64], z_fine: &mut [f64], comm: &dyn Communicator) {
-        let mut rc = vec![0.0; self.len()];
-        let mut zc = vec![0.0; self.len()];
-        let mut scratch = TensorScratch::new();
-        // Absolute span paths: the overlapped Schwarz mode runs this on a
-        // helper thread, and both modes must produce identical trees.
-        {
-            let _g = self.tel.span_abs("schwarz/coarse/restrict");
-            self.restrict(r_weighted, &mut rc, &mut scratch, comm);
-        }
-        {
-            let _g = self.tel.span_abs("schwarz/coarse/solve");
-            self.solve(&rc, &mut zc, comm);
-        }
-        {
-            let _g = self.tel.span_abs("schwarz/coarse/prolong");
-            self.prolong_add(&zc, z_fine, &mut scratch);
-        }
+        SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            s.rc.resize(self.len(), 0.0);
+            s.zc.resize(self.len(), 0.0);
+            // Absolute span paths: the overlapped Schwarz mode runs this on a
+            // helper thread, and both modes must produce identical trees.
+            {
+                let _g = self.tel.span_abs("schwarz/coarse/restrict");
+                self.restrict(r_weighted, &mut s.rc, &mut s.ts, comm);
+            }
+            {
+                let _g = self.tel.span_abs("schwarz/coarse/solve");
+                self.solve_in(&s.rc, &mut s.zc, &mut s.rhs, &mut s.hs, comm);
+            }
+            {
+                let _g = self.tel.span_abs("schwarz/coarse/prolong");
+                self.prolong_add_in(&s.zc, z_fine, &mut s.ts, &mut s.elem);
+            }
+        });
     }
 }
 

@@ -321,13 +321,14 @@ pub fn validate_timeline_record(v: &Value) -> Result<(), String> {
 }
 
 /// Detector names the health schema admits.
-pub const HEALTH_DETECTORS: [&str; 8] = [
+pub const HEALTH_DETECTORS: [&str; 9] = [
     "cfl_spike",
     "residual_stall",
     "iteration_drift",
     "imbalance",
     "checkpoint_latency",
     "shrink",
+    "degraded_step",
     "insitu_drops",
     "insitu_dead",
 ];
@@ -912,7 +913,7 @@ mod tests {
         // validate line-by-line.
         let health = health_record("insitu_drops", "warn", "raise", 9, 12.0, 5.0, "drops");
         validate_line(&health.to_string()).unwrap();
-        let new_detectors = ["insitu_drops", "insitu_dead"];
+        let new_detectors = ["insitu_drops", "insitu_dead", "degraded_step"];
         for d in new_detectors {
             validate_health(&health_record(d, "critical", "raise", 1, 1.0, 0.0, "x")).unwrap();
         }

@@ -14,6 +14,7 @@ use rbx::basis::fused::{
     helmholtz_element, helmholtz_element_scalar, tensor3, tensor3_scalar, FusedScratch,
     Tensor3Scratch,
 };
+use rbx::basis::tensor::{tensor_apply3, tensor_apply3_scalar, TensorScratch};
 use rbx::basis::{deriv_matrix, gll, DMat};
 use rbx::comm::SingleComm;
 use rbx::device::WorkerPool;
@@ -188,6 +189,107 @@ fn dispatched_matches_scalar_to_zero_ulp() {
         tensor3_scalar(&a1, &a2, &a3, &u, &mut t_scalar, &mut ts);
         assert_bits(&format!("tensor3 n={n}"), &t_dispatched, &t_scalar);
     }
+}
+
+/// Every `(rows, cols)` shape `tensor_apply3` instantiates at compile
+/// time: dealiasing ⌈3N/2⌉ × N and back, the coarse grid's 2 × N and
+/// 3 × N transfers and back, and the square modal transforms, N = 4…12.
+fn specialized_shapes() -> Vec<(usize, usize)> {
+    let mut shapes = Vec::new();
+    for n in 4..=12 {
+        let m = rbx::basis::dealias_nodes(n - 1);
+        shapes.extend([(m, n), (n, m), (2, n), (n, 2), (3, n), (n, 3), (n, n)]);
+    }
+    shapes
+}
+
+fn apply_both(a: &DMat, u: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let m = a.rows();
+    let mut dispatched = vec![0.0; m * m * m];
+    let mut portable = vec![0.0; m * m * m];
+    let mut s = TensorScratch::new();
+    tensor_apply3(a, a, a, u, &mut dispatched, &mut s);
+    tensor_apply3_scalar(a, a, a, u, &mut portable, &mut s);
+    (dispatched, portable)
+}
+
+/// `tensor_apply3` keeps a separate-rounding bit contract: the dispatched
+/// path (shape-specialized, AVX2 where available) must reproduce the
+/// runtime-bounded portable body to 0 ulp on every specialized shape,
+/// on a shape that is not specialized (7 × 5), and on a call whose three
+/// matrices differ in shape.
+#[test]
+fn tensor_apply3_dispatched_matches_portable_on_every_shape() {
+    let mut shapes = specialized_shapes();
+    shapes.push((7, 5));
+    for (m, n) in shapes {
+        let a = DMat::from_fn(m, n, |i, j| ((i * 7 + j * 3) as f64 * 0.37).sin());
+        let u = rand_vec(n * n * n, (m * 31 + n) as u64);
+        let (dispatched, portable) = apply_both(&a, &u);
+        assert_bits(&format!("tensor_apply3 {m}x{n}"), &dispatched, &portable);
+    }
+    let ax = DMat::from_fn(9, 6, |i, j| (i as f64 - 0.5 * j as f64).cos());
+    let ay = DMat::from_fn(2, 6, |i, j| (i + j) as f64 * 0.25 - 0.5);
+    let az = DMat::from_fn(6, 6, |i, j| if i == j { 1.0 } else { 0.125 });
+    let u = rand_vec(6 * 6 * 6, 77);
+    let mut s = TensorScratch::new();
+    let mut dispatched = vec![0.0; 9 * 2 * 6];
+    let mut portable = vec![0.0; 9 * 2 * 6];
+    tensor_apply3(&ax, &ay, &az, &u, &mut dispatched, &mut s);
+    tensor_apply3_scalar(&ax, &ay, &az, &u, &mut portable, &mut s);
+    assert_bits("tensor_apply3 mixed shapes", &dispatched, &portable);
+}
+
+/// Like [`assert_bits`], except that two NaNs match whatever their sign
+/// and payload: Rust leaves those unspecified, and the vectorized code
+/// may add a propagated NaN and a freshly made one (`∞ − ∞`) in the
+/// other operand order. Which outputs are NaN must still agree.
+fn assert_bits_or_nan(label: &str, a: &[f64], b: &[f64]) {
+    assert_eq!(a.len(), b.len(), "{label}: length mismatch");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{label}: bit divergence at index {i}: {x:e} vs {y:e}"
+        );
+    }
+}
+
+/// The bit contract covers non-finite data and exact zeros too: inputs
+/// with NaN and ±Inf, matrices with `+0.0`/`-0.0` entries. Passes 2 and 3
+/// skip zero coefficients (so `0·∞` never enters there) while pass 1
+/// multiplies them (so it does); both paths must agree on every finite,
+/// infinite and signed-zero bit, and on where the NaNs are.
+#[test]
+fn tensor_apply3_nonfinite_inputs_and_zero_coefficients_match_portable() {
+    let mut shapes = specialized_shapes();
+    shapes.push((7, 5));
+    let mut saw_nan = false;
+    for (m, n) in shapes {
+        let a = DMat::from_fn(m, n, |i, j| match (i + 2 * j) % 5 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((i * 5 + j) as f64 * 0.61).cos(),
+        });
+        let mut u = rand_vec(n * n * n, (m * 17 + n) as u64);
+        let len = u.len();
+        u[0] = f64::NAN;
+        u[len / 3] = f64::INFINITY;
+        u[len / 2] = f64::NEG_INFINITY;
+        u[len - 1] = -0.0;
+        let (dispatched, portable) = apply_both(&a, &u);
+        assert_bits_or_nan(&format!("non-finite {m}x{n}"), &dispatched, &portable);
+        saw_nan |= dispatched.iter().any(|v| v.is_nan());
+        // Finite data and a zero-laden matrix: the skipped coefficients
+        // must not turn a +0.0 sum into -0.0 or change any other bit.
+        let finite = rand_vec(n * n * n, 5);
+        let (dispatched, portable) = apply_both(&a, &finite);
+        assert_bits(&format!("zero-skip {m}x{n}"), &dispatched, &portable);
+    }
+    // A skipped zero coefficient can stop a NaN, but not on every shape.
+    assert!(
+        saw_nan,
+        "no NaN reached any output: the test lost its teeth"
+    );
 }
 
 /// SIMD pointwise kernels vs their scalar twins on awkward (non-multiple
