@@ -24,11 +24,12 @@
 //! All flags are optional; defaults give a small box run. Outputs land in
 //! `target/dns_run/` (override with `--out`).
 //!
-//! `--ranks N` runs the time loop distributed over N in-process ranks.
-//! Checkpoints are topology-independent, so `--ranks` is decoupled from
-//! checkpoint provenance: a run checkpointed at one rank count restarts
-//! at any other via `--restart`, with the partition rebuilt by the
-//! restart repartitioner:
+//! Every run is one per-rank body, [`run_rank`]: on a [`SingleComm`] for
+//! a one-rank world, on each of N in-process ranks for `--ranks N`, each
+//! solver rank stepping with `--threads` workers (default: cores / N).
+//! Checkpoints are topology-independent, so a run checkpointed at one
+//! rank count restarts at any other via `--restart`, with the partition
+//! rebuilt by the restart repartitioner:
 //!
 //! ```sh
 //! run_dns --ranks 4 --steps 200 --checkpoint-every 100   # checkpoint at 4
@@ -41,21 +42,26 @@
 //! field slabs over a bounded best-effort channel and never block on
 //! analysis — a full queue or a dead analysis rank degrades to
 //! drop-with-counter (`rbx_insitu_dropped_total`), and the solver
-//! trajectory stays byte-identical to an analysis-free run:
+//! trajectory stays byte-identical to an analysis-free run (without
+//! analysis ranks, a lone solver rank writes snapshots to `fields.bpl`).
+//! `--telemetry-jsonl FILE` is used verbatim in a one-rank world and as
+//! `FILE.rank{r}.jsonl` per rank otherwise:
 //!
 //! ```sh
 //! run_dns --ranks 4 --analysis-ranks 2 --steps 200 --sample-every 10 \
 //!     --telemetry-jsonl target/dns_run/tel.jsonl
 //! ```
 
-use rbx::comm::SingleComm;
-use rbx::compress::{AsyncFieldCompressor, CompressionConfig};
-use rbx::core::stats::{RunStatistics, ZProfiles};
-use rbx::core::RecoveryEvent;
-use rbx::core::{
-    CheckpointSet, FaultPlan, Observables, RecoveryPolicy, ResilientRunner, Simulation,
-    SolverConfig,
+use rbx::comm::{run_on_ranks, Communicator, SingleComm, SlabSender};
+use rbx::compress::{
+    AsyncCompressorStats, AsyncFieldCompressor, CompressedField, CompressionConfig,
 };
+use rbx::core::stats::{RunningMean, ZProfiles};
+use rbx::core::{
+    plan_repartition, CaseSetup, CheckpointSet, FaultPlan, Observables, RecoveryEvent,
+    RecoveryPolicy, RepartitionPlan, ResilientRunner, RunReport, Simulation, SolverConfig,
+};
+use rbx::device::{PoolStats, WorkerPool};
 use rbx::insitu::PodConsumer;
 use rbx::io::{staging_channel, AsyncBplWriter, StepData, Variable};
 use rbx::mesh::BoundaryTag;
@@ -64,7 +70,7 @@ use rbx::obs::{HealthConfig, HealthMonitor};
 use rbx::telemetry::json::Value;
 use rbx::telemetry::schema::TELEMETRY_SCHEMA;
 use rbx::telemetry::Telemetry;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 #[derive(Debug)]
 struct Args {
@@ -100,43 +106,6 @@ struct Args {
     flight: usize,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            case: "box".into(),
-            gamma: 2.0,
-            ra: 1e5,
-            order: 5,
-            dt: 2e-3,
-            steps: 300,
-            ranks: 1,
-            analysis_ranks: 0,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            resolution: 3,
-            sample_every: 20,
-            checkpoint_every: 0,
-            checkpoint_keep: 3,
-            max_rollbacks: 5,
-            dt_factor: 0.5,
-            fault_seed: 0,
-            inject_nan_at: Vec::new(),
-            corrupt_checkpoint_at: Vec::new(),
-            fail_checkpoint_at: Vec::new(),
-            pod: false,
-            restart: None,
-            tuning: None,
-            out: PathBuf::from("target/dns_run"),
-            telemetry_jsonl: None,
-            telemetry_prom: None,
-            trace_depth: None,
-            json_summary: None,
-            prom_listen: None,
-            health_jsonl: None,
-            flight: 0,
-        }
-    }
-}
-
 /// Load and globally install the kernel tuning table from `--tuning`
 /// (no-op without the flag: the compiled-in defaults apply). Kernel grain
 /// gating is part of the run configuration, so it is installed exactly
@@ -160,75 +129,84 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parse a flag value, naming the flag and the offending input on error.
-fn parse<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+/// The value following `flag`, parsed; names the flag and the offending
+/// input on error.
+fn value<T: std::str::FromStr>(flag: &str, it: &mut impl Iterator<Item = String>) -> T {
+    let raw = it
+        .next()
+        .unwrap_or_else(|| die(&format!("missing value for {flag}")));
     raw.parse()
         .unwrap_or_else(|_| die(&format!("invalid value {raw:?} for {flag}")))
 }
 
 fn parse_args() -> Args {
-    let mut args = Args::default();
+    let mut args = Args {
+        case: "box".into(),
+        gamma: 2.0,
+        ra: 1e5,
+        order: 5,
+        dt: 2e-3,
+        steps: 300,
+        ranks: 1,
+        analysis_ranks: 0,
+        threads: 0, // set below: --threads, or the cores shared among --ranks
+        resolution: 3,
+        sample_every: 20,
+        checkpoint_every: 0,
+        checkpoint_keep: 3,
+        max_rollbacks: 5,
+        dt_factor: 0.5,
+        fault_seed: 0,
+        inject_nan_at: Vec::new(),
+        corrupt_checkpoint_at: Vec::new(),
+        fail_checkpoint_at: Vec::new(),
+        pod: false,
+        restart: None,
+        tuning: None,
+        out: PathBuf::from("target/dns_run"),
+        telemetry_jsonl: None,
+        telemetry_prom: None,
+        trace_depth: None,
+        json_summary: None,
+        prom_listen: None,
+        health_jsonl: None,
+        flight: 0,
+    };
+    let mut threads = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| die(&format!("missing value for {name}")))
-        };
+        let it = &mut it;
         match flag.as_str() {
-            "--case" => args.case = value("--case"),
-            "--gamma" => args.gamma = parse("--gamma", &value("--gamma")),
-            "--ra" => args.ra = parse("--ra", &value("--ra")),
-            "--order" => args.order = parse("--order", &value("--order")),
-            "--dt" => args.dt = parse("--dt", &value("--dt")),
-            "--steps" => args.steps = parse("--steps", &value("--steps")),
-            "--ranks" => args.ranks = parse("--ranks", &value("--ranks")),
-            "--analysis-ranks" => {
-                args.analysis_ranks = parse("--analysis-ranks", &value("--analysis-ranks"))
-            }
-            "--threads" => args.threads = parse("--threads", &value("--threads")),
-            "--resolution" => args.resolution = parse("--resolution", &value("--resolution")),
-            "--sample-every" => {
-                args.sample_every = parse("--sample-every", &value("--sample-every"))
-            }
-            "--checkpoint-every" => {
-                args.checkpoint_every = parse("--checkpoint-every", &value("--checkpoint-every"))
-            }
-            "--checkpoint-keep" => {
-                args.checkpoint_keep = parse("--checkpoint-keep", &value("--checkpoint-keep"))
-            }
-            "--max-rollbacks" => {
-                args.max_rollbacks = parse("--max-rollbacks", &value("--max-rollbacks"))
-            }
-            "--dt-factor" => args.dt_factor = parse("--dt-factor", &value("--dt-factor")),
-            "--fault-seed" => args.fault_seed = parse("--fault-seed", &value("--fault-seed")),
-            "--inject-nan-at" => args
-                .inject_nan_at
-                .push(parse("--inject-nan-at", &value("--inject-nan-at"))),
-            "--corrupt-checkpoint-at" => args.corrupt_checkpoint_at.push(parse(
-                "--corrupt-checkpoint-at",
-                &value("--corrupt-checkpoint-at"),
-            )),
-            "--fail-checkpoint-at" => args.fail_checkpoint_at.push(parse(
-                "--fail-checkpoint-at",
-                &value("--fail-checkpoint-at"),
-            )),
+            "--case" => args.case = value(&flag, it),
+            "--gamma" => args.gamma = value(&flag, it),
+            "--ra" => args.ra = value(&flag, it),
+            "--order" => args.order = value(&flag, it),
+            "--dt" => args.dt = value(&flag, it),
+            "--steps" => args.steps = value(&flag, it),
+            "--ranks" => args.ranks = value(&flag, it),
+            "--analysis-ranks" => args.analysis_ranks = value(&flag, it),
+            "--threads" => threads = Some(value(&flag, it)),
+            "--resolution" => args.resolution = value(&flag, it),
+            "--sample-every" => args.sample_every = value(&flag, it),
+            "--checkpoint-every" => args.checkpoint_every = value(&flag, it),
+            "--checkpoint-keep" => args.checkpoint_keep = value(&flag, it),
+            "--max-rollbacks" => args.max_rollbacks = value(&flag, it),
+            "--dt-factor" => args.dt_factor = value(&flag, it),
+            "--fault-seed" => args.fault_seed = value(&flag, it),
+            "--inject-nan-at" => args.inject_nan_at.push(value(&flag, it)),
+            "--corrupt-checkpoint-at" => args.corrupt_checkpoint_at.push(value(&flag, it)),
+            "--fail-checkpoint-at" => args.fail_checkpoint_at.push(value(&flag, it)),
             "--pod" => args.pod = true,
-            "--restart" => args.restart = Some(PathBuf::from(value("--restart"))),
-            "--tuning" => args.tuning = Some(PathBuf::from(value("--tuning"))),
-            "--out" => args.out = PathBuf::from(value("--out")),
-            "--telemetry-jsonl" => {
-                args.telemetry_jsonl = Some(PathBuf::from(value("--telemetry-jsonl")))
-            }
-            "--telemetry-prom" => {
-                args.telemetry_prom = Some(PathBuf::from(value("--telemetry-prom")))
-            }
-            "--trace-depth" => {
-                args.trace_depth = Some(parse("--trace-depth", &value("--trace-depth")))
-            }
-            "--json-summary" => args.json_summary = Some(PathBuf::from(value("--json-summary"))),
-            "--prom-listen" => args.prom_listen = Some(value("--prom-listen")),
-            "--health-jsonl" => args.health_jsonl = Some(PathBuf::from(value("--health-jsonl"))),
-            "--flight" => args.flight = parse("--flight", &value("--flight")),
+            "--restart" => args.restart = Some(value(&flag, it)),
+            "--tuning" => args.tuning = Some(value(&flag, it)),
+            "--out" => args.out = value(&flag, it),
+            "--telemetry-jsonl" => args.telemetry_jsonl = Some(value(&flag, it)),
+            "--telemetry-prom" => args.telemetry_prom = Some(value(&flag, it)),
+            "--trace-depth" => args.trace_depth = Some(value(&flag, it)),
+            "--json-summary" => args.json_summary = Some(value(&flag, it)),
+            "--prom-listen" => args.prom_listen = Some(value(&flag, it)),
+            "--health-jsonl" => args.health_jsonl = Some(value(&flag, it)),
+            "--flight" => args.flight = value(&flag, it),
             "--help" | "-h" => {
                 println!(
                     "flags: --case box|cylinder --gamma G --ra RA --order P --dt DT \
@@ -256,11 +234,14 @@ fn parse_args() -> Args {
     if !(args.dt_factor > 0.0 && args.dt_factor < 1.0) {
         die("--dt-factor must be in (0, 1)");
     }
-    if args.threads == 0 {
-        die("--threads must be at least 1");
-    }
     if args.ranks == 0 || args.ranks > 64 {
         die("--ranks must be in 1..=64 (survivor masks are 64-bit)");
+    }
+    // Default: share the cores among the solver ranks.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    args.threads = threads.unwrap_or((cores / args.ranks).max(1));
+    if args.threads == 0 {
+        die("--threads must be at least 1");
     }
     if args.ranks + args.analysis_ranks > 64 {
         die("--ranks plus --analysis-ranks must not exceed 64");
@@ -271,52 +252,63 @@ fn parse_args() -> Args {
     args
 }
 
-/// True when any observability surface was requested — telemetry then
-/// runs enabled even without a JSONL sink (the flight ring, health
-/// detectors, and live scrape endpoint all feed off the same emit path).
-fn obs_requested(args: &Args) -> bool {
-    args.telemetry_jsonl.is_some()
-        || args.telemetry_prom.is_some()
-        || args.prom_listen.is_some()
-        || args.health_jsonl.is_some()
-        || args.flight > 0
+/// This rank's JSONL stream: the `--telemetry-jsonl` path verbatim in a
+/// one-rank world, `tel.jsonl` → `tel.rank3.jsonl` otherwise. One stream
+/// per rank is what `rbx-obs merge` expects.
+fn jsonl_path(args: &Args, rank: usize) -> Option<PathBuf> {
+    let base = args.telemetry_jsonl.as_ref()?;
+    Some(if args.ranks + args.analysis_ranks == 1 {
+        base.clone()
+    } else {
+        base.with_extension(format!("rank{rank}.jsonl"))
+    })
 }
 
-/// Per-rank JSONL stream path: `tel.jsonl` → `tel.rank3.jsonl`. One
-/// stream per rank is what `rbx-obs merge` expects.
-fn rank_jsonl_path(base: &Path, rank: usize) -> PathBuf {
-    base.with_extension(format!("rank{rank}.jsonl"))
+/// This rank's telemetry handle: off (a single relaxed atomic load per
+/// hook) unless an observability surface was requested — then it runs
+/// enabled even without a JSONL sink (the flight ring, health detectors,
+/// and live scrape endpoint all feed off the same emit path).
+fn rank_telemetry(args: &Args, rank: usize) -> Telemetry {
+    let tel = Telemetry::disabled();
+    tel.set_enabled(
+        args.telemetry_jsonl.is_some()
+            || args.telemetry_prom.is_some()
+            || args.prom_listen.is_some()
+            || args.health_jsonl.is_some()
+            || args.flight > 0,
+    );
+    if let Some(path) = jsonl_path(args, rank) {
+        if let Err(e) = tel.open_jsonl(&path) {
+            die(&format!(
+                "cannot create telemetry JSONL {}: {e}",
+                path.display()
+            ));
+        }
+    }
+    tel
 }
 
 /// Install the online health detectors (tap on the telemetry stream) and
 /// the optional live Prometheus scrape endpoint.
-fn attach_observers(tel: &Telemetry, args: &Args) -> (HealthMonitor, Option<PromServer>) {
-    let mon = HealthMonitor::new(HealthConfig::default(), tel);
-    let mon = match &args.health_jsonl {
-        Some(path) => match mon.with_jsonl(path) {
-            Ok(m) => {
-                println!("  health: detector events -> {}", path.display());
-                m
-            }
-            Err(e) => die(&format!(
+fn attach_observers(tel: &Telemetry, args: &Args) -> (Option<HealthMonitor>, Option<PromServer>) {
+    let mut mon = HealthMonitor::new(HealthConfig::default(), tel);
+    if let Some(path) = &args.health_jsonl {
+        mon = mon.with_jsonl(path).unwrap_or_else(|e| {
+            die(&format!(
                 "cannot create health JSONL {}: {e}",
                 path.display()
-            )),
-        },
-        None => mon,
-    };
-    mon.install(tel);
-    let prom = args
-        .prom_listen
-        .as_deref()
-        .map(|addr| match rbx::obs::prom::serve(tel, addr) {
-            Ok(s) => {
-                println!("  telemetry: live scrape endpoint on http://{}/", s.addr());
-                s
-            }
-            Err(e) => die(&format!("cannot bind --prom-listen {addr}: {e}")),
+            ))
         });
-    (mon, prom)
+        println!("  health: detector events -> {}", path.display());
+    }
+    mon.install(tel);
+    let prom = args.prom_listen.as_deref().map(|addr| {
+        let s = rbx::obs::prom::serve(tel, addr)
+            .unwrap_or_else(|e| die(&format!("cannot bind --prom-listen {addr}: {e}")));
+        println!("  telemetry: live scrape endpoint on http://{}/", s.addr());
+        s
+    });
+    (Some(mon), prom)
 }
 
 /// Recovery events aggregated by token, for the machine-readable summary.
@@ -331,366 +323,341 @@ fn recovery_totals(events: &[RecoveryEvent]) -> Vec<(&'static str, Value)> {
         .collect()
 }
 
-/// Sender-side in-situ vitals of one solver rank, for the run summary.
-struct InsituSenderSummary {
-    dest: usize,
-    stats: rbx::comm::SlabSenderStats,
-    compress_busy: u64,
-    stalled: bool,
+/// Everything `main` builds once and every rank reads.
+struct RunCtx {
+    args: Args,
+    case: CaseSetup,
+    cfg: SolverConfig,
+    plan: RepartitionPlan,
 }
 
-/// One rank's result from the distributed run: a solver rank's report
-/// bundle, or what a dedicated analysis rank saw.
+/// Where a solver rank's compressed `uz` snapshots go, chosen once per
+/// run: the slab channel to its analysis peer when analysis ranks exist,
+/// `fields.bpl` when a single solver rank owns the whole field.
+enum Sink<'c> {
+    File(AsyncBplWriter),
+    Slab(SlabSender<'c>, usize),
+}
+
+impl Sink<'_> {
+    fn put(&mut self, done: CompressedField) {
+        match self {
+            Self::File(fields) => {
+                let shape = vec![done.compressed.data.len() as u64];
+                fields.put(StepData {
+                    step: done.step,
+                    time: done.time,
+                    vars: vec![Variable::bytes(
+                        "uz_compressed",
+                        shape,
+                        done.compressed.data,
+                    )],
+                });
+            }
+            Self::Slab(tx, _) => {
+                let body = rbx::io::encode_slab_body(
+                    done.step,
+                    done.time,
+                    &done.var,
+                    &done.compressed.to_bytes(),
+                );
+                let _ = tx.offer(&body);
+            }
+        }
+    }
+}
+
+/// End-of-run counters of one rank's snapshot pipeline.
+struct SnapshotOut {
+    encoded: AsyncCompressorStats,
+    /// Snapshots in `fields.bpl`, or slabs handed to the wire.
+    delivered: u64,
+    /// Slabs dropped on a full credit window.
+    dropped: u64,
+    /// The analysis peer, when it stalled or died.
+    stalled: Option<usize>,
+}
+
+/// What a solver rank hands back for the run summary. Every rank fills
+/// it; the summary reads rank 0's, plus every rank's flight dumps and
+/// snapshot counters.
+struct SolverOut {
+    report: RunReport,
+    elapsed: f64,
+    faults_fired: Vec<String>,
+    nu_volume: RunningMean,
+    pool: PoolStats,
+    phase_pct: [f64; 4],
+    underresolved: f64,
+    snapshots: Option<SnapshotOut>,
+    pod: Option<(usize, usize, f64)>,
+    tel: Telemetry,
+    health: Option<HealthMonitor>,
+    /// Held only to keep the live scrape endpoint up until the summary is
+    /// out: the last scrape sees the final counters.
+    _prom: Option<PromServer>,
+}
+
+/// One world rank's result: a solver rank's summary inputs, or what a
+/// dedicated analysis rank saw.
 enum RankOut {
-    Solver {
-        report: Box<rbx::core::RunReport>,
-        elapsed: f64,
-        obs_rows: Vec<String>,
-        stats: RunStatistics,
-        health_events: Option<usize>,
-        insitu: Option<InsituSenderSummary>,
-    },
+    Solver(Box<SolverOut>),
     Analysis {
         rank: usize,
         outcome: Result<rbx::insitu::AnalysisOutcome, rbx::insitu::InsituError>,
     },
 }
 
-/// The distributed time loop: `--ranks N` runs the case partitioned over
-/// N in-process ranks. The partition comes from the restart
-/// repartitioner's cost model, not from whatever layout a restart
-/// checkpoint was written under — checkpoints are topology-independent,
-/// so `--restart` accepts a checkpoint of any provenance. A reduced
-/// output set (observables CSV, checkpoints, telemetry, summary) keeps
-/// the rank-local paths honest; the field/POD pipelines stay
-/// single-rank.
-///
-/// `--analysis-ranks K` appends K dedicated analysis ranks to the world.
-/// Solver collectives run on a [`rbx::comm::SubsetComm`] restricted to
-/// the solver ranks, so the trajectory is byte-identical with or without
-/// the analysis plane; slabs travel solver rank `r` → analysis rank
-/// `N + (r mod K)` over the best-effort slab channel.
-fn run_multirank(args: Args) {
-    use rbx::comm::{run_on_ranks, Communicator};
-    use rbx::core::plan_repartition;
-
-    for (flag, set) in [
-        ("--pod", args.pod),
-        ("--inject-nan-at", !args.inject_nan_at.is_empty()),
-        (
-            "--corrupt-checkpoint-at",
-            !args.corrupt_checkpoint_at.is_empty(),
-        ),
-        ("--fail-checkpoint-at", !args.fail_checkpoint_at.is_empty()),
-    ] {
-        if set {
-            die(&format!(
-                "{flag} is single-rank only (drop --ranks/--analysis-ranks)"
-            ));
-        }
-    }
-
-    let case = match args.case.as_str() {
-        "box" => rbx::core::rbc_box_case(args.gamma, args.resolution, args.resolution, false, 1),
-        "cylinder" => rbx::core::rbc_cylinder_case(args.gamma, (args.resolution / 2).max(1), 1),
-        other => die(&format!("unknown case {other:?} for --case (box|cylinder)")),
-    };
-    let cfg = SolverConfig {
-        ra: args.ra,
-        order: args.order,
-        dt: args.dt,
-        ic_noise: 0.05,
-        ..Default::default()
-    };
-    let plan = match plan_repartition(&case.mesh, args.order, args.ranks, None, None) {
-        Ok(p) => p,
-        Err(e) => die(&format!("cannot partition for --ranks {}: {e}", args.ranks)),
-    };
-    println!(
-        "run_dns: {} case, Γ = {}, Ra = {:.1e}, degree {}, dt = {}, {} ranks",
-        args.case, args.gamma, args.ra, args.order, args.dt, args.ranks
-    );
-    println!(
-        "  {} elements over {} ranks ({}..{} per rank), {} steps",
-        case.mesh.num_elements(),
-        args.ranks,
-        plan.min_elems,
-        plan.max_elems,
-        args.steps
-    );
-    let solver_n = args.ranks;
-    let analysis_k = args.analysis_ranks;
-    if analysis_k > 0 {
-        println!(
-            "  in-situ analysis: {analysis_k} dedicated rank{} (world {}..{}), \
-             best-effort slab channel, drop-with-counter degradation",
-            if analysis_k == 1 { "" } else { "s" },
-            solver_n,
-            solver_n + analysis_k - 1
-        );
-    }
-
-    let checkpoint_dir = args.out.join("checkpoints");
-    let cfg_ref = &cfg;
-    let case_ref = &case;
-    let plan_ref = &plan;
-    let args_ref = &args;
-    let results = run_on_ranks(solver_n + analysis_k, move |comm| {
-        let rank = comm.rank();
-        if rank >= solver_n {
-            // Dedicated analysis rank: never joins a solver collective,
-            // never touches the checkpoint set. It drains slab channels
-            // from its assigned solver peers until they close (or die —
-            // the idle deadline covers a world that stopped sending).
-            let tel = Telemetry::disabled();
-            if obs_requested(args_ref) {
-                tel.set_enabled(true);
-                if let Some(path) = &args_ref.telemetry_jsonl {
-                    let rp = rank_jsonl_path(path, rank);
-                    if let Err(e) = tel.open_jsonl(&rp) {
-                        die(&format!(
-                            "cannot create telemetry JSONL {}: {e}",
-                            rp.display()
-                        ));
-                    }
-                }
-            }
-            let me = rank - solver_n;
-            let cfg = rbx::insitu::AnalysisConfig {
-                senders: (0..solver_n).filter(|s| s % analysis_k == me).collect(),
-                idle_timeout: std::time::Duration::from_secs(60),
-                ..Default::default()
-            };
-            let outcome = rbx::insitu::run_analysis_rank(comm, &cfg, &tel);
-            tel.flush();
-            return RankOut::Analysis { rank, outcome };
-        }
-        // Solver rank. With an analysis plane the simulation communicates
-        // over a subset communicator covering exactly the solver ranks:
-        // collectives (and hence the trajectory) are unchanged by K.
-        let subset;
-        let solver_comm: &dyn Communicator = if analysis_k > 0 {
-            subset = rbx::comm::SubsetComm::new(comm, (0..solver_n).collect())
-                .expect("solver rank is in the solver subset");
-            &subset
-        } else {
-            comm
-        };
-        let mut sim = Simulation::new(
-            cfg_ref.clone(),
-            &case_ref.mesh,
-            &plan_ref.part,
-            plan_ref.elems[rank].clone(),
-            solver_comm,
-        );
-        // Observability is per-rank: every rank gets its own JSONL stream
-        // (`tel.rank{r}.jsonl` — the unit `rbx-obs merge` consumes) and
-        // its own flight ring; the health detectors and live export run
-        // on rank 0, fed out-of-band by the other ranks.
-        let tel = Telemetry::disabled();
-        let mut health: Option<HealthMonitor> = None;
-        let mut prom: Option<PromServer> = None;
-        if obs_requested(args_ref) {
-            tel.set_enabled(true);
-            if let Some(depth) = args_ref.trace_depth {
-                tel.set_trace_depth(depth);
-            }
-            if let Some(path) = &args_ref.telemetry_jsonl {
-                let rp = rank_jsonl_path(path, rank);
-                if let Err(e) = tel.open_jsonl(&rp) {
-                    die(&format!(
-                        "cannot create telemetry JSONL {}: {e}",
-                        rp.display()
-                    ));
-                }
-                if rank == 0 {
-                    println!(
-                        "  telemetry: per-rank JSONL streams -> {} ... ({} ranks)",
-                        rp.display(),
-                        args_ref.ranks
-                    );
-                }
-            }
-            if args_ref.flight > 0 {
-                tel.attach_flight(args_ref.flight);
-            }
-            if rank == 0 {
-                let (mon, server) = attach_observers(&tel, args_ref);
-                health = Some(mon);
-                prom = server;
-            }
-        }
-        sim.set_telemetry(&tel);
-
-        // In-situ tap: a bounded best-effort slab channel to this rank's
-        // analysis peer plus an off-thread double-buffered encoder. Both
-        // run on the world communicator (the destination is outside the
-        // solver subset) and both degrade by dropping-with-counter, never
-        // by blocking the step loop.
-        let insitu_dest = (analysis_k > 0).then(|| solver_n + rank % analysis_k);
-        let mut slab_tx = insitu_dest.map(|dest| {
-            let mut tx = rbx::comm::SlabSender::new(comm, dest, 8);
-            tx.set_telemetry(&tel);
-            tx
-        });
-        let mut encoder = insitu_dest.map(|_| {
-            AsyncFieldCompressor::new(&sim.geom, args_ref.order + 1, CompressionConfig::default())
-        });
-
-        let checkpoints = CheckpointSet::new(&checkpoint_dir, args_ref.checkpoint_keep);
-        if let Some(chk) = &args_ref.restart {
-            // Topology-independent restore: the checkpoint may have been
-            // written at any rank count.
-            match rbx::core::read_checkpoint(&mut sim, chk) {
-                Ok(()) => {
-                    if rank == 0 {
-                        println!(
-                            "  restarted from {} at step {} (t = {:.4})",
-                            chk.display(),
-                            sim.state.istep,
-                            sim.state.time
-                        );
-                    }
-                }
-                Err(e) => die(&format!("restart checkpoint rejected: {e}")),
-            }
-        } else {
-            sim.init_rbc();
-        }
-
-        let policy = RecoveryPolicy {
-            max_rollbacks: args_ref.max_rollbacks,
-            dt_factor: args_ref.dt_factor,
-            checkpoint_every: args_ref.checkpoint_every,
+/// The per-rank body. Ranks `0..--ranks` are solver ranks; ranks past
+/// them are dedicated analysis ranks. With an analysis plane the solver
+/// ranks communicate over a [`rbx::comm::SubsetComm`] covering exactly
+/// themselves, so collectives — and hence the trajectory — are unchanged
+/// by `--analysis-ranks`; slabs travel solver rank `r` → analysis rank
+/// `N + (r mod K)` on the world communicator.
+fn run_rank(ctx: &RunCtx, world: &dyn Communicator) -> RankOut {
+    let args = &ctx.args;
+    let (solver_n, analysis_k) = (args.ranks, args.analysis_ranks);
+    let rank = world.rank();
+    let rank0 = rank == 0;
+    let tel = rank_telemetry(args, rank);
+    if rank >= solver_n {
+        // Dedicated analysis rank: never joins a solver collective, never
+        // touches the checkpoint set. It drains slab channels from its
+        // assigned solver peers until they close (or die — the idle
+        // deadline covers a world that stopped sending).
+        let me = rank - solver_n;
+        let cfg = rbx::insitu::AnalysisConfig {
+            senders: (0..solver_n).filter(|s| s % analysis_k == me).collect(),
+            idle_timeout: std::time::Duration::from_secs(60),
             ..Default::default()
         };
-        let mut runner = ResilientRunner::new(checkpoints, policy);
-        if args_ref.flight > 0 {
-            runner = runner.with_flight_dir(args_ref.out.join("flight"));
-        }
-        let target_step = sim.state.istep + args_ref.steps;
-        let mut last_sampled = sim.state.istep;
-        let mut obs_rows = Vec::new();
-        let mut stats = RunStatistics::default();
-        // Out-of-band vitals: step → (reports, wall max, wall sum),
-        // folded into the imbalance detector once every rank reported.
-        let obs_on = tel.is_enabled();
-        let mut pending: std::collections::BTreeMap<u64, (usize, f64, f64)> =
-            std::collections::BTreeMap::new();
-        let mut prev_comm = 0.0f64;
-        let mut prev_gs = 0u64;
-        let t0 = std::time::Instant::now();
-        let report = runner.run_with(&mut sim, target_step, |sim, st| {
-            let step = sim.state.istep;
-            if obs_on {
-                // Every step, off the collective path: fire-and-forget
-                // this rank's vitals at rank 0, which drains whatever has
-                // arrived and folds complete step groups into the
-                // cross-rank imbalance detector.
-                let comm_now = tel.tracer().seconds("gs/shared");
-                let gs_now = tel.metrics().counter("rbx_gs_bytes_total");
-                let my = rbx::comm::StepHealthReport {
-                    rank: sim.comm.rank(),
-                    step: step as u64,
-                    wall_s: st.wall_seconds,
-                    cfl: 0.0,
-                    comm_s: (comm_now - prev_comm).max(0.0),
-                    gs_bytes: gs_now.saturating_sub(prev_gs),
-                };
-                prev_comm = comm_now;
-                prev_gs = gs_now;
-                if sim.comm.rank() == 0 {
-                    let mut fold = |r: &rbx::comm::StepHealthReport| {
-                        let e = pending.entry(r.step).or_insert((0, f64::NEG_INFINITY, 0.0));
-                        e.0 += 1;
-                        e.1 = e.1.max(r.wall_s);
-                        e.2 += r.wall_s;
-                    };
-                    fold(&my);
-                    let batch =
-                        rbx::comm::drain_step_health(sim.comm, std::time::Duration::from_millis(1));
-                    for r in &batch {
-                        fold(r);
-                    }
-                    if !batch.is_empty() {
-                        tel.counter_add(
-                            rbx::telemetry::names::OBS_GATHER_REPORTS_TOTAL,
-                            batch.len() as u64,
-                        );
-                    }
-                    let complete: Vec<u64> = pending
-                        .iter()
-                        .filter(|(_, e)| e.0 >= args_ref.ranks)
-                        .map(|(&s, _)| s)
-                        .collect();
-                    for s in complete {
-                        if let Some((c, max, sum)) = pending.remove(&s) {
-                            let mean = sum / c as f64;
-                            if let Some(mon) = &health {
-                                if mean > 0.0 {
-                                    mon.observe_imbalance(s, max / mean);
-                                }
-                            }
+        let outcome = rbx::insitu::run_analysis_rank(world, &cfg, &tel);
+        tel.flush();
+        return RankOut::Analysis { rank, outcome };
+    }
+    let subset;
+    let comm: &dyn Communicator = if analysis_k > 0 {
+        subset = rbx::comm::SubsetComm::new(world, (0..solver_n).collect())
+            .expect("solver rank is in the solver subset");
+        &subset
+    } else {
+        world
+    };
+    let mut sim = Simulation::new(
+        ctx.cfg.clone(),
+        &ctx.case.mesh,
+        &ctx.plan.part,
+        ctx.plan.elems[rank].clone(),
+        comm,
+    );
+    // Persistent worker pool for every hot-path kernel; the pooled step is
+    // bitwise identical for any --threads value.
+    let pool = WorkerPool::new(args.threads);
+    sim.set_pool(&pool);
+
+    // Observability is per rank (own JSONL stream, own flight ring); the
+    // health detectors and live export run on rank 0, fed out-of-band by
+    // the other ranks.
+    if let Some(depth) = args.trace_depth {
+        tel.set_trace_depth(depth);
+    }
+    if args.flight > 0 {
+        tel.attach_flight(args.flight);
+    }
+    let (health, prom) = if rank0 && tel.is_enabled() {
+        attach_observers(&tel, args)
+    } else {
+        (None, None)
+    };
+    sim.set_telemetry(&tel);
+
+    let checkpoints = CheckpointSet::new(args.out.join("checkpoints"), args.checkpoint_keep);
+    if let Some(chk) = &args.restart {
+        // Topology-independent restore: the checkpoint may have been
+        // written at any rank count. A rejected restart file (truncated,
+        // bit-flipped, stale metadata) falls back to the newest verifiable
+        // rotation generation rather than aborting the campaign; every
+        // rank reads the same files and so reaches the same decision.
+        let from = match rbx::core::read_checkpoint(&mut sim, chk) {
+            Ok(()) => chk.display().to_string(),
+            Err(e) => {
+                if rank0 {
+                    eprintln!("run_dns: warning: restart checkpoint rejected: {e}");
+                }
+                match checkpoints.restore_latest(&mut sim) {
+                    Ok(outcome) => {
+                        for (p, err) in outcome.rejected.iter().filter(|_| rank0) {
+                            eprintln!("run_dns: warning: also rejected {}: {err}", p.display());
                         }
+                        format!("fallback {}", outcome.path.display())
                     }
-                    // A report lost on the wire must not pin its step
-                    // group (and the map) forever.
-                    while pending.len() > 256 {
-                        let s = *pending.keys().next().unwrap();
-                        pending.remove(&s);
+                    Err(e2) => {
+                        eprintln!("run_dns: error: no usable checkpoint to restart from: {e2}");
+                        std::process::exit(1);
                     }
-                } else {
-                    rbx::comm::send_step_health(sim.comm, &my);
                 }
             }
-            if args_ref.sample_every == 0
-                || step % args_ref.sample_every != 0
-                || step <= last_sampled
-            {
-                return;
-            }
-            last_sampled = step;
-            // Collective reductions: every rank participates, rank 0
-            // records.
-            let obs = Observables::new(&sim.geom, &case_ref.mesh, &sim.my_elems);
-            let comm = sim.comm;
-            let nu_v =
-                obs.nusselt_volume(&sim.state.u[2], &sim.state.t, cfg_ref.ra, cfg_ref.pr, comm);
-            let ke = obs.kinetic_energy([&sim.state.u[0], &sim.state.u[1], &sim.state.u[2]], comm);
-            if sim.comm.rank() == 0 {
-                stats.nu_volume.push(nu_v);
-                stats.kinetic_energy.push(ke);
-                obs_rows.push(format!(
-                    "{step},{},{nu_v},{ke},{}",
-                    sim.state.time, st.p_iters
-                ));
-                println!(
-                    "  step {step:>6}  t = {:.3}  Nu = {nu_v:.4}  KE = {ke:.3e}  p-its = {}",
-                    sim.state.time, st.p_iters
-                );
-            }
-            // In-situ ship: snapshot into the encoder (drop-if-busy),
-            // forward finished encodings onto the slab channel
-            // (drop-if-full), and publish the sender vitals. Nothing on
-            // this path can block or fail the step.
-            if let (Some(enc), Some(tx)) = (encoder.as_mut(), slab_tx.as_mut()) {
-                if !enc.try_submit(step as u64, sim.state.time, "uz", &sim.state.u[2]) {
-                    tel.counter_add(rbx::telemetry::names::INSITU_COMPRESS_BUSY_TOTAL, 1);
+        };
+        if rank0 {
+            println!(
+                "  restarted from {from} at step {} (t = {:.4})",
+                sim.state.istep, sim.state.time
+            );
+        }
+    } else {
+        sim.init_rbc();
+    }
+
+    // Mesh quality report (pre-flight check, as a production campaign
+    // would run before burning machine time).
+    let mut quality: [f64; 2] = rbx::mesh::quality_summary(&sim.geom).into();
+    comm.allreduce_max(&mut quality);
+    if rank0 {
+        println!(
+            "  mesh quality: max aspect ratio {:.2}, max Jacobian ratio {:.2}",
+            quality[0], quality[1]
+        );
+    }
+
+    // Field compression runs off the critical path: the sample callback
+    // only snapshots into the double-buffered encoder (drop-if-busy) and
+    // forwards finished encodings to the sink (drop-if-full on the slab
+    // channel). Nothing on this path can block or fail the step.
+    let mut sink = if analysis_k > 0 {
+        let dest = solver_n + rank % analysis_k;
+        let mut tx = SlabSender::new(world, dest, 8);
+        tx.set_telemetry(&tel);
+        Some(Sink::Slab(tx, dest))
+    } else if solver_n == 1 {
+        let f = AsyncBplWriter::create(&args.out.join("fields.bpl"), 4)
+            .unwrap_or_else(|e| die(&format!("cannot create field file: {e}")));
+        Some(Sink::File(f))
+    } else {
+        None
+    };
+    let mut encoder = sink.as_ref().map(|_| {
+        AsyncFieldCompressor::new(&sim.geom, args.order + 1, CompressionConfig::default())
+    });
+    let pod = args.pod.then(|| {
+        let (w, r) = staging_channel(4);
+        let c = PodConsumer::spawn(r, "uz", sim.geom.mass.clone(), 12)
+            .unwrap_or_else(|e| die(&format!("cannot start in-situ POD consumer: {e}")));
+        (w, c)
+    });
+    let mut nu_volume = RunningMean::default();
+    let mut profiles = ZProfiles::new(0.0, 1.0, 8);
+    let mut obs_csv =
+        String::from("step,time,nu_volume,nu_hot,nu_cold,kinetic_energy,cfl,p_iters\n");
+    // Out-of-band vitals for the cross-rank imbalance detector:
+    // step → (reports, wall max, wall sum).
+    let mut pending: std::collections::BTreeMap<u64, (usize, f64, f64)> = Default::default();
+
+    let mut faults = FaultPlan::new(args.fault_seed);
+    for &s in &args.inject_nan_at {
+        faults = faults.inject_nan_at(s);
+    }
+    for &s in &args.corrupt_checkpoint_at {
+        faults = faults.corrupt_checkpoint_at(s);
+    }
+    for &s in &args.fail_checkpoint_at {
+        faults = faults.fail_write_at(s);
+    }
+    let policy = RecoveryPolicy {
+        max_rollbacks: args.max_rollbacks,
+        dt_factor: args.dt_factor,
+        checkpoint_every: args.checkpoint_every,
+        ..Default::default()
+    };
+    let mut runner = ResilientRunner::new(checkpoints, policy).with_faults(faults);
+    if args.flight > 0 {
+        runner = runner.with_flight_dir(args.out.join("flight"));
+    }
+
+    let target_step = sim.state.istep + args.steps;
+    // After a rollback the runner replays steps already sampled; skip
+    // those so the observables CSV stays monotone in step number.
+    let mut last_sampled = sim.state.istep;
+    let t0 = std::time::Instant::now();
+    let report = runner.run_with(&mut sim, target_step, |sim, st| {
+        let step = sim.state.istep;
+        if tel.is_enabled() && solver_n > 1 {
+            // Every step, off the collective path: fire-and-forget this
+            // rank's wall time at rank 0, which drains whatever has
+            // arrived and folds complete step groups into the detector.
+            let my = rbx::comm::StepHealthReport {
+                rank,
+                step: step as u64,
+                wall_s: st.wall_seconds,
+                cfl: 0.0,
+                comm_s: 0.0,
+                gs_bytes: 0,
+            };
+            if !rank0 {
+                rbx::comm::send_step_health(sim.comm, &my);
+            } else {
+                let batch =
+                    rbx::comm::drain_step_health(sim.comm, std::time::Duration::from_millis(1));
+                let gathered = batch.len() as u64;
+                tel.counter_add(rbx::telemetry::names::OBS_GATHER_REPORTS_TOTAL, gathered);
+                for r in std::iter::once(&my).chain(&batch) {
+                    let e = pending.entry(r.step).or_insert((0, 0.0, 0.0));
+                    *e = (e.0 + 1, e.1.max(r.wall_s), e.2 + r.wall_s);
                 }
-                while let Some(done) = enc.poll() {
-                    let body = rbx::io::encode_slab_body(
-                        done.step,
-                        done.time,
-                        &done.var,
-                        &done.compressed.to_bytes(),
-                    );
-                    let _ = tx.offer(&body);
+                pending.retain(|&s, &mut (c, max, sum)| {
+                    if c < solver_n {
+                        return true;
+                    }
+                    let mean = sum / c as f64;
+                    if let Some(mon) = health.as_ref().filter(|_| mean > 0.0) {
+                        mon.observe_imbalance(s, max / mean);
+                    }
+                    false
+                });
+                // A report lost on the wire must not pin its step group
+                // (and the map) forever.
+                while pending.len() > 256 {
+                    pending.pop_first();
                 }
+            }
+        }
+        if args.sample_every == 0 || step % args.sample_every != 0 || step <= last_sampled {
+            return;
+        }
+        last_sampled = step;
+        // Collective reductions: every rank participates, rank 0 records.
+        let obs = Observables::new(&sim.geom, &ctx.case.mesh, &sim.my_elems);
+        let u = [&sim.state.u[0][..], &sim.state.u[1], &sim.state.u[2]];
+        let t = &sim.state.t;
+        let nu_v = obs.nusselt_volume(u[2], t, ctx.cfg.ra, ctx.cfg.pr, sim.comm);
+        let nu_h = obs.nusselt_wall(t, BoundaryTag::HotWall, sim.comm);
+        let nu_c = obs.nusselt_wall(t, BoundaryTag::ColdWall, sim.comm);
+        let ke = obs.kinetic_energy(u, sim.comm);
+        let cfl = obs.cfl(u, sim.cfg.dt, sim.comm);
+        nu_volume.push(nu_v);
+        profiles.sample(&sim.geom, u, t);
+        if rank0 {
+            obs_csv += &format!(
+                "{step},{},{nu_v},{nu_h},{nu_c},{ke},{cfl},{}\n",
+                sim.state.time, st.p_iters
+            );
+            println!(
+                "  step {step:>6}  t = {:.3}  Nu = {nu_v:.4}  KE = {ke:.3e}  CFL = {cfl:.3}  p-its = {}",
+                sim.state.time, st.p_iters
+            );
+        }
+        if let (Some(enc), Some(sink)) = (encoder.as_mut(), sink.as_mut()) {
+            if !enc.try_submit(step as u64, sim.state.time, "uz", &sim.state.u[2]) {
+                tel.counter_add(rbx::telemetry::names::INSITU_COMPRESS_BUSY_TOTAL, 1);
+            }
+            while let Some(done) = enc.poll() {
+                sink.put(done);
+            }
+            if let Sink::Slab(tx, dest) = sink {
                 let s = tx.stats();
                 tel.emit(&rbx::telemetry::schema::insitu_sender_record(
                     step as u64,
                     rank as u64,
-                    insitu_dest.unwrap_or(0) as u64,
+                    *dest as u64,
                     s.sent,
                     s.dropped,
                     s.acked,
@@ -698,161 +665,224 @@ fn run_multirank(args: Args) {
                     tx.is_stalled(),
                 ));
             }
-        });
-        let elapsed = t0.elapsed().as_secs_f64();
-        let report = match report {
-            Ok(r) => r,
-            Err(e) => die(&format!("simulation failed on rank {rank}: {e}")),
-        };
-        // Drain the encoder tail and close the slab channel; the CLOSE
-        // frame lets the analysis peer exit cleanly instead of waiting
-        // out its idle deadline.
-        let insitu = match (encoder, slab_tx) {
-            (Some(enc), Some(mut tx)) => {
-                let (rest, enc_stats) = enc.finish();
-                for done in rest {
-                    let body = rbx::io::encode_slab_body(
-                        done.step,
-                        done.time,
-                        &done.var,
-                        &done.compressed.to_bytes(),
-                    );
-                    let _ = tx.offer(&body);
+        }
+        if let Some((w, _)) = &pod {
+            w.put(StepData {
+                step: step as u64,
+                time: sim.state.time,
+                vars: vec![Variable::f64(
+                    "uz",
+                    vec![sim.n_local() as u64],
+                    sim.state.u[2].clone(),
+                )],
+            });
+        }
+    });
+    let elapsed = t0.elapsed().as_secs_f64();
+    let report = report.unwrap_or_else(|e| {
+        eprintln!("run_dns: error: simulation failed on rank {rank}: {e}");
+        std::process::exit(1);
+    });
+
+    // Drain the encoder tail (snapshots still in flight when the loop
+    // ended) into the sink and close it; the slab CLOSE frame lets the
+    // analysis peer exit cleanly instead of waiting out its idle deadline.
+    let snapshots = encoder.zip(sink).map(|(enc, mut sink)| {
+        let (tail, encoded) = enc.finish();
+        for done in tail {
+            sink.put(done);
+        }
+        let (delivered, dropped, stalled) = match sink {
+            Sink::File(fields) => match fields.close() {
+                Ok(n) => (n as u64, 0, None),
+                Err(e) => {
+                    eprintln!("run_dns: warning: field file close failed: {e}");
+                    (0, 0, None)
                 }
+            },
+            Sink::Slab(mut tx, dest) => {
                 tx.close();
-                Some(InsituSenderSummary {
-                    dest: insitu_dest.unwrap_or(0),
-                    stats: tx.stats(),
-                    compress_busy: enc_stats.busy_dropped,
-                    stalled: tx.is_stalled(),
-                })
+                let s = tx.stats();
+                (s.sent, s.dropped, tx.is_stalled().then_some(dest))
             }
-            _ => None,
         };
-        if rank == 0 {
-            if let Some(path) = &args_ref.telemetry_prom {
-                match tel.write_prometheus(path) {
-                    Ok(()) => println!("  telemetry: Prometheus snapshot in {}", path.display()),
-                    Err(e) => {
-                        eprintln!("run_dns: warning: could not write {}: {e}", path.display())
-                    }
-                }
-            }
-            if let Some(mon) = &health {
-                mon.flush();
-            }
-            tel.flush();
-        }
-        let health_events = health.as_ref().map(|m| m.event_count());
-        if let Some(server) = prom {
-            server.shutdown();
-        }
-        RankOut::Solver {
-            report: Box::new(report),
-            elapsed,
-            obs_rows,
-            stats,
-            health_events,
-            insitu,
+        SnapshotOut {
+            encoded,
+            delivered,
+            dropped,
+            stalled,
         }
     });
+    // Every rank reduces the profiles; rank 0 writes them and the
+    // observables it recorded.
+    if rank0 {
+        if let Err(e) = std::fs::write(args.out.join("observables.csv"), obs_csv) {
+            eprintln!("run_dns: warning: could not write observables.csv: {e}");
+        }
+        if let Err(e) = profiles.write_csv(comm, &args.out.join("z_profiles.csv")) {
+            eprintln!("run_dns: warning: could not write z_profiles.csv: {e}");
+        }
+    } else {
+        profiles.finalize(comm);
+    }
+    // A crashed POD consumer degrades to a warning — the run's outputs are
+    // already on disk and must not be lost to an analysis failure.
+    let pod = pod.and_then(|(w, consumer)| {
+        w.close();
+        match consumer.join() {
+            Ok(p) => {
+                let sv = p.singular_values();
+                let total: f64 = sv.iter().map(|s| s * s).sum();
+                let lead = sv.first().map_or(0.0, |s| s * s / total);
+                Some((p.count(), p.rank(), lead))
+            }
+            Err(e) => {
+                eprintln!("run_dns: warning: in-situ POD consumer failed: {e}");
+                None
+            }
+        }
+    });
+    // Post-run resolution check (spectral tail energy of the temperature).
+    let indicator = rbx::core::SpectralIndicator::new(args.order + 1);
+    let underresolved = indicator.underresolved_fraction(&sim.geom, &sim.state.t, 1e-4, comm);
+    tel.flush();
+    RankOut::Solver(Box::new(SolverOut {
+        report,
+        elapsed,
+        faults_fired: std::mem::take(&mut runner.faults.fired),
+        nu_volume,
+        pool: pool.stats(),
+        phase_pct: sim.timers.percentages(),
+        underresolved,
+        snapshots,
+        pod,
+        tel,
+        health,
+        _prom: prom,
+    }))
+}
 
-    // Flight dumps land per rank; surface all of them, not just rank 0's.
-    let all_dumps: Vec<PathBuf> = results
-        .iter()
-        .flat_map(|r| match r {
-            RankOut::Solver { report, .. } => report.flight_dumps.clone(),
-            RankOut::Analysis { .. } => Vec::new(),
-        })
-        .collect();
-    let mut analysis_rows = Vec::new();
-    let mut insitu_senders = Vec::new();
-    let mut rank0 = None;
-    for (i, r) in results.into_iter().enumerate() {
+/// The end-of-run summary, once for the whole world: the human-readable
+/// table and the `kind: "summary"` record shared by rank 0's JSONL stream
+/// and the optional `--json-summary` file.
+fn summarize(args: &Args, results: Vec<RankOut>) {
+    let mut solvers = Vec::new();
+    let mut analysis = Vec::new();
+    for r in results {
         match r {
-            RankOut::Solver {
-                report,
-                elapsed,
-                obs_rows,
-                stats,
-                health_events,
-                insitu,
-            } => {
-                if let Some(s) = insitu {
-                    insitu_senders.push((i, s));
-                }
-                if i == 0 {
-                    rank0 = Some((report, elapsed, obs_rows, stats, health_events));
-                }
-            }
-            RankOut::Analysis { rank, outcome } => analysis_rows.push((rank, outcome)),
+            RankOut::Solver(s) => solvers.push(*s),
+            RankOut::Analysis { rank, outcome } => analysis.push((rank, outcome)),
         }
     }
-    let (report, elapsed, obs_rows, stats, health_events) = rank0.expect("rank 0 result");
-    use std::io::Write;
-    let csv = std::fs::File::create(args.out.join("observables.csv")).and_then(|mut f| {
-        writeln!(f, "step,time,nu_volume,kinetic_energy,p_iters")?;
-        for r in &obs_rows {
-            writeln!(f, "{r}")?;
-        }
-        Ok(())
-    });
-    if let Err(e) = csv {
-        eprintln!("run_dns: warning: could not write observables.csv: {e}");
-    }
+    let r0 = &solvers[0];
+    let report = &r0.report;
 
+    let elapsed = r0.elapsed;
+    let ms_per_step = 1e3 * elapsed / args.steps.max(1) as f64;
+    let pct = r0.phase_pct;
+    let pstats = r0.pool;
     println!("\n── run summary ───────────────────────────────────────────");
     let row = |k: &str, v: String| println!("  {k:<22} {v}");
     row("ranks", format!("{}", args.ranks));
-    if analysis_k > 0 {
-        row("analysis ranks", format!("{analysis_k}"));
-        let sent: u64 = insitu_senders.iter().map(|(_, s)| s.stats.sent).sum();
-        let dropped: u64 = insitu_senders.iter().map(|(_, s)| s.stats.dropped).sum();
-        let busy: u64 = insitu_senders.iter().map(|(_, s)| s.compress_busy).sum();
-        row(
-            "in-situ slabs",
-            format!("{sent} sent, {dropped} dropped (window full), {busy} dropped (encoder busy)"),
-        );
-        for (rank, s) in &insitu_senders {
-            if s.stalled {
-                println!(
-                    "  [insitu]   solver rank {rank}: analysis rank {} stalled or dead \
-                     (degraded to drop-with-counter)",
-                    s.dest
-                );
-            }
-        }
+    if args.analysis_ranks > 0 {
+        row("analysis ranks", format!("{}", args.analysis_ranks));
     }
     row("steps completed", format!("{}", report.steps_completed));
     row(
         "wall time",
+        format!("{elapsed:.2} s ({ms_per_step:.1} ms/step)"),
+    );
+    row(
+        "worker pool",
         format!(
-            "{elapsed:.2} s ({:.1} ms/step)",
-            1e3 * elapsed / args.steps.max(1) as f64
+            "{} threads, {} dispatches, {} grain-gated, {} chunks",
+            pstats.threads, pstats.dispatches, pstats.grained, pstats.chunks
+        ),
+    );
+    row(
+        "kernels",
+        format!(
+            "simd {}, tuning {}",
+            rbx::basis::simd::level_name(),
+            rbx::device::tuning().to_json()
         ),
     );
     row("rollbacks", format!("{}", report.rollbacks));
     row("final dt", format!("{}", report.final_dt));
     row("recovery events", format!("{}", report.events.len()));
-    if let Some(n) = health_events {
-        row("health events", format!("{n}"));
+    if let Some(mon) = &r0.health {
+        row("health events", format!("{}", mon.event_count()));
     }
-    if stats.nu_volume.count() > 0 {
+    if r0.nu_volume.count() > 0 {
         row(
             "Nu(vol)",
             format!(
                 "{:.4} ± {:.4} over {} samples",
-                stats.nu_volume.mean(),
-                stats.nu_volume.std(),
-                stats.nu_volume.count()
+                r0.nu_volume.mean(),
+                r0.nu_volume.std(),
+                r0.nu_volume.count()
             ),
         );
     }
+    let snaps: Vec<&SnapshotOut> = solvers
+        .iter()
+        .filter_map(|s| s.snapshots.as_ref())
+        .collect();
+    let total = |f: fn(&SnapshotOut) -> u64| snaps.iter().map(|s| f(s)).sum::<u64>();
+    if !snaps.is_empty() {
+        let (delivered, busy) = (total(|s| s.delivered), total(|s| s.encoded.busy_dropped));
+        if args.analysis_ranks > 0 {
+            let full = total(|s| s.dropped);
+            row(
+                "in-situ slabs",
+                format!(
+                    "{delivered} sent, {full} dropped (window full), {busy} dropped (encoder busy)"
+                ),
+            );
+        } else {
+            let encoded = total(|s| s.encoded.submitted);
+            row(
+                "field samples",
+                format!("{delivered} in fields.bpl ({encoded} encoded async, {busy} dropped busy)"),
+            );
+        }
+    }
+    if let Some((count, rank, lead)) = r0.pod {
+        row(
+            "in-situ POD",
+            format!("{count} snapshots, rank {rank}, leading mode {lead:.4}"),
+        );
+    }
+    row(
+        "resolution monitor",
+        format!(
+            "{:.1} % of elements exceed 1e-4 spectral tail",
+            100.0 * r0.underresolved
+        ),
+    );
+    row(
+        "phase split",
+        format!(
+            "P {:.0} % | V {:.0} % | T {:.0} % | other {:.0} %",
+            pct[0], pct[1], pct[2], pct[3]
+        ),
+    );
     row("outputs", args.out.display().to_string());
+    for f in &r0.faults_fired {
+        println!("  [fault]    {f}");
+    }
     for e in &report.events {
         println!("  [recovery] {e}");
     }
-    for (rank, outcome) in &analysis_rows {
+    for (rank, s) in solvers.iter().enumerate() {
+        if let Some(dest) = s.snapshots.as_ref().and_then(|s| s.stalled) {
+            println!(
+                "  [insitu]   solver rank {rank}: analysis rank {dest} stalled or dead \
+                 (degraded to drop-with-counter)"
+            );
+        }
+    }
+    for (rank, outcome) in &analysis {
         match outcome {
             Ok(o) => {
                 let pods = o
@@ -877,419 +907,11 @@ fn run_multirank(args: Args) {
             Err(e) => eprintln!("run_dns: warning: analysis rank {rank} failed: {e}"),
         }
     }
-    for p in &all_dumps {
-        println!("  [flight]   post-mortem ring dump in {}", p.display());
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        die(&format!(
-            "cannot create output dir {}: {e}",
-            args.out.display()
-        ));
-    }
-    // Install the per-kernel grain-crossover table before any kernel runs
-    // (first writer wins, so this pins the selection for the whole run —
-    // including elastic restarts, which replay the same table from the run
-    // config and therefore the same serial/pooled decisions).
-    install_tuning(&args);
-    if args.ranks > 1 || args.analysis_ranks > 0 {
-        run_multirank(args);
-        return;
-    }
-
-    let case = match args.case.as_str() {
-        "box" => rbx::core::rbc_box_case(args.gamma, args.resolution, args.resolution, false, 1),
-        "cylinder" => rbx::core::rbc_cylinder_case(args.gamma, (args.resolution / 2).max(1), 1),
-        other => die(&format!("unknown case {other:?} for --case (box|cylinder)")),
-    };
-    let comm = SingleComm::new();
-    let cfg = SolverConfig {
-        ra: args.ra,
-        order: args.order,
-        dt: args.dt,
-        ic_noise: 0.05,
-        ..Default::default()
-    };
-    println!(
-        "run_dns: {} case, Γ = {}, Ra = {:.1e}, degree {}, dt = {}",
-        args.case, args.gamma, args.ra, args.order, args.dt
-    );
-    println!(
-        "  {} elements, {} grid points, {} steps",
-        case.mesh.num_elements(),
-        case.mesh.num_elements() * (args.order + 1).pow(3),
-        args.steps
-    );
-    println!("  config: {}", cfg.to_json());
-
-    let mut sim = Simulation::new(
-        cfg.clone(),
-        &case.mesh,
-        &case.part,
-        case.elems[0].clone(),
-        &comm,
-    );
-    // Persistent worker pool for every hot-path kernel; the pooled step is
-    // bitwise identical for any --threads value.
-    let pool = rbx::device::WorkerPool::new(args.threads);
-    sim.set_pool(&pool);
-    println!(
-        "  worker pool: {} thread{}",
-        pool.threads(),
-        if pool.threads() == 1 { "" } else { "s" }
-    );
-    sim.init_rbc();
-
-    // Observability: off (a single relaxed atomic load per hook) unless a
-    // surface was requested.
-    let tel = Telemetry::disabled();
-    let mut health: Option<HealthMonitor> = None;
-    let mut prom: Option<PromServer> = None;
-    if obs_requested(&args) {
-        tel.set_enabled(true);
-        if let Some(depth) = args.trace_depth {
-            tel.set_trace_depth(depth);
-        }
-        if let Some(path) = &args.telemetry_jsonl {
-            if let Err(e) = tel.open_jsonl(path) {
-                die(&format!(
-                    "cannot create telemetry JSONL {}: {e}",
-                    path.display()
-                ));
-            }
-            println!("  telemetry: JSONL stream -> {}", path.display());
-        }
-        if args.flight > 0 {
-            tel.attach_flight(args.flight);
-            println!("  telemetry: flight ring of {} records", args.flight);
-        }
-        let (mon, server) = attach_observers(&tel, &args);
-        health = Some(mon);
-        prom = server;
-    }
-    sim.set_telemetry(&tel);
-
-    let checkpoint_dir = args.out.join("checkpoints");
-    let checkpoints = CheckpointSet::new(&checkpoint_dir, args.checkpoint_keep);
-
-    if let Some(chk) = &args.restart {
-        match rbx::core::read_checkpoint(&mut sim, chk) {
-            Ok(()) => println!(
-                "  restarted from {} at step {} (t = {:.4})",
-                chk.display(),
-                sim.state.istep,
-                sim.state.time
-            ),
-            Err(e) => {
-                // A rejected restart file (truncated, bit-flipped, stale
-                // metadata) falls back to the newest verifiable rotation
-                // generation rather than aborting the campaign.
-                eprintln!("run_dns: warning: restart checkpoint rejected: {e}");
-                match checkpoints.restore_latest(&mut sim) {
-                    Ok(outcome) => {
-                        for (p, err) in &outcome.rejected {
-                            eprintln!("run_dns: warning: also rejected {}: {err}", p.display());
-                        }
-                        println!(
-                            "  restarted from fallback {} at step {} (t = {:.4})",
-                            outcome.path.display(),
-                            sim.state.istep,
-                            sim.state.time
-                        );
-                    }
-                    Err(e2) => {
-                        eprintln!("run_dns: error: no usable checkpoint to restart from: {e2}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-    }
-
-    // Mesh quality report (pre-flight check, as a production campaign
-    // would run before burning machine time).
-    let (aspect, jac_ratio) = rbx::mesh::quality_summary(&sim.geom);
-    println!("  mesh quality: max aspect ratio {aspect:.2}, max Jacobian ratio {jac_ratio:.2}");
-
-    // Output channels: async field file, observables CSV, optional POD.
-    let fields = match AsyncBplWriter::create(&args.out.join("fields.bpl"), 4) {
-        Ok(f) => f,
-        Err(e) => die(&format!("cannot create field file: {e}")),
-    };
-    // Field compression runs off the critical path: the sample callback
-    // only snapshots into the double-buffered encoder (drop-if-busy) and
-    // forwards finished encodings to the async file engine.
-    let mut encoder =
-        AsyncFieldCompressor::new(&sim.geom, args.order + 1, CompressionConfig::default());
-    let pod = if args.pod {
-        let (w, r) = staging_channel(4);
-        match PodConsumer::spawn(r, "uz", sim.geom.mass.clone(), 12) {
-            Ok(c) => Some((w, c)),
-            Err(e) => die(&format!("cannot start in-situ POD consumer: {e}")),
-        }
-    } else {
-        None
-    };
-    let mut stats = RunStatistics::default();
-    let mut profiles = ZProfiles::new(0.0, 1.0, 8);
-    let mut obs_rows = Vec::new();
-
-    let mut faults = FaultPlan::new(args.fault_seed);
-    for &s in &args.inject_nan_at {
-        faults = faults.inject_nan_at(s);
-    }
-    for &s in &args.corrupt_checkpoint_at {
-        faults = faults.corrupt_checkpoint_at(s);
-    }
-    for &s in &args.fail_checkpoint_at {
-        faults = faults.fail_write_at(s);
-    }
-
-    let policy = RecoveryPolicy {
-        max_rollbacks: args.max_rollbacks,
-        dt_factor: args.dt_factor,
-        checkpoint_every: args.checkpoint_every,
-        ..Default::default()
-    };
-    let mut runner = ResilientRunner::new(checkpoints, policy).with_faults(faults);
-    if args.flight > 0 {
-        runner = runner.with_flight_dir(args.out.join("flight"));
-    }
-
-    let target_step = sim.state.istep + args.steps;
-    // After a rollback the runner replays steps already sampled; skip
-    // those so the observables CSV stays monotone in step number.
-    let mut last_sampled = sim.state.istep;
-    let t0 = std::time::Instant::now();
-    let report = runner.run_with(&mut sim, target_step, |sim, st| {
-        let step = sim.state.istep;
-        if args.sample_every == 0 || step % args.sample_every != 0 || step <= last_sampled {
-            return;
-        }
-        last_sampled = step;
-        let obs = Observables::new(&sim.geom, &case.mesh, &sim.my_elems);
-        let nu_v = obs.nusselt_volume(&sim.state.u[2], &sim.state.t, cfg.ra, cfg.pr, &comm);
-        let nu_h = obs.nusselt_wall(&sim.state.t, BoundaryTag::HotWall, &comm);
-        let nu_c = obs.nusselt_wall(&sim.state.t, BoundaryTag::ColdWall, &comm);
-        let ke = obs.kinetic_energy(
-            [&sim.state.u[0], &sim.state.u[1], &sim.state.u[2]],
-            &comm,
-        );
-        let cfl = obs.cfl(
-            [&sim.state.u[0], &sim.state.u[1], &sim.state.u[2]],
-            sim.cfg.dt,
-            &comm,
-        );
-        stats.nu_volume.push(nu_v);
-        stats.nu_hot.push(nu_h);
-        stats.nu_cold.push(nu_c);
-        stats.kinetic_energy.push(ke);
-        profiles.sample(
-            &sim.geom,
-            [&sim.state.u[0], &sim.state.u[1], &sim.state.u[2]],
-            &sim.state.t,
-        );
-        obs_rows.push(format!(
-            "{step},{},{nu_v},{nu_h},{nu_c},{ke},{cfl},{}",
-            sim.state.time, st.p_iters
-        ));
-        println!(
-            "  step {step:>6}  t = {:.3}  Nu = {nu_v:.4}  KE = {ke:.3e}  CFL = {cfl:.3}  p-its = {}",
-            sim.state.time, st.p_iters
-        );
-
-        // Compressed field sample: snapshot into the async encoder
-        // (drop-and-count when both buffers are busy — the step loop
-        // never waits), then forward whatever finished encoding.
-        if !encoder.try_submit(step as u64, sim.state.time, "uz", &sim.state.u[2]) {
-            tel.counter_add(rbx::telemetry::names::INSITU_COMPRESS_BUSY_TOTAL, 1);
-        }
-        while let Some(done) = encoder.poll() {
-            let shape = vec![done.compressed.data.len() as u64];
-            fields.put(StepData {
-                step: done.step,
-                time: done.time,
-                vars: vec![Variable::bytes("uz_compressed", shape, done.compressed.data)],
-            });
-        }
-        if let Some((w, _)) = &pod {
-            w.put(StepData {
-                step: step as u64,
-                time: sim.state.time,
-                vars: vec![Variable::f64(
-                    "uz",
-                    vec![sim.n_local() as u64],
-                    sim.state.u[2].clone(),
-                )],
-            });
-        }
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run_dns: error: simulation failed: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    // Finalize outputs.
-    use std::io::Write;
-    let csv = std::fs::File::create(args.out.join("observables.csv")).and_then(|mut f| {
-        writeln!(
-            f,
-            "step,time,nu_volume,nu_hot,nu_cold,kinetic_energy,cfl,p_iters"
-        )?;
-        for r in &obs_rows {
-            writeln!(f, "{r}")?;
-        }
-        Ok(())
-    });
-    if let Err(e) = csv {
-        eprintln!("run_dns: warning: could not write observables.csv: {e}");
-    }
-    if let Err(e) = profiles.write_csv(&comm, &args.out.join("z_profiles.csv")) {
-        eprintln!("run_dns: warning: could not write z_profiles.csv: {e}");
-    }
-    // Drain the encoder tail (snapshots still in flight when the loop
-    // ended) into the field file before closing it.
-    let (tail, comp_stats) = encoder.finish();
-    for done in tail {
-        let shape = vec![done.compressed.data.len() as u64];
-        fields.put(StepData {
-            step: done.step,
-            time: done.time,
-            vars: vec![Variable::bytes(
-                "uz_compressed",
-                shape,
-                done.compressed.data,
-            )],
-        });
-    }
-    let written = match fields.close() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("run_dns: warning: field file close failed: {e}");
-            0
-        }
-    };
-
-    // Optional POD drain (prints its own lines before the summary table).
-    // A crashed consumer degrades to a warning — the run's outputs are
-    // already on disk and must not be lost to an analysis failure.
-    let pod_summary = pod.and_then(|(w, consumer)| {
-        w.close();
-        match consumer.join() {
-            Ok(p) => {
-                let sv = p.singular_values();
-                let lead = if sv.is_empty() {
-                    0.0
-                } else {
-                    let total: f64 = sv.iter().map(|s| s * s).sum();
-                    sv[0] * sv[0] / total
-                };
-                Some((p.count(), p.rank(), lead))
-            }
-            Err(e) => {
-                eprintln!("run_dns: warning: in-situ POD consumer failed: {e}");
-                None
-            }
-        }
-    });
-
-    // Post-run resolution check (spectral tail energy of the temperature).
-    let indicator = rbx::core::SpectralIndicator::new(args.order + 1);
-    let under = indicator.underresolved_fraction(&sim.geom, &sim.state.t, 1e-4, &comm);
-    let pct = sim.timers.percentages();
-    let ms_per_step = 1e3 * elapsed / args.steps.max(1) as f64;
-
-    // ---- structured end-of-run summary ------------------------------------
-    println!("\n── run summary ───────────────────────────────────────────");
-    let row = |k: &str, v: String| println!("  {k:<22} {v}");
-    row("steps completed", format!("{}", report.steps_completed));
-    row(
-        "wall time",
-        format!("{elapsed:.2} s ({ms_per_step:.1} ms/step)"),
-    );
-    let pstats = pool.stats();
-    row(
-        "worker pool",
-        format!(
-            "{} threads, {} dispatches, {} grain-gated, {} chunks",
-            pstats.threads, pstats.dispatches, pstats.grained, pstats.chunks
-        ),
-    );
-    row(
-        "kernels",
-        format!(
-            "simd {}, tuning {}",
-            rbx::basis::simd::level_name(),
-            rbx::device::tuning().to_json()
-        ),
-    );
-    row("rollbacks", format!("{}", report.rollbacks));
-    row("final dt", format!("{}", report.final_dt));
-    row("recovery events", format!("{}", report.events.len()));
-    if let Some(mon) = &health {
-        row("health events", format!("{}", mon.event_count()));
-    }
-    if stats.nu_volume.count() > 0 {
-        row(
-            "Nu(vol)",
-            format!(
-                "{:.4} ± {:.4} over {} samples",
-                stats.nu_volume.mean(),
-                stats.nu_volume.std(),
-                stats.nu_volume.count()
-            ),
-        );
-    }
-    row(
-        "field samples",
-        format!(
-            "{written} in fields.bpl ({} encoded async, {} dropped busy)",
-            comp_stats.submitted, comp_stats.busy_dropped
-        ),
-    );
-    if let Some((count, rank, lead)) = pod_summary {
-        row(
-            "in-situ POD",
-            format!("{count} snapshots, rank {rank}, leading mode {lead:.4}"),
-        );
-    }
-    row(
-        "resolution monitor",
-        format!(
-            "{:.1} % of elements exceed 1e-4 spectral tail",
-            100.0 * under
-        ),
-    );
-    row(
-        "phase split",
-        format!(
-            "P {:.0} % | V {:.0} % | T {:.0} % | other {:.0} %",
-            pct[0], pct[1], pct[2], pct[3]
-        ),
-    );
-    row("outputs", args.out.display().to_string());
-    if report.rollbacks > 0 || !runner.faults.fired.is_empty() {
-        for f in &runner.faults.fired {
-            println!("  [fault]    {f}");
-        }
-        for e in &report.events {
-            println!("  [recovery] {e}");
-        }
-    }
-    for p in &report.flight_dumps {
+    // Flight dumps land per rank; surface all of them, not just rank 0's.
+    for p in solvers.iter().flat_map(|s| &s.report.flight_dumps) {
         println!("  [flight]   post-mortem ring dump in {}", p.display());
     }
 
-    // Machine-readable summary: one `kind: "summary"` record, shared by the
-    // JSONL stream and the optional standalone --json-summary file.
     let summary = Value::obj([
         ("schema", Value::str(TELEMETRY_SCHEMA)),
         ("kind", Value::str("summary")),
@@ -1334,10 +956,11 @@ fn main() {
             ),
         ),
     ]);
+    let tel = &r0.tel;
     if tel.is_enabled() {
         tel.emit(&summary);
         tel.flush();
-        if let Some(path) = &args.telemetry_jsonl {
+        if let Some(path) = jsonl_path(args, 0) {
             println!(
                 "  telemetry: {} JSONL records in {}",
                 tel.jsonl_lines(),
@@ -1358,12 +981,85 @@ fn main() {
             println!("  json summary in {}", path.display());
         }
     }
-    if let Some(mon) = &health {
+    if let Some(mon) = &r0.health {
         mon.flush();
     }
-    // Keep the scrape endpoint alive until the very end: the last scrape
-    // sees the final counters, including the summary emit above.
-    if let Some(server) = prom {
-        server.shutdown();
+}
+
+fn main() {
+    let args = parse_args();
+    if let Err(e) = std::fs::create_dir_all(&args.out) {
+        die(&format!(
+            "cannot create output dir {}: {e}",
+            args.out.display()
+        ));
     }
+    // Install the per-kernel grain-crossover table before any kernel runs
+    // (first writer wins, so this pins the selection for the whole run —
+    // including elastic restarts, which replay the same table from the run
+    // config and therefore the same serial/pooled decisions).
+    install_tuning(&args);
+    let world = args.ranks + args.analysis_ranks;
+    for (flag, set) in [
+        ("--pod", args.pod),
+        ("--inject-nan-at", !args.inject_nan_at.is_empty()),
+        (
+            "--corrupt-checkpoint-at",
+            !args.corrupt_checkpoint_at.is_empty(),
+        ),
+        ("--fail-checkpoint-at", !args.fail_checkpoint_at.is_empty()),
+    ] {
+        if set && world > 1 {
+            die(&format!(
+                "{flag} is single-rank only (drop --ranks/--analysis-ranks)"
+            ));
+        }
+    }
+
+    let case = match args.case.as_str() {
+        "box" => rbx::core::rbc_box_case(args.gamma, args.resolution, args.resolution, false, 1),
+        "cylinder" => rbx::core::rbc_cylinder_case(args.gamma, (args.resolution / 2).max(1), 1),
+        other => die(&format!("unknown case {other:?} for --case (box|cylinder)")),
+    };
+    let cfg = SolverConfig {
+        ra: args.ra,
+        order: args.order,
+        dt: args.dt,
+        ic_noise: 0.05,
+        ..Default::default()
+    };
+    // The partition comes from the restart repartitioner's cost model, not
+    // from whatever layout a restart checkpoint was written under.
+    let plan = plan_repartition(&case.mesh, args.order, args.ranks, None, None)
+        .unwrap_or_else(|e| die(&format!("cannot partition for --ranks {}: {e}", args.ranks)));
+    println!(
+        "run_dns: {} case, Γ = {}, Ra = {:.1e}, degree {}, dt = {}",
+        args.case, args.gamma, args.ra, args.order, args.dt
+    );
+    println!(
+        "  {} rank(s) × {} thread(s), {} analysis rank(s)",
+        args.ranks, args.threads, args.analysis_ranks
+    );
+    println!(
+        "  {} elements ({}..{} per rank), {} grid points, {} steps",
+        case.mesh.num_elements(),
+        plan.min_elems,
+        plan.max_elems,
+        case.mesh.num_elements() * (args.order + 1).pow(3),
+        args.steps
+    );
+    println!("  config: {}", cfg.to_json());
+
+    let ctx = RunCtx {
+        args,
+        case,
+        cfg,
+        plan,
+    };
+    let results = if world == 1 {
+        vec![run_rank(&ctx, &SingleComm::new())]
+    } else {
+        run_on_ranks(world, |comm| run_rank(&ctx, comm))
+    };
+    summarize(&ctx.args, results);
 }

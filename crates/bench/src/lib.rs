@@ -61,14 +61,14 @@ pub fn write_csv(path: &std::path::Path, header: &str, rows: &[String]) {
     }
 }
 
-/// Render a simple text timeline of vgpu trace events (Fig. 2 style),
+/// Render a simple text timeline of `desim` trace events (Fig. 2 style),
 /// bucketing each stream's kernel spans onto a character raster.
 pub fn render_timeline(trace: &[rbx::device::TraceEvent], width: usize) -> String {
     render_timeline_unit(trace, width, "time units")
 }
 
 /// Like [`render_timeline`] with an explicit unit label for the span line
-/// (vgpu traces are in seconds, device-simulator traces in µs).
+/// (device-simulator traces are in µs).
 pub fn render_timeline_unit(trace: &[rbx::device::TraceEvent], width: usize, unit: &str) -> String {
     if trace.is_empty() {
         return "(empty trace)".into();

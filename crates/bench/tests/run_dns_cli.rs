@@ -1,0 +1,75 @@
+//! End-to-end contract of the `run_dns` binary: every rank layout runs the
+//! same per-rank body, so a tiny box run checkpoints the same bytes, writes
+//! the same observables header and emits one `kind: "summary"` record at
+//! `--ranks 1`, `--ranks 2` and `--ranks 1 --analysis-ranks 1`.
+
+use rbx::telemetry::json::Value;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// Run `run_dns` on a 2×2×2 box at order 3 for 10 steps with `extra`
+/// rank flags, writing into a fresh `out/<name>`; returns that directory.
+fn run(name: &str, extra: &[&str]) -> PathBuf {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("run_dns_cli")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&out);
+    let summary = out.join("summary.json");
+    let status = Command::new(env!("CARGO_BIN_EXE_run_dns"))
+        .args(["--steps", "10", "--order", "3", "--resolution", "2"])
+        .args(["--checkpoint-every", "10", "--sample-every", "5"])
+        .args(["--threads", "1", "--out"])
+        .arg(&out)
+        .arg("--json-summary")
+        .arg(&summary)
+        .args(extra)
+        .output()
+        .expect("run_dns starts");
+    assert!(
+        status.status.success(),
+        "run_dns {extra:?} failed:\n{}",
+        String::from_utf8_lossy(&status.stderr)
+    );
+    out
+}
+
+fn read(path: &Path) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+#[test]
+fn rank_layouts_share_checkpoint_bytes_summary_and_observables_header() {
+    let layouts: [(&str, &[&str]); 3] = [
+        ("ranks1", &["--ranks", "1"]),
+        ("ranks2", &["--ranks", "2"]),
+        (
+            "ranks1_analysis1",
+            &["--ranks", "1", "--analysis-ranks", "1"],
+        ),
+    ];
+    let outs: Vec<PathBuf> = layouts.iter().map(|(n, a)| run(n, a)).collect();
+
+    let checkpoint = |d: &PathBuf| read(&d.join("checkpoints/chk_0000000010.bpl"));
+    let header = |d: &PathBuf| {
+        let csv = String::from_utf8(read(&d.join("observables.csv"))).expect("utf-8 csv");
+        csv.lines().next().expect("csv header").to_string()
+    };
+    let reference = checkpoint(&outs[0]);
+    for (out, (name, _)) in outs.iter().zip(&layouts) {
+        assert!(
+            checkpoint(out) == reference,
+            "{name}: final checkpoint differs from --ranks 1"
+        );
+        assert_eq!(header(out), header(&outs[0]), "{name}: observables header");
+
+        let text = String::from_utf8(read(&out.join("summary.json"))).expect("utf-8 summary");
+        let records: Vec<Value> = text
+            .lines()
+            .map(|l| Value::parse(l).expect("summary line is JSON"))
+            .collect();
+        assert_eq!(records.len(), 1, "{name}: one summary record");
+        let rec = &records[0];
+        assert_eq!(rec.get("kind").and_then(Value::as_str), Some("summary"));
+        assert_eq!(rec.get("steps").and_then(Value::as_u64), Some(10), "{name}");
+    }
+}

@@ -139,6 +139,10 @@ impl<'a> Simulation<'a> {
     ///
     /// `part` assigns every global element to a rank; `my_elems` are this
     /// rank's elements (consistent with `comm.rank()`).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.time_order` is not 1, 2 or 3 (the BDF/EXT tables stop at 3).
     pub fn new(
         cfg: SolverConfig,
         mesh: &'a HexMesh,
@@ -146,6 +150,11 @@ impl<'a> Simulation<'a> {
         my_elems: Vec<usize>,
         comm: &'a dyn Communicator,
     ) -> Self {
+        assert!(
+            (1..=3).contains(&cfg.time_order),
+            "SolverConfig::time_order must be 1, 2 or 3, got {}",
+            cfg.time_order
+        );
         let p = cfg.order;
         let sub = mesh.extract(&my_elems);
         let geom = GeomFactors::new(&sub, p);

@@ -24,9 +24,9 @@ pub fn bdf_coeffs(order: usize) -> Vec<f64> {
         2 => vec![1.5, 2.0, -0.5],
         3 => vec![11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0],
         _ => {
-            // Order is validated at configuration time; degrade to
+            // `Simulation::new` rejects any other order; degrade to
             // backward Euler rather than panic if a bad order slips
-            // into a release build.
+            // into a release build anyway.
             debug_assert!(false, "BDF order {order} not supported (1..=3)");
             vec![1.0, 1.0]
         }
@@ -197,10 +197,20 @@ mod tests {
         assert_eq!(effective_order(5, 2), 2);
     }
 
+    /// `bdf_coeffs` only debug-asserts (it runs every step), so order 4
+    /// is rejected where the solver is built — in every build profile.
     #[test]
-    #[should_panic(expected = "not supported")]
+    #[should_panic(expected = "SolverConfig::time_order must be 1, 2 or 3, got 4")]
     fn order_4_rejected() {
-        let _ = bdf_coeffs(4);
+        let mesh =
+            rbx_mesh::generators::box_mesh(1, 1, 1, [0., 1.], [0., 1.], [0., 1.], false, false);
+        let comm = rbx_comm::SingleComm::new();
+        let cfg = crate::SolverConfig {
+            order: 2,
+            time_order: 4,
+            ..Default::default()
+        };
+        let _ = crate::Simulation::new(cfg, &mesh, &[0], vec![0], &comm);
     }
 
     #[test]

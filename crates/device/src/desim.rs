@@ -1,13 +1,11 @@
 //! Discrete-event device simulator (virtual time).
 //!
-//! The threaded [`crate::vgpu`] executes real closures under GPU-like
-//! scheduling constraints — ideal for semantics tests, but its wall-clock
-//! timings depend on how many host cores exist. This module simulates the
-//! same semantics in **virtual time**: kernels carry declared durations,
-//! host threads issue launches with a per-launch latency, streams execute
-//! in order on a bounded set of executors with priorities. Results are
-//! exact, deterministic, and host-independent — this is what the Fig. 2
-//! experiment measures.
+//! Reproduces the GPU scheduling semantics the paper's task-parallel
+//! additive Schwarz preconditioner exploits (§5.3, Fig. 2) in **virtual
+//! time**: kernels carry declared durations, host threads issue launches
+//! with a per-launch latency, streams execute in order on a bounded set
+//! of executors with priorities. Results are exact, deterministic, and
+//! host-independent — this is what the Fig. 2 experiment measures.
 //!
 //! Model:
 //! * each **host thread** issues its launch list sequentially; issuing a
@@ -19,7 +17,29 @@
 //!   wins; ties go to the higher-priority stream (CUDA-priority
 //!   behaviour).
 
-use crate::vgpu::{StreamPriority, TraceEvent};
+/// Relative priority of a stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum StreamPriority {
+    /// Default priority.
+    Normal,
+    /// Scheduled ahead of `Normal` work when executors are contended.
+    High,
+}
+
+/// One kernel-execution span for timeline output.
+#[derive(Debug, Clone)]
+pub struct TraceEvent {
+    /// Executor slot that ran the kernel.
+    pub worker: usize,
+    /// Stream the kernel was launched on.
+    pub stream: usize,
+    /// Kernel label.
+    pub name: String,
+    /// Virtual time execution began, µs.
+    pub start: f64,
+    /// Virtual time execution finished, µs.
+    pub end: f64,
+}
 
 /// One kernel to launch: target stream and execution duration (µs).
 #[derive(Debug, Clone)]
@@ -48,7 +68,7 @@ pub struct SimConfig {
 pub struct SimResult {
     /// Virtual makespan, µs (last kernel completion).
     pub makespan_us: f64,
-    /// Executed spans (times in µs in the `start`/`end` fields).
+    /// Executed spans.
     pub trace: Vec<TraceEvent>,
     /// Device busy time per executor, µs.
     pub executor_busy_us: Vec<f64>,

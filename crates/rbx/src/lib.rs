@@ -17,7 +17,7 @@
 //! | [`comm`] | `rbx-comm` | Communicator trait, thread-backed ranks |
 //! | [`gs`] | `rbx-gs` | two-phase gather-scatter |
 //! | [`la`] | `rbx-la` | Helmholtz operator, Krylov, Schwarz preconditioner |
-//! | [`device`] | `rbx-device` | host/pool backends, virtual GPU with streams |
+//! | [`device`] | `rbx-device` | worker pool, discrete-event device simulator |
 //! | [`core`] | `rbx-core` | the RBC solver: splitting scheme, observables |
 //! | [`compress`] | `rbx-compress` | modal truncation + lossless codecs |
 //! | [`io`] | `rbx-io` | BPL container, async + staging engines |
