@@ -1,4 +1,4 @@
-//! Kernel specialization and auto-tuning.
+//! Kernel specialization and its auto-tuning report.
 //!
 //! The paper's device layer "allows for vendor-specific optimizations,
 //! with auto-tuning of key kernels" (§5.1). The CPU analogue: the hot
@@ -85,113 +85,9 @@ pub fn autotune_deriv(n: usize, nelem: usize, reps: usize) -> TuneResult {
     }
 }
 
-/// One sampled point of a serial-vs-pooled crossover sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct CrossoverPoint {
-    /// Work size measured (kernel-natural units: elements, slice length,
-    /// groups).
-    pub size: usize,
-    /// Best-of-`reps` serial microseconds.
-    pub serial_us: f64,
-    /// Best-of-`reps` pooled microseconds.
-    pub pooled_us: f64,
-}
-
-impl CrossoverPoint {
-    /// Pooled speedup over serial at this size (> 1 means pooling wins).
-    pub fn speedup(&self) -> f64 {
-        self.serial_us / self.pooled_us.max(1e-300)
-    }
-}
-
-/// Result of a per-kernel crossover sweep: the sampled points plus the
-/// smallest size at which pooling beat serial (`None` when pooling never
-/// won — on such hosts the kernel should always run inline).
-#[derive(Debug, Clone)]
-pub struct CrossoverSweep {
-    /// Sampled points, ascending by size.
-    pub points: Vec<CrossoverPoint>,
-    /// Smallest sampled size with pooled speedup > 1.
-    pub crossover: Option<usize>,
-}
-
-/// Sweep a kernel's serial and pooled variants over ascending work sizes
-/// and locate the dispatch-overhead crossover. `serial` and `pooled` are
-/// closures running the same kernel at a given size; timings are
-/// best-of-`reps` (robust to scheduler noise). The sweep machinery is
-/// kernel-agnostic — `rbx-bench`'s `autotune_kernels` wires the real
-/// solver kernels through it and persists the result as run-config
-/// tuning.
-pub fn sweep_crossover(
-    sizes: &[usize],
-    reps: usize,
-    mut serial: impl FnMut(usize),
-    mut pooled: impl FnMut(usize),
-) -> CrossoverSweep {
-    assert!(reps >= 1);
-    let best_us = |f: &mut dyn FnMut()| -> f64 {
-        f(); // warm-up
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        best
-    };
-    let mut points = Vec::with_capacity(sizes.len());
-    for &size in sizes {
-        let serial_us = best_us(&mut || serial(size));
-        let pooled_us = best_us(&mut || pooled(size));
-        points.push(CrossoverPoint {
-            size,
-            serial_us,
-            pooled_us,
-        });
-    }
-    let crossover = points.iter().find(|p| p.speedup() > 1.0).map(|p| p.size);
-    CrossoverSweep { points, crossover }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_finds_a_crossover_in_synthetic_costs() {
-        // Serial cost grows linearly; "pooled" pays a fixed overhead but
-        // scales better. Model with spin-waits so timings are real.
-        let spin = |us: f64| {
-            let t0 = Instant::now();
-            while t0.elapsed().as_secs_f64() * 1e6 < us {
-                std::hint::spin_loop();
-            }
-        };
-        let sweep = sweep_crossover(
-            &[1, 8, 64],
-            3,
-            |size| spin(size as f64 * 2.0),
-            |size| spin(20.0 + size as f64 * 0.5),
-        );
-        assert_eq!(sweep.points.len(), 3);
-        assert!(sweep.points.iter().all(|p| p.serial_us > 0.0));
-        // At size 1: serial ~2µs vs pooled ~20µs — pooling loses; at 64:
-        // serial ~128µs vs pooled ~52µs — pooling wins.
-        assert!(sweep.points[0].speedup() < 1.0);
-        assert!(sweep.points[2].speedup() > 1.0);
-        assert!(matches!(sweep.crossover, Some(8) | Some(64)));
-    }
-
-    #[test]
-    fn sweep_reports_no_crossover_when_pooling_never_wins() {
-        let sweep = sweep_crossover(
-            &[1, 2],
-            1,
-            |_| {},
-            |_| std::thread::sleep(std::time::Duration::from_micros(50)),
-        );
-        assert_eq!(sweep.crossover, None);
-    }
 
     #[test]
     fn autotune_produces_finite_timings() {

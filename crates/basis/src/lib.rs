@@ -23,7 +23,7 @@ pub mod quadrature;
 pub mod simd;
 pub mod tensor;
 
-pub use autotune::{autotune_deriv, sweep_crossover, CrossoverPoint, CrossoverSweep, TuneResult};
+pub use autotune::{autotune_deriv, TuneResult};
 pub use dense::{gen_sym_eig, sym_eig, DMat, LuFactors, SingularMatrix};
 pub use lagrange::{barycentric_weights, cardinal_row, deriv_matrix, interp_matrix};
 pub use legendre::{legendre, legendre_all, legendre_deriv, legendre_norm_sq};

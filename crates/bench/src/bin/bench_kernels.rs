@@ -16,10 +16,11 @@
 //! dispatched to the pool reached `X`× serial at every degree — but only
 //! on hosts with at least 4 cores, so single-core CI runners still
 //! validate the schema and the bitwise agreement without a meaningless
-//! performance gate. Kernels whose work size sat below the tuned grain
-//! crossover (detected from the pool's `grained` counter) ran inline by
-//! design; for those the gate only requires parity with serial (≥ 0.8×),
-//! since the grain gate exists precisely because pooling loses there.
+//! performance gate. Kernels whose work size sat below their grain gate
+//! (a compiled-in constant per kernel, DESIGN.md §15; detected here from
+//! the pool's `grained` counter) ran inline by design; for those the gate
+//! only requires parity with serial (≥ 0.8×), since the grain gate exists
+//! precisely because pooling loses there.
 //!
 //! `--compare BASELINE.json` is the regression gate: every (kernel, p)
 //! row is diffed against the baseline record and the run exits non-zero
@@ -435,7 +436,7 @@ fn main() {
 
     if let Some(min) = args.assert_speedup {
         if cores >= 4 {
-            // Grain-gated kernels ran inline by design: the tuned
+            // Grain-gated kernels ran inline by design: the kernel's
             // crossover says pooling loses at this work size, so the gate
             // only demands near-parity with the serial path there.
             const GATED_PARITY: f64 = 0.8;

@@ -95,7 +95,6 @@ struct Args {
     fail_checkpoint_at: Vec<usize>,
     pod: bool,
     restart: Option<PathBuf>,
-    tuning: Option<PathBuf>,
     out: PathBuf,
     telemetry_jsonl: Option<PathBuf>,
     telemetry_prom: Option<PathBuf>,
@@ -104,22 +103,6 @@ struct Args {
     prom_listen: Option<String>,
     health_jsonl: Option<PathBuf>,
     flight: usize,
-}
-
-/// Load and globally install the kernel tuning table from `--tuning`
-/// (no-op without the flag: the compiled-in defaults apply). Kernel grain
-/// gating is part of the run configuration, so it is installed exactly
-/// once, before any pooled kernel executes.
-fn install_tuning(args: &Args) {
-    let Some(path) = &args.tuning else { return };
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read --tuning {}: {e}", path.display())));
-    let table = rbx::device::KernelTuning::from_json(text.trim())
-        .unwrap_or_else(|e| die(&format!("invalid --tuning {}: {e}", path.display())));
-    if !rbx::device::set_tuning(table) {
-        die("kernel tuning was already fixed before --tuning could install");
-    }
-    println!("  kernel tuning: {} -> {}", path.display(), table.to_json());
 }
 
 /// Report a usage error on stderr and exit nonzero without a panic
@@ -162,7 +145,6 @@ fn parse_args() -> Args {
         fail_checkpoint_at: Vec::new(),
         pod: false,
         restart: None,
-        tuning: None,
         out: PathBuf::from("target/dns_run"),
         telemetry_jsonl: None,
         telemetry_prom: None,
@@ -198,7 +180,6 @@ fn parse_args() -> Args {
             "--fail-checkpoint-at" => args.fail_checkpoint_at.push(value(&flag, it)),
             "--pod" => args.pod = true,
             "--restart" => args.restart = Some(value(&flag, it)),
-            "--tuning" => args.tuning = Some(value(&flag, it)),
             "--out" => args.out = value(&flag, it),
             "--telemetry-jsonl" => args.telemetry_jsonl = Some(value(&flag, it)),
             "--telemetry-prom" => args.telemetry_prom = Some(value(&flag, it)),
@@ -215,7 +196,7 @@ fn parse_args() -> Args {
                      --checkpoint-keep K --max-rollbacks N --dt-factor F \
                      --fault-seed S --inject-nan-at STEP --corrupt-checkpoint-at STEP \
                      --fail-checkpoint-at STEP --pod --restart CHECKPOINT.bpl \
-                     --tuning TUNING.json --out DIR \
+                     --out DIR \
                      --telemetry-jsonl FILE.jsonl --telemetry-prom FILE.prom \
                      --trace-depth N --json-summary FILE.json \
                      --prom-listen ADDR:PORT --health-jsonl FILE.jsonl --flight N"
@@ -228,8 +209,10 @@ fn parse_args() -> Args {
     if !args.dt.is_finite() || args.dt <= 0.0 {
         die("--dt must be a positive finite number");
     }
-    if args.order == 0 {
-        die("--order must be at least 1");
+    // The coarse level of the pressure preconditioner runs at order 1,
+    // strictly below the fine order.
+    if args.order < 2 {
+        die("--order must be at least 2");
     }
     if !(args.dt_factor > 0.0 && args.dt_factor < 1.0) {
         die("--dt-factor must be in (0, 1)");
@@ -801,11 +784,7 @@ fn summarize(args: &Args, results: Vec<RankOut>) {
     );
     row(
         "kernels",
-        format!(
-            "simd {}, tuning {}",
-            rbx::basis::simd::level_name(),
-            rbx::device::tuning().to_json()
-        ),
+        format!("simd {}", rbx::basis::simd::level_name()),
     );
     row("rollbacks", format!("{}", report.rollbacks));
     row("final dt", format!("{}", report.final_dt));
@@ -925,11 +904,6 @@ fn summarize(args: &Args, results: Vec<RankOut>) {
         ("pool_grained", Value::int(pstats.grained)),
         ("simd", Value::str(rbx::basis::simd::level_name())),
         (
-            "kernel_tuning",
-            Value::parse(&rbx::device::tuning().to_json())
-                .expect("tuning serialization is valid JSON"),
-        ),
-        (
             "phase_pct",
             Value::obj([
                 ("pressure", Value::num(pct[0])),
@@ -994,11 +968,6 @@ fn main() {
             args.out.display()
         ));
     }
-    // Install the per-kernel grain-crossover table before any kernel runs
-    // (first writer wins, so this pins the selection for the whole run —
-    // including elastic restarts, which replay the same table from the run
-    // config and therefore the same serial/pooled decisions).
-    install_tuning(&args);
     let world = args.ranks + args.analysis_ranks;
     for (flag, set) in [
         ("--pod", args.pod),

@@ -1,7 +1,8 @@
 //! End-to-end contract of the `run_dns` binary: every rank layout runs the
 //! same per-rank body, so a tiny box run checkpoints the same bytes, writes
 //! the same observables header and emits one `kind: "summary"` record at
-//! `--ranks 1`, `--ranks 2` and `--ranks 1 --analysis-ranks 1`.
+//! `--ranks 1`, `--ranks 2` and `--ranks 1 --analysis-ranks 1`; an order
+//! the coarse level cannot sit below is a usage error.
 
 use rbx::telemetry::json::Value;
 use std::path::{Path, PathBuf};
@@ -72,4 +73,17 @@ fn rank_layouts_share_checkpoint_bytes_summary_and_observables_header() {
         assert_eq!(rec.get("kind").and_then(Value::as_str), Some("summary"));
         assert_eq!(rec.get("steps").and_then(Value::as_u64), Some(10), "{name}");
     }
+}
+
+#[test]
+fn order_one_is_a_usage_error() {
+    // The coarse level of the pressure preconditioner runs at order 1, so
+    // the fine order must be at least 2: a usage error, not a panic.
+    let out = Command::new(env!("CARGO_BIN_EXE_run_dns"))
+        .args(["--order", "1", "--steps", "1", "--resolution", "1"])
+        .output()
+        .expect("run_dns starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("--order must be at least 2"), "{stderr}");
 }

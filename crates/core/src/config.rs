@@ -1,6 +1,7 @@
 //! Solver configuration.
 
 use rbx_la::SchwarzMode;
+use rbx_telemetry::json::Value;
 use serde::{Deserialize, Serialize};
 
 /// Thermal boundary condition at the plates.
@@ -132,52 +133,40 @@ impl SolverConfig {
     }
 }
 
-// Manual Serialize/Deserialize containing the proxy field is simpler with a
-// remote pattern; re-expose via functions on the struct instead.
 impl SolverConfig {
-    /// Serialize to a JSON string (for experiment records).
+    /// Serialize to a flat JSON object (for experiment records).
     pub fn to_json(&self) -> String {
-        // SchwarzMode handled via the proxy module in the derive above.
-        serde_json_lite(self)
-    }
-}
-
-/// Minimal JSON writer for the config (keeps serde_json out of the
-/// dependency set; configs are flat).
-fn serde_json_lite(c: &SolverConfig) -> String {
-    format!(
-        concat!(
-            "{{\"ra\":{},\"pr\":{},\"order\":{},\"dt\":{},\"time_order\":{},",
-            "\"dealias\":{},\"rotational\":{},\"p_tol\":{},\"p_maxit\":{},",
-            "\"p_restart\":{},\"p_projection\":{},\"coarse_order\":{},\"schwarz_mode\":\"{}\",\"schwarz_enabled\":{},",
-            "\"v_tol\":{},\"v_maxit\":{},\"ic_noise\":{},\"seed\":{},\"thermal_bc\":\"{}\"}}"
-        ),
-        c.ra,
-        c.pr,
-        c.order,
-        c.dt,
-        c.time_order,
-        c.dealias,
-        c.rotational,
-        c.p_tol,
-        c.p_maxit,
-        c.p_restart,
-        c.p_projection,
-        c.coarse_order,
-        match c.schwarz_mode {
+        let schwarz_mode = match self.schwarz_mode {
             SchwarzMode::Serial => "serial",
             SchwarzMode::Overlapped => "overlapped",
-        },
-        c.schwarz_enabled,
-        c.v_tol,
-        c.v_maxit,
-        c.ic_noise,
-        c.seed,
-        match c.thermal_bc {
+        };
+        let thermal_bc = match self.thermal_bc {
             ThermalBc::Isothermal => "isothermal".to_string(),
             ThermalBc::BottomFluxTopIsothermal { q } => format!("bottom_flux:{q}"),
-        }
-    )
+        };
+        Value::obj([
+            ("ra", Value::num(self.ra)),
+            ("pr", Value::num(self.pr)),
+            ("order", Value::int(self.order as u64)),
+            ("dt", Value::num(self.dt)),
+            ("time_order", Value::int(self.time_order as u64)),
+            ("dealias", Value::Bool(self.dealias)),
+            ("rotational", Value::Bool(self.rotational)),
+            ("p_tol", Value::num(self.p_tol)),
+            ("p_maxit", Value::int(self.p_maxit as u64)),
+            ("p_restart", Value::int(self.p_restart as u64)),
+            ("p_projection", Value::int(self.p_projection as u64)),
+            ("coarse_order", Value::int(self.coarse_order as u64)),
+            ("schwarz_mode", Value::str(schwarz_mode)),
+            ("schwarz_enabled", Value::Bool(self.schwarz_enabled)),
+            ("v_tol", Value::num(self.v_tol)),
+            ("v_maxit", Value::int(self.v_maxit as u64)),
+            ("ic_noise", Value::num(self.ic_noise)),
+            ("seed", Value::int(self.seed)),
+            ("thermal_bc", Value::str(thermal_bc)),
+        ])
+        .to_string()
+    }
 }
 
 #[cfg(test)]

@@ -17,11 +17,9 @@
 pub mod desim;
 pub mod explore;
 pub mod pool;
-pub mod tuning;
 
 pub use desim::{simulate, SimConfig, SimKernel, SimResult, StreamPriority, TraceEvent};
 pub use pool::{loop_chunk, reduce_chunk, PoolStats, RangePtr, WorkerPool};
-pub use tuning::{set_tuning, tuning, KernelTuning};
 
 /// Virtual-GPU stream semantics, checked on the [`desim`] model: in-order
 /// streams, cross-stream overlap, executor serialization, priority under

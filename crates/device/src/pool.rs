@@ -427,8 +427,9 @@ pub struct PoolStats {
     pub items: u64,
     /// Overlap pairs executed on the helper thread.
     pub pair_jobs: u64,
-    /// Loops short-circuited to the caller thread by the `*_min` grain
-    /// gates (work below its tuned crossover never paid dispatch cost).
+    /// Loops short-circuited to the caller thread by the
+    /// [`WorkerPool::for_each_range_min`] grain gate (work below its
+    /// kernel's crossover never paid dispatch cost).
     pub grained: u64,
 }
 
@@ -555,11 +556,12 @@ impl WorkerPool {
     }
 
     /// Grain-gated [`WorkerPool::for_each_range`]: when `n` is below
-    /// `serial_below` (the kernel's tuned dispatch-overhead crossover) the
-    /// identical chunk partition runs inline on the caller — same
-    /// traversal, same disjoint writes, so the output bits cannot depend
-    /// on which side of the gate executed — and only the `grained`
-    /// counter is bumped instead of paying pool wake cost.
+    /// `serial_below` (the kernel's dispatch-overhead crossover, a constant
+    /// in the module that owns the kernel) the identical chunk partition
+    /// runs inline on the caller — same traversal, same disjoint writes, so
+    /// the output bits cannot depend on which side of the gate executed —
+    /// and only the `grained` counter is bumped instead of paying pool wake
+    /// cost.
     pub fn for_each_range_min<F: Fn(usize, usize) + Sync>(
         &self,
         n: usize,
@@ -568,38 +570,16 @@ impl WorkerPool {
         f: F,
     ) {
         if n < serial_below {
-            self.run_grained(n, chunk, |start, end| {
-                f(start, end);
-                0.0
-            });
+            self.run_grained(n, chunk, f);
         } else {
             self.for_each_range(n, chunk, f);
         }
     }
 
-    /// Grain-gated [`WorkerPool::sum_range`]: sub-crossover reductions run
-    /// inline over the same fixed chunk partition with partials combined
-    /// in chunk-index order from `0.0` — exactly the pooled combine — so
-    /// the gate is bitwise-invisible to callers.
-    pub fn sum_range_min<F: Fn(usize, usize) -> f64 + Sync>(
-        &self,
-        n: usize,
-        chunk: usize,
-        serial_below: usize,
-        f: F,
-    ) -> f64 {
-        if n < serial_below {
-            self.run_grained(n, chunk, f)
-        } else {
-            self.sum_range(n, chunk, f)
-        }
-    }
-
     /// Inline chunked traversal for sub-crossover work: the same fixed
-    /// `(n, chunk)` partition as a dispatch, partials accumulated in
-    /// chunk-index order (bit-identical to the pooled combine), without
-    /// touching the dispatch gate or waking workers.
-    fn run_grained<F: Fn(usize, usize) -> f64>(&self, n: usize, chunk: usize, f: F) -> f64 {
+    /// `(n, chunk)` partition as a dispatch, chunks visited in index order,
+    /// without touching the dispatch gate or waking workers.
+    fn run_grained<F: Fn(usize, usize)>(&self, n: usize, chunk: usize, f: F) {
         debug_assert!(
             !IN_POOL_JOB.with(|c| c.get()),
             "nested pool dispatch from inside a kernel closure would deadlock the dispatch gate"
@@ -607,18 +587,10 @@ impl WorkerPool {
         // ordering: relaxed — monotonic telemetry counter (see stats()).
         self.shared.grained.fetch_add(1, Ordering::Relaxed);
         let chunk = chunk.max(1);
-        if n == 0 {
-            return 0.0;
-        }
         let _guard = JobGuard::enter();
-        let nchunks = n.div_ceil(chunk);
-        let mut acc = 0.0;
-        for c in 0..nchunks {
-            let start = c * chunk;
-            let end = (start + chunk).min(n);
-            acc += f(start, end);
+        for start in (0..n).step_by(chunk) {
+            f(start, (start + chunk).min(n));
         }
-        acc
     }
 
     /// Run `a` on the persistent helper thread while `b` runs on the
@@ -1042,23 +1014,33 @@ mod tests {
     fn grain_gate_is_bitwise_invisible_and_counted() {
         let pool = WorkerPool::new(4);
         let n = 1000;
-        let chunk = reduce_chunk(n);
-        let term = |i: usize| (i as f64 + 0.1).sin() / (i as f64 + 1.0);
-        let partial = |start: usize, end: usize| (start..end).map(term).sum::<f64>();
-        let pooled = pool.sum_range(n, chunk, partial);
+        let chunk = 37;
+        let fill = |serial_below: usize| {
+            let mut data = vec![0.0f64; n];
+            let ptr = RangePtr::new(&mut data);
+            pool.for_each_range_min(n, chunk, serial_below, |start, end| {
+                // SAFETY: chunk ranges are pairwise disjoint.
+                let slice = unsafe { ptr.range_mut(start, end) };
+                for (k, v) in slice.iter_mut().enumerate() {
+                    let i = (start + k) as f64;
+                    *v = (i + 0.1).sin() / (i + 1.0);
+                }
+            });
+            data
+        };
         let before = pool.stats();
         // Below the gate: runs inline, bumps `grained`, not `dispatches`.
-        let gated = pool.sum_range_min(n, chunk, n + 1, partial);
+        let gated = fill(n + 1);
         let after = pool.stats();
-        assert_eq!(pooled.to_bits(), gated.to_bits());
         assert_eq!(after.grained, before.grained + 1);
         assert_eq!(after.dispatches, before.dispatches);
         // At or above the gate: delegates to the pooled path.
-        let ungated = pool.sum_range_min(n, chunk, n, partial);
+        let ungated = fill(n);
         let last = pool.stats();
-        assert_eq!(pooled.to_bits(), ungated.to_bits());
         assert_eq!(last.dispatches, after.dispatches + 1);
         assert_eq!(last.grained, after.grained);
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gated), bits(&ungated));
     }
 
     #[test]

@@ -25,12 +25,18 @@
 //! point coordinates, so curved and periodic meshes need no tolerances.
 
 use rbx_comm::{CommError, Communicator, Payload};
-use rbx_device::{loop_chunk, tuning, RangePtr, WorkerPool};
+use rbx_device::{loop_chunk, RangePtr, WorkerPool};
 use rbx_mesh::topology::{classify_node, NodeClass, HEX_EDGES, HEX_FACES};
 use rbx_mesh::HexMesh;
 use rbx_telemetry::Telemetry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{OnceLock, PoisonError, RwLock};
+
+/// Group count below which the local gather and scatter run inline on the
+/// caller ([`WorkerPool::for_each_range_min`]). Measured on commodity 4–8
+/// core hosts: a group is a few loads and adds, so the loop needs
+/// thousands of groups to amortize the fixed ~10 µs pool wake.
+const GS_GROUPS: usize = 2048;
 
 /// Reduction operator applied across nodes sharing a global id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,7 +473,6 @@ impl GatherScatter {
         // Read once per apply; a concurrent `set_pool` waits for it.
         let pool = self.pool.read().unwrap_or_else(PoisonError::into_inner);
         let chunk = loop_chunk(ngroups, pool.threads());
-        let grain = tuning().gs_groups;
 
         // Phase 1: local gather. Groups are independent (each node belongs
         // to at most one group), so chunks of the group range gather in
@@ -476,7 +481,7 @@ impl GatherScatter {
         {
             let _g = tel.map(|t| t.span_abs("pool/gs"));
             let gp = RangePtr::new(&mut gval);
-            pool.for_each_range_min(ngroups, chunk, grain, |g0, g1| {
+            pool.for_each_range_min(ngroups, chunk, GS_GROUPS, |g0, g1| {
                 // SAFETY: chunk ranges of the group index are pairwise
                 // disjoint, so each gval slot has exactly one writer.
                 let gsub = unsafe { gp.range_mut(g0, g1) };
@@ -578,7 +583,7 @@ impl GatherScatter {
         let _g = tel.map(|t| t.span_abs("pool/gs"));
         let up = RangePtr::new(u);
         let gv = &gval;
-        pool.for_each_range_min(ngroups, chunk, grain, |g0, g1| {
+        pool.for_each_range_min(ngroups, chunk, GS_GROUPS, |g0, g1| {
             for gi in g0..g1 {
                 let lo = self.group_ptr[gi] as usize;
                 let hi = self.group_ptr[gi + 1] as usize;
@@ -929,7 +934,7 @@ mod tests {
         let mut u = vec![1.0; gs.n_local()];
         gs.apply(&mut u, GsOp::Add, &comm);
         // Gather + scatter both run under the pooled span. A mesh this
-        // small sits below the gs_groups dispatch-overhead crossover, so
+        // small sits below the `GS_GROUPS` dispatch-overhead crossover, so
         // both loops are grain-gated to the caller thread and counted in
         // `grained` rather than `dispatches`.
         assert_eq!(tel.tracer().calls("pool/gs"), 2);

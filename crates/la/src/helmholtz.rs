@@ -13,10 +13,16 @@
 use crate::ops::hadamard;
 use rbx_basis::fused::{self, FusedScratch};
 use rbx_comm::Communicator;
-use rbx_device::{loop_chunk, tuning, RangePtr, WorkerPool};
+use rbx_device::{loop_chunk, RangePtr, WorkerPool};
 use rbx_gs::{GatherScatter, GsOp};
 use rbx_mesh::GeomFactors;
 use std::cell::RefCell;
+
+/// Element count below which the pooled apply runs inline on the caller
+/// ([`WorkerPool::for_each_range_min`]). Measured on commodity 4–8 core
+/// hosts: element loops win pooled quickly (a p=7 Helmholtz element is
+/// ~5 µs of work), against a fixed ~10 µs pool wake.
+const HELMHOLTZ_ELEMS: usize = 8;
 
 thread_local! {
     /// Per-thread element scratch for the pooled apply: allocated on a
@@ -70,9 +76,8 @@ impl<'a> HelmholtzOp<'a> {
         debug_assert_eq!(u.len(), nelv * nn);
         debug_assert_eq!(y.len(), nelv * nn);
         let yp = RangePtr::new(y);
-        let gate = tuning().helmholtz_elems;
         let chunk = loop_chunk(nelv, pool.threads());
-        pool.for_each_range_min(nelv, chunk, gate, |e0, e1| {
+        pool.for_each_range_min(nelv, chunk, HELMHOLTZ_ELEMS, |e0, e1| {
             POOL_SCRATCH.with(|cell| {
                 let scratch = &mut *cell.borrow_mut();
                 // SAFETY: element chunks are pairwise disjoint, so the node

@@ -7,8 +7,14 @@
 
 use rbx_basis::simd;
 use rbx_comm::Communicator;
-use rbx_device::{loop_chunk, tuning, RangePtr, WorkerPool};
+use rbx_device::{loop_chunk, RangePtr, WorkerPool};
 use std::sync::Arc;
+
+/// Vector length below which the pooled dot runs its element loop inline
+/// on the caller ([`WorkerPool::for_each_range_min`]). Measured on
+/// commodity 4–8 core hosts: a pure bandwidth kernel needs tens of
+/// thousands of entries to amortize the fixed ~10 µs pool wake.
+const DOT_LEN: usize = 32768;
 
 /// Element-wise layout of a duplicated-node field: which global elements
 /// this rank holds (ascending global ids), how many nodes each carries,
@@ -208,7 +214,7 @@ impl DotProduct {
         let mut buf = vec![0.0; l.nelem_global + nel];
         let (partial, local) = buf.split_at_mut(l.nelem_global);
         let lp = RangePtr::new(local);
-        let gate = tuning().dot_len.div_ceil(np.max(1));
+        let gate = DOT_LEN.div_ceil(np.max(1));
         pool.for_each_range_min(nel, loop_chunk(nel, pool.threads()), gate, |e0, e1| {
             // SAFETY: the pool hands out disjoint local element ranges.
             let out = unsafe { lp.range_mut(e0, e1) };
@@ -383,6 +389,28 @@ mod tests {
         let dp = DotProduct::with_layout(&[1.0; 4], layout);
         let a = [1.0; 4];
         dp.dot_with(&a, &a, &WorkerPool::new(2), &SingleComm::new());
+    }
+
+    #[test]
+    fn dot_grain_gate_decides_on_the_benchmark_shapes() {
+        // Whether the pooled dot wakes the pool on the two benchmark
+        // cases: 20 elements at p = 5 run inline, 64 elements at p = 7
+        // (exactly DOT_LEN / 512 nodes) dispatch.
+        let grained = |p: usize, nelem: usize| {
+            let n_per = (p + 1).pow(3);
+            let n = n_per * nelem;
+            let layout = Arc::new(ElemLayout::new(n_per, (0..nelem).collect(), nelem));
+            let dp = DotProduct::with_layout(&vec![1.0; n], layout);
+            let (a, b) = dot_operands(n);
+            let pool = WorkerPool::new(2);
+            dp.dot_with(&a, &b, &pool, &SingleComm::new());
+            let stats = pool.stats();
+            assert_eq!(stats.grained + stats.dispatches, 1);
+            stats.grained == 1
+        };
+        assert!(grained(5, 20));
+        assert_eq!(64 * 512, DOT_LEN);
+        assert!(!grained(7, 64));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Self-contained JSON values: compact writer + recursive-descent parser.
 //!
-//! The workspace deliberately avoids a serde_json dependency (config.rs
-//! already hand-writes its JSON); telemetry needs both directions — a
-//! writer for the JSONL/bench sinks and a parser for the schema validator
-//! — so this module provides a small `Value` tree with exact round-trip
+//! The workspace deliberately avoids a serde_json dependency; telemetry
+//! needs both directions — a writer for the JSONL/bench sinks (and the
+//! solver config record) and a parser for the schema validator — so this
+//! module provides a small `Value` tree with exact round-trip
 //! semantics for the records the sinks produce. Object key order is
 //! preserved (insertion order), which keeps emitted records stable and
 //! diffable.
