@@ -149,7 +149,7 @@ mod tests {
         let src = concat!(
             "fn f(pool: &WorkerPool, n: usize) {\n",
             "  pool.for_each_range(n, loop_chunk(n, pool.threads()), |s, e| {});\n",
-            "  let d = pool.sum(n, reduce_chunk(n), |i| i as f64);\n",
+            "  pool.for_each_range_min(n, loop_chunk(n, pool.threads()), 8, |s, e| {});\n",
             "  pool.pair(|| {}, || {});\n",
             "}\n",
         );

@@ -3,9 +3,11 @@
 //! A configurable Rayleigh-Bénard run with the full workflow of the paper:
 //! time stepping, running statistics and z-profiles, periodic compressed
 //! field output, checkpointing with rotation, and optional in-situ
-//! streaming POD. The time loop runs under the [`ResilientRunner`]: a
-//! diverged step rolls back to the last good checkpoint with a reduced
-//! dt instead of aborting the campaign.
+//! streaming POD. The library's [`ResilientRunner`] owns the run: it
+//! partitions the mesh, builds and starts (or restarts) each rank's
+//! solver, and rolls a diverged step back to the last good checkpoint
+//! with a reduced dt instead of aborting the campaign. This binary only
+//! samples each step and reads the final state ([`RankObserver`]).
 //!
 //! ```sh
 //! cargo run --release -p rbx-bench --bin run_dns -- \
@@ -29,7 +31,8 @@
 //! solver rank stepping with `--threads` workers (default: cores / N).
 //! Checkpoints are topology-independent, so a run checkpointed at one
 //! rank count restarts at any other via `--restart`, with the partition
-//! rebuilt by the restart repartitioner:
+//! rebuilt by the restart repartitioner (a rejected restart file falls
+//! back to the newest verified generation under `OUT/checkpoints/`):
 //!
 //! ```sh
 //! run_dns --ranks 4 --steps 200 --checkpoint-every 100   # checkpoint at 4
@@ -56,14 +59,15 @@ use rbx::comm::{run_on_ranks, Communicator, SingleComm, SlabSender};
 use rbx::compress::{
     AsyncCompressorStats, AsyncFieldCompressor, CompressedField, CompressionConfig,
 };
+use rbx::core::sim::StepStats;
 use rbx::core::stats::{RunningMean, ZProfiles};
 use rbx::core::{
-    plan_repartition, CaseSetup, CheckpointSet, FaultPlan, Observables, RecoveryEvent,
-    RecoveryPolicy, RepartitionPlan, ResilientRunner, RunReport, Simulation, SolverConfig,
+    CaseSetup, CheckpointSet, FaultPlan, Observables, RecoveryEvent, RecoveryPolicy,
+    ResilientRunner, RunObserver, RunReport, Simulation, SolverConfig,
 };
 use rbx::device::{PoolStats, WorkerPool};
 use rbx::insitu::PodConsumer;
-use rbx::io::{staging_channel, AsyncBplWriter, StepData, Variable};
+use rbx::io::{staging_channel, AsyncBplWriter, StagingWriter, StepData, Variable};
 use rbx::mesh::BoundaryTag;
 use rbx::obs::prom::PromServer;
 use rbx::obs::{HealthConfig, HealthMonitor};
@@ -311,7 +315,6 @@ struct RunCtx {
     args: Args,
     case: CaseSetup,
     cfg: SolverConfig,
-    plan: RepartitionPlan,
 }
 
 /// Where a solver rank's compressed `uz` snapshots go, chosen once per
@@ -391,6 +394,276 @@ enum RankOut {
     },
 }
 
+/// A solver rank's view of the run it hands the [`ResilientRunner`]: the
+/// per-step sampling (observables, z-profiles, snapshots, the vitals of
+/// the cross-rank imbalance detector) and the reads of the final state.
+struct RankObserver<'r, 'c> {
+    args: &'r Args,
+    rank: usize,
+    tel: &'r Telemetry,
+    health: Option<HealthMonitor>,
+    sink: Option<Sink<'c>>,
+    encoder: Option<AsyncFieldCompressor>,
+    /// Counters of the encoders already drained (one per partition).
+    encoded: AsyncCompressorStats,
+    pod: Option<(StagingWriter, PodConsumer)>,
+    nu_volume: RunningMean,
+    profiles: ZProfiles,
+    obs_csv: String,
+    /// Out-of-band vitals for the cross-rank imbalance detector:
+    /// step → (reports, wall max, wall sum).
+    pending: std::collections::BTreeMap<u64, (usize, f64, f64)>,
+    /// After a rollback the runner replays steps already sampled; skip
+    /// those so the observables CSV stays monotone in step number.
+    last_sampled: usize,
+    t0: Option<std::time::Instant>,
+    // Read from the final state by `finish`.
+    elapsed: f64,
+    snapshots: Option<SnapshotOut>,
+    pod_out: Option<(usize, usize, f64)>,
+    underresolved: f64,
+    phase_pct: [f64; 4],
+}
+
+impl RankObserver<'_, '_> {
+    /// Finish the current encoder: its tail goes to the sink, its counters
+    /// into `encoded`.
+    fn drain_encoder(&mut self) {
+        if let (Some(enc), Some(sink)) = (self.encoder.take(), self.sink.as_mut()) {
+            let (tail, stats) = enc.finish();
+            for done in tail {
+                sink.put(done);
+            }
+            self.encoded.submitted += stats.submitted;
+            self.encoded.busy_dropped += stats.busy_dropped;
+        }
+    }
+}
+
+impl RunObserver for RankObserver<'_, '_> {
+    fn start(&mut self, sim: &Simulation<'_>) {
+        // Field compression runs off the critical path on the solver's
+        // local geometry, so each partition gets its own encoder: the
+        // sample step only snapshots into the double-buffered encoder
+        // (drop-if-busy) and forwards finished encodings to the sink
+        // (drop-if-full on the slab channel). Nothing on this path can
+        // block or fail the step.
+        self.drain_encoder();
+        if self.sink.is_some() {
+            let n = self.args.order + 1;
+            self.encoder = Some(AsyncFieldCompressor::new(
+                &sim.geom,
+                n,
+                CompressionConfig::default(),
+            ));
+        }
+        if self.t0.is_some() {
+            return;
+        }
+        let rank0 = self.rank == 0;
+        if rank0 && self.args.restart.is_some() {
+            println!(
+                "  restarted at step {} (t = {:.4})",
+                sim.state.istep, sim.state.time
+            );
+        }
+        // Mesh quality report (pre-flight check, as a production campaign
+        // would run before burning machine time).
+        let nel = sim.my_elems.len() as f64;
+        let [aspect, jacobian]: [f64; 2] = rbx::mesh::quality_summary(&sim.geom).into();
+        let mut q = [aspect, jacobian, nel, -nel];
+        sim.comm.allreduce_max(&mut q);
+        if rank0 {
+            println!(
+                "  mesh quality: max aspect ratio {:.2}, max Jacobian ratio {:.2}; {}..{} elements per rank",
+                q[0], q[1], -q[3], q[2]
+            );
+        }
+        // In-situ POD runs on a one-rank world only, which never shrinks.
+        self.pod = self.args.pod.then(|| {
+            let (w, r) = staging_channel(4);
+            let c = PodConsumer::spawn(r, "uz", sim.geom.mass.clone(), 12)
+                .unwrap_or_else(|e| die(&format!("cannot start in-situ POD consumer: {e}")));
+            (w, c)
+        });
+        self.t0 = Some(std::time::Instant::now());
+    }
+
+    fn step(&mut self, sim: &Simulation<'_>, st: &StepStats) {
+        let (args, tel, rank) = (self.args, self.tel, self.rank);
+        let rank0 = rank == 0;
+        let step = sim.state.istep;
+        if tel.is_enabled() && args.ranks > 1 {
+            // Every step, off the collective path: fire-and-forget this
+            // rank's wall time at rank 0, which drains whatever has
+            // arrived and folds complete step groups into the detector.
+            let my = rbx::comm::StepHealthReport {
+                rank,
+                step: step as u64,
+                wall_s: st.wall_seconds,
+            };
+            if !rank0 {
+                rbx::comm::send_step_health(sim.comm, &my);
+            } else {
+                let batch =
+                    rbx::comm::drain_step_health(sim.comm, std::time::Duration::from_millis(1));
+                let gathered = batch.len() as u64;
+                tel.counter_add(rbx::telemetry::names::OBS_GATHER_REPORTS_TOTAL, gathered);
+                for r in std::iter::once(&my).chain(&batch) {
+                    let e = self.pending.entry(r.step).or_insert((0, 0.0, 0.0));
+                    *e = (e.0 + 1, e.1.max(r.wall_s), e.2 + r.wall_s);
+                }
+                let (solver_n, health) = (sim.comm.size(), self.health.as_ref());
+                self.pending.retain(|&s, &mut (c, max, sum)| {
+                    if c < solver_n {
+                        return true;
+                    }
+                    let mean = sum / c as f64;
+                    if let Some(mon) = health.filter(|_| mean > 0.0) {
+                        mon.observe_imbalance(s, max / mean);
+                    }
+                    false
+                });
+                // A report lost on the wire must not pin its step group
+                // (and the map) forever.
+                while self.pending.len() > 256 {
+                    self.pending.pop_first();
+                }
+            }
+        }
+        if args.sample_every == 0
+            || !step.is_multiple_of(args.sample_every)
+            || step <= self.last_sampled
+        {
+            return;
+        }
+        self.last_sampled = step;
+        // Collective reductions: every rank participates, rank 0 records.
+        let obs = Observables::new(&sim.geom, sim.mesh, &sim.my_elems);
+        let u = [&sim.state.u[0][..], &sim.state.u[1], &sim.state.u[2]];
+        let t = &sim.state.t;
+        let nu_v = obs.nusselt_volume(u[2], t, sim.cfg.ra, sim.cfg.pr, sim.comm);
+        let nu_h = obs.nusselt_wall(t, BoundaryTag::HotWall, sim.comm);
+        let nu_c = obs.nusselt_wall(t, BoundaryTag::ColdWall, sim.comm);
+        let ke = obs.kinetic_energy(u, sim.comm);
+        let cfl = obs.cfl(u, sim.cfg.dt, sim.comm);
+        self.nu_volume.push(nu_v);
+        self.profiles.sample(&sim.geom, u, t);
+        if rank0 {
+            self.obs_csv += &format!(
+                "{step},{},{nu_v},{nu_h},{nu_c},{ke},{cfl},{}\n",
+                sim.state.time, st.p_iters
+            );
+            println!(
+                "  step {step:>6}  t = {:.3}  Nu = {nu_v:.4}  KE = {ke:.3e}  CFL = {cfl:.3}  p-its = {}",
+                sim.state.time, st.p_iters
+            );
+        }
+        if let (Some(enc), Some(sink)) = (self.encoder.as_mut(), self.sink.as_mut()) {
+            if !enc.try_submit(step as u64, sim.state.time, "uz", &sim.state.u[2]) {
+                tel.counter_add(rbx::telemetry::names::INSITU_COMPRESS_BUSY_TOTAL, 1);
+            }
+            while let Some(done) = enc.poll() {
+                sink.put(done);
+            }
+            if let Sink::Slab(tx, dest) = sink {
+                let s = tx.stats();
+                tel.emit(&rbx::telemetry::schema::insitu_sender_record(
+                    step as u64,
+                    rank as u64,
+                    *dest as u64,
+                    s.sent,
+                    s.dropped,
+                    s.acked,
+                    s.inflight_highwater,
+                    tx.is_stalled(),
+                ));
+            }
+        }
+        if let Some((w, _)) = &self.pod {
+            w.put(StepData {
+                step: step as u64,
+                time: sim.state.time,
+                vars: vec![Variable::f64(
+                    "uz",
+                    vec![sim.n_local() as u64],
+                    sim.state.u[2].clone(),
+                )],
+            });
+        }
+    }
+
+    fn finish(&mut self, sim: &Simulation<'_>) {
+        self.elapsed = self.t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
+        // Drain the encoder tail (snapshots still in flight when the loop
+        // ended) into the sink and close it; the slab CLOSE frame lets the
+        // analysis peer exit cleanly instead of waiting out its idle
+        // deadline.
+        self.drain_encoder();
+        self.snapshots = self.sink.take().map(|sink| {
+            let (delivered, dropped, stalled) = match sink {
+                Sink::File(fields) => match fields.close() {
+                    Ok(n) => (n as u64, 0, None),
+                    Err(e) => {
+                        eprintln!("run_dns: warning: field file close failed: {e}");
+                        (0, 0, None)
+                    }
+                },
+                Sink::Slab(mut tx, dest) => {
+                    tx.close();
+                    let s = tx.stats();
+                    (s.sent, s.dropped, tx.is_stalled().then_some(dest))
+                }
+            };
+            SnapshotOut {
+                encoded: self.encoded,
+                delivered,
+                dropped,
+                stalled,
+            }
+        });
+        // Every rank reduces the profiles; rank 0 writes them and the
+        // observables it recorded.
+        let out = &self.args.out;
+        if self.rank == 0 {
+            if let Err(e) = std::fs::write(out.join("observables.csv"), &self.obs_csv) {
+                eprintln!("run_dns: warning: could not write observables.csv: {e}");
+            }
+            if let Err(e) = self
+                .profiles
+                .write_csv(sim.comm, &out.join("z_profiles.csv"))
+            {
+                eprintln!("run_dns: warning: could not write z_profiles.csv: {e}");
+            }
+        } else {
+            self.profiles.finalize(sim.comm);
+        }
+        // A crashed POD consumer degrades to a warning — the run's outputs
+        // are already on disk and must not be lost to an analysis failure.
+        self.pod_out = self.pod.take().and_then(|(w, consumer)| {
+            w.close();
+            match consumer.join() {
+                Ok(p) => {
+                    let sv = p.singular_values();
+                    let total: f64 = sv.iter().map(|s| s * s).sum();
+                    let lead = sv.first().map_or(0.0, |s| s * s / total);
+                    Some((p.count(), p.rank(), lead))
+                }
+                Err(e) => {
+                    eprintln!("run_dns: warning: in-situ POD consumer failed: {e}");
+                    None
+                }
+            }
+        });
+        // Post-run resolution check (spectral tail energy of the
+        // temperature).
+        let indicator = rbx::core::SpectralIndicator::new(self.args.order + 1);
+        self.underresolved =
+            indicator.underresolved_fraction(&sim.geom, &sim.state.t, 1e-4, sim.comm);
+        self.phase_pct = sim.timers.percentages();
+    }
+}
+
 /// The per-rank body. Ranks `0..--ranks` are solver ranks; ranks past
 /// them are dedicated analysis ranks. With an analysis plane the solver
 /// ranks communicate over a [`rbx::comm::SubsetComm`] covering exactly
@@ -401,7 +674,6 @@ fn run_rank(ctx: &RunCtx, world: &dyn Communicator) -> RankOut {
     let args = &ctx.args;
     let (solver_n, analysis_k) = (args.ranks, args.analysis_ranks);
     let rank = world.rank();
-    let rank0 = rank == 0;
     let tel = rank_telemetry(args, rank);
     if rank >= solver_n {
         // Dedicated analysis rank: never joins a solver collective, never
@@ -426,17 +698,9 @@ fn run_rank(ctx: &RunCtx, world: &dyn Communicator) -> RankOut {
     } else {
         world
     };
-    let mut sim = Simulation::new(
-        ctx.cfg.clone(),
-        &ctx.case.mesh,
-        &ctx.plan.part,
-        ctx.plan.elems[rank].clone(),
-        comm,
-    );
     // Persistent worker pool for every hot-path kernel; the pooled step is
     // bitwise identical for any --threads value.
     let pool = WorkerPool::new(args.threads);
-    sim.set_pool(&pool);
 
     // Observability is per rank (own JSONL stream, own flight ring); the
     // health detectors and live export run on rank 0, fed out-of-band by
@@ -447,66 +711,13 @@ fn run_rank(ctx: &RunCtx, world: &dyn Communicator) -> RankOut {
     if args.flight > 0 {
         tel.attach_flight(args.flight);
     }
-    let (health, prom) = if rank0 && tel.is_enabled() {
+    let (health, prom) = if rank == 0 && tel.is_enabled() {
         attach_observers(&tel, args)
     } else {
         (None, None)
     };
-    sim.set_telemetry(&tel);
 
-    let checkpoints = CheckpointSet::new(args.out.join("checkpoints"), args.checkpoint_keep);
-    if let Some(chk) = &args.restart {
-        // Topology-independent restore: the checkpoint may have been
-        // written at any rank count. A rejected restart file (truncated,
-        // bit-flipped, stale metadata) falls back to the newest verifiable
-        // rotation generation rather than aborting the campaign; every
-        // rank reads the same files and so reaches the same decision.
-        let from = match rbx::core::read_checkpoint(&mut sim, chk) {
-            Ok(()) => chk.display().to_string(),
-            Err(e) => {
-                if rank0 {
-                    eprintln!("run_dns: warning: restart checkpoint rejected: {e}");
-                }
-                match checkpoints.restore_latest(&mut sim) {
-                    Ok(outcome) => {
-                        for (p, err) in outcome.rejected.iter().filter(|_| rank0) {
-                            eprintln!("run_dns: warning: also rejected {}: {err}", p.display());
-                        }
-                        format!("fallback {}", outcome.path.display())
-                    }
-                    Err(e2) => {
-                        eprintln!("run_dns: error: no usable checkpoint to restart from: {e2}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        };
-        if rank0 {
-            println!(
-                "  restarted from {from} at step {} (t = {:.4})",
-                sim.state.istep, sim.state.time
-            );
-        }
-    } else {
-        sim.init_rbc();
-    }
-
-    // Mesh quality report (pre-flight check, as a production campaign
-    // would run before burning machine time).
-    let mut quality: [f64; 2] = rbx::mesh::quality_summary(&sim.geom).into();
-    comm.allreduce_max(&mut quality);
-    if rank0 {
-        println!(
-            "  mesh quality: max aspect ratio {:.2}, max Jacobian ratio {:.2}",
-            quality[0], quality[1]
-        );
-    }
-
-    // Field compression runs off the critical path: the sample callback
-    // only snapshots into the double-buffered encoder (drop-if-busy) and
-    // forwards finished encodings to the sink (drop-if-full on the slab
-    // channel). Nothing on this path can block or fail the step.
-    let mut sink = if analysis_k > 0 {
+    let sink = if analysis_k > 0 {
         let dest = solver_n + rank % analysis_k;
         let mut tx = SlabSender::new(world, dest, 8);
         tx.set_telemetry(&tel);
@@ -518,23 +729,6 @@ fn run_rank(ctx: &RunCtx, world: &dyn Communicator) -> RankOut {
     } else {
         None
     };
-    let mut encoder = sink.as_ref().map(|_| {
-        AsyncFieldCompressor::new(&sim.geom, args.order + 1, CompressionConfig::default())
-    });
-    let pod = args.pod.then(|| {
-        let (w, r) = staging_channel(4);
-        let c = PodConsumer::spawn(r, "uz", sim.geom.mass.clone(), 12)
-            .unwrap_or_else(|e| die(&format!("cannot start in-situ POD consumer: {e}")));
-        (w, c)
-    });
-    let mut nu_volume = RunningMean::default();
-    let mut profiles = ZProfiles::new(0.0, 1.0, 8);
-    let mut obs_csv =
-        String::from("step,time,nu_volume,nu_hot,nu_cold,kinetic_energy,cfl,p_iters\n");
-    // Out-of-band vitals for the cross-rank imbalance detector:
-    // step → (reports, wall max, wall sum).
-    let mut pending: std::collections::BTreeMap<u64, (usize, f64, f64)> = Default::default();
-
     let mut faults = FaultPlan::new(args.fault_seed);
     for &s in &args.inject_nan_at {
         faults = faults.inject_nan_at(s);
@@ -551,196 +745,59 @@ fn run_rank(ctx: &RunCtx, world: &dyn Communicator) -> RankOut {
         checkpoint_every: args.checkpoint_every,
         ..Default::default()
     };
+    let checkpoints = CheckpointSet::new(args.out.join("checkpoints"), args.checkpoint_keep);
     let mut runner = ResilientRunner::new(checkpoints, policy).with_faults(faults);
     if args.flight > 0 {
         runner = runner.with_flight_dir(args.out.join("flight"));
     }
-
-    let target_step = sim.state.istep + args.steps;
-    // After a rollback the runner replays steps already sampled; skip
-    // those so the observables CSV stays monotone in step number.
-    let mut last_sampled = sim.state.istep;
-    let t0 = std::time::Instant::now();
-    let report = runner.run_with(&mut sim, target_step, |sim, st| {
-        let step = sim.state.istep;
-        if tel.is_enabled() && solver_n > 1 {
-            // Every step, off the collective path: fire-and-forget this
-            // rank's wall time at rank 0, which drains whatever has
-            // arrived and folds complete step groups into the detector.
-            let my = rbx::comm::StepHealthReport {
-                rank,
-                step: step as u64,
-                wall_s: st.wall_seconds,
-                cfl: 0.0,
-                comm_s: 0.0,
-                gs_bytes: 0,
-            };
-            if !rank0 {
-                rbx::comm::send_step_health(sim.comm, &my);
-            } else {
-                let batch =
-                    rbx::comm::drain_step_health(sim.comm, std::time::Duration::from_millis(1));
-                let gathered = batch.len() as u64;
-                tel.counter_add(rbx::telemetry::names::OBS_GATHER_REPORTS_TOTAL, gathered);
-                for r in std::iter::once(&my).chain(&batch) {
-                    let e = pending.entry(r.step).or_insert((0, 0.0, 0.0));
-                    *e = (e.0 + 1, e.1.max(r.wall_s), e.2 + r.wall_s);
-                }
-                pending.retain(|&s, &mut (c, max, sum)| {
-                    if c < solver_n {
-                        return true;
-                    }
-                    let mean = sum / c as f64;
-                    if let Some(mon) = health.as_ref().filter(|_| mean > 0.0) {
-                        mon.observe_imbalance(s, max / mean);
-                    }
-                    false
-                });
-                // A report lost on the wire must not pin its step group
-                // (and the map) forever.
-                while pending.len() > 256 {
-                    pending.pop_first();
-                }
-            }
-        }
-        if args.sample_every == 0 || step % args.sample_every != 0 || step <= last_sampled {
-            return;
-        }
-        last_sampled = step;
-        // Collective reductions: every rank participates, rank 0 records.
-        let obs = Observables::new(&sim.geom, &ctx.case.mesh, &sim.my_elems);
-        let u = [&sim.state.u[0][..], &sim.state.u[1], &sim.state.u[2]];
-        let t = &sim.state.t;
-        let nu_v = obs.nusselt_volume(u[2], t, ctx.cfg.ra, ctx.cfg.pr, sim.comm);
-        let nu_h = obs.nusselt_wall(t, BoundaryTag::HotWall, sim.comm);
-        let nu_c = obs.nusselt_wall(t, BoundaryTag::ColdWall, sim.comm);
-        let ke = obs.kinetic_energy(u, sim.comm);
-        let cfl = obs.cfl(u, sim.cfg.dt, sim.comm);
-        nu_volume.push(nu_v);
-        profiles.sample(&sim.geom, u, t);
-        if rank0 {
-            obs_csv += &format!(
-                "{step},{},{nu_v},{nu_h},{nu_c},{ke},{cfl},{}\n",
-                sim.state.time, st.p_iters
-            );
-            println!(
-                "  step {step:>6}  t = {:.3}  Nu = {nu_v:.4}  KE = {ke:.3e}  CFL = {cfl:.3}  p-its = {}",
-                sim.state.time, st.p_iters
-            );
-        }
-        if let (Some(enc), Some(sink)) = (encoder.as_mut(), sink.as_mut()) {
-            if !enc.try_submit(step as u64, sim.state.time, "uz", &sim.state.u[2]) {
-                tel.counter_add(rbx::telemetry::names::INSITU_COMPRESS_BUSY_TOTAL, 1);
-            }
-            while let Some(done) = enc.poll() {
-                sink.put(done);
-            }
-            if let Sink::Slab(tx, dest) = sink {
-                let s = tx.stats();
-                tel.emit(&rbx::telemetry::schema::insitu_sender_record(
-                    step as u64,
-                    rank as u64,
-                    *dest as u64,
-                    s.sent,
-                    s.dropped,
-                    s.acked,
-                    s.inflight_highwater,
-                    tx.is_stalled(),
-                ));
-            }
-        }
-        if let Some((w, _)) = &pod {
-            w.put(StepData {
-                step: step as u64,
-                time: sim.state.time,
-                vars: vec![Variable::f64(
-                    "uz",
-                    vec![sim.n_local() as u64],
-                    sim.state.u[2].clone(),
-                )],
-            });
-        }
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
+    let mut obs = RankObserver {
+        args,
+        rank,
+        tel: &tel,
+        health,
+        sink,
+        encoder: None,
+        encoded: AsyncCompressorStats::default(),
+        pod: None,
+        nu_volume: RunningMean::default(),
+        profiles: ZProfiles::new(0.0, 1.0, 8),
+        obs_csv: String::from("step,time,nu_volume,nu_hot,nu_cold,kinetic_energy,cfl,p_iters\n"),
+        pending: Default::default(),
+        last_sampled: 0,
+        t0: None,
+        elapsed: 0.0,
+        snapshots: None,
+        pod_out: None,
+        underresolved: 0.0,
+        phase_pct: [0.0; 4],
+    };
+    let report = runner.run(
+        &ctx.cfg,
+        &ctx.case.mesh,
+        comm,
+        &pool,
+        &tel,
+        args.restart.as_deref(),
+        args.steps,
+        &mut obs,
+    );
     let report = report.unwrap_or_else(|e| {
         eprintln!("run_dns: error: simulation failed on rank {rank}: {e}");
         std::process::exit(1);
     });
-
-    // Drain the encoder tail (snapshots still in flight when the loop
-    // ended) into the sink and close it; the slab CLOSE frame lets the
-    // analysis peer exit cleanly instead of waiting out its idle deadline.
-    let snapshots = encoder.zip(sink).map(|(enc, mut sink)| {
-        let (tail, encoded) = enc.finish();
-        for done in tail {
-            sink.put(done);
-        }
-        let (delivered, dropped, stalled) = match sink {
-            Sink::File(fields) => match fields.close() {
-                Ok(n) => (n as u64, 0, None),
-                Err(e) => {
-                    eprintln!("run_dns: warning: field file close failed: {e}");
-                    (0, 0, None)
-                }
-            },
-            Sink::Slab(mut tx, dest) => {
-                tx.close();
-                let s = tx.stats();
-                (s.sent, s.dropped, tx.is_stalled().then_some(dest))
-            }
-        };
-        SnapshotOut {
-            encoded,
-            delivered,
-            dropped,
-            stalled,
-        }
-    });
-    // Every rank reduces the profiles; rank 0 writes them and the
-    // observables it recorded.
-    if rank0 {
-        if let Err(e) = std::fs::write(args.out.join("observables.csv"), obs_csv) {
-            eprintln!("run_dns: warning: could not write observables.csv: {e}");
-        }
-        if let Err(e) = profiles.write_csv(comm, &args.out.join("z_profiles.csv")) {
-            eprintln!("run_dns: warning: could not write z_profiles.csv: {e}");
-        }
-    } else {
-        profiles.finalize(comm);
-    }
-    // A crashed POD consumer degrades to a warning — the run's outputs are
-    // already on disk and must not be lost to an analysis failure.
-    let pod = pod.and_then(|(w, consumer)| {
-        w.close();
-        match consumer.join() {
-            Ok(p) => {
-                let sv = p.singular_values();
-                let total: f64 = sv.iter().map(|s| s * s).sum();
-                let lead = sv.first().map_or(0.0, |s| s * s / total);
-                Some((p.count(), p.rank(), lead))
-            }
-            Err(e) => {
-                eprintln!("run_dns: warning: in-situ POD consumer failed: {e}");
-                None
-            }
-        }
-    });
-    // Post-run resolution check (spectral tail energy of the temperature).
-    let indicator = rbx::core::SpectralIndicator::new(args.order + 1);
-    let underresolved = indicator.underresolved_fraction(&sim.geom, &sim.state.t, 1e-4, comm);
     tel.flush();
     RankOut::Solver(Box::new(SolverOut {
         report,
-        elapsed,
+        elapsed: obs.elapsed,
         faults_fired: std::mem::take(&mut runner.faults.fired),
-        nu_volume,
+        nu_volume: obs.nu_volume,
         pool: pool.stats(),
-        phase_pct: sim.timers.percentages(),
-        underresolved,
-        snapshots,
-        pod,
+        phase_pct: obs.phase_pct,
+        underresolved: obs.underresolved,
+        snapshots: obs.snapshots,
+        pod: obs.pod_out,
+        health: obs.health,
         tel,
-        health,
         _prom: prom,
     }))
 }
@@ -997,10 +1054,15 @@ fn main() {
         ic_noise: 0.05,
         ..Default::default()
     };
-    // The partition comes from the restart repartitioner's cost model, not
-    // from whatever layout a restart checkpoint was written under.
-    let plan = plan_repartition(&case.mesh, args.order, args.ranks, None, None)
-        .unwrap_or_else(|e| die(&format!("cannot partition for --ranks {}: {e}", args.ranks)));
+    // Every rank owns at least one element (the runner's repartitioner
+    // balances them by its cost model).
+    let nelem = case.mesh.num_elements();
+    if args.ranks > nelem {
+        die(&format!(
+            "--ranks {} exceeds the {nelem} elements of the mesh",
+            args.ranks
+        ));
+    }
     println!(
         "run_dns: {} case, Γ = {}, Ra = {:.1e}, degree {}, dt = {}",
         args.case, args.gamma, args.ra, args.order, args.dt
@@ -1010,21 +1072,13 @@ fn main() {
         args.ranks, args.threads, args.analysis_ranks
     );
     println!(
-        "  {} elements ({}..{} per rank), {} grid points, {} steps",
-        case.mesh.num_elements(),
-        plan.min_elems,
-        plan.max_elems,
-        case.mesh.num_elements() * (args.order + 1).pow(3),
+        "  {nelem} elements, {} grid points, {} steps",
+        nelem * (args.order + 1).pow(3),
         args.steps
     );
     println!("  config: {}", cfg.to_json());
 
-    let ctx = RunCtx {
-        args,
-        case,
-        cfg,
-        plan,
-    };
+    let ctx = RunCtx { args, case, cfg };
     let results = if world == 1 {
         vec![run_rank(&ctx, &SingleComm::new())]
     } else {

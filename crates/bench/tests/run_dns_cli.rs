@@ -1,8 +1,9 @@
 //! End-to-end contract of the `run_dns` binary: every rank layout runs the
 //! same per-rank body, so a tiny box run checkpoints the same bytes, writes
 //! the same observables header and emits one `kind: "summary"` record at
-//! `--ranks 1`, `--ranks 2` and `--ranks 1 --analysis-ranks 1`; an order
-//! the coarse level cannot sit below is a usage error.
+//! `--ranks 1`, `--ranks 2` and `--ranks 1 --analysis-ranks 1`; a
+//! corrupt restart file falls back to the newest verified generation; an
+//! order the coarse level cannot sit below is a usage error.
 
 use rbx::telemetry::json::Value;
 use std::path::{Path, PathBuf};
@@ -15,12 +16,18 @@ fn run(name: &str, extra: &[&str]) -> PathBuf {
         .join("run_dns_cli")
         .join(name);
     let _ = std::fs::remove_dir_all(&out);
+    run_in(&out, extra);
+    out
+}
+
+/// [`run`] into an existing `out` directory (its checkpoints included).
+fn run_in(out: &Path, extra: &[&str]) {
     let summary = out.join("summary.json");
     let status = Command::new(env!("CARGO_BIN_EXE_run_dns"))
         .args(["--steps", "10", "--order", "3", "--resolution", "2"])
         .args(["--checkpoint-every", "10", "--sample-every", "5"])
         .args(["--threads", "1", "--out"])
-        .arg(&out)
+        .arg(out)
         .arg("--json-summary")
         .arg(&summary)
         .args(extra)
@@ -31,7 +38,6 @@ fn run(name: &str, extra: &[&str]) -> PathBuf {
         "run_dns {extra:?} failed:\n{}",
         String::from_utf8_lossy(&status.stderr)
     );
-    out
 }
 
 fn read(path: &Path) -> Vec<u8> {
@@ -73,6 +79,51 @@ fn rank_layouts_share_checkpoint_bytes_summary_and_observables_header() {
         assert_eq!(rec.get("kind").and_then(Value::as_str), Some("summary"));
         assert_eq!(rec.get("steps").and_then(Value::as_u64), Some(10), "{name}");
     }
+}
+
+#[test]
+fn corrupt_restart_falls_back_to_the_newest_verified_generation() {
+    // Checkpoints at 0, 10 and 20 on two ranks; keep the good step-20 bytes.
+    let out = run("restart_fallback", &["--ranks", "2", "--steps", "20"]);
+    let chk20 = out.join("checkpoints/chk_0000000020.bpl");
+    let good = read(&chk20);
+    let mut bad = good.clone();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0x10;
+    std::fs::write(&chk20, &bad).unwrap();
+
+    // Restart from the corrupt file: the run must reject it, resume from
+    // generation 10, and step 10 → 20 onto the same bytes as before.
+    let restart = chk20.to_str().expect("utf-8 path");
+    run_in(&out, &["--ranks", "2", "--restart", restart]);
+    let text = String::from_utf8(read(&out.join("summary.json"))).expect("utf-8 summary");
+    let rec = Value::parse(text.trim()).expect("summary is JSON");
+    assert_eq!(rec.get("steps").and_then(Value::as_u64), Some(20));
+    let events = rec
+        .get("recovery_events")
+        .and_then(Value::as_arr)
+        .expect("recovery_events array");
+    let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).unwrap_or("").to_string();
+    assert!(
+        events
+            .iter()
+            .any(|e| field(e, "event") == "generation_rejected"
+                && field(e, "detail").contains("chk_0000000020.bpl")),
+        "no rejection of the corrupt restart file: {text}"
+    );
+    let anchor = events
+        .iter()
+        .find(|e| field(e, "event") == "checkpoint_written")
+        .expect("an anchor checkpoint");
+    assert_eq!(
+        anchor.get("step").and_then(Value::as_u64),
+        Some(10),
+        "the run resumed from the wrong generation: {text}"
+    );
+    assert!(
+        read(&chk20) == good,
+        "re-written step-20 checkpoint differs from the original run's"
+    );
 }
 
 #[test]

@@ -35,6 +35,7 @@
 
 mod chaos;
 mod collective;
+pub mod elastic;
 mod error;
 pub mod frame;
 mod hardened;

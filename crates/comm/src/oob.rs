@@ -1,8 +1,8 @@
 //! Out-of-band step-health reporting: rank → rank 0, off the hot path.
 //!
 //! The observability plane wants rank 0 to see every rank's per-step
-//! vitals (wall time, CFL, comm time, gather-scatter traffic) while the
-//! run is alive — without adding a collective to the step loop. The
+//! wall time while the run is alive (the cross-rank imbalance detector
+//! folds them) — without adding a collective to the step loop. The
 //! primitives the shrink protocol already trusts fit exactly:
 //! [`crate::Communicator::send_best_effort`] (a dead aggregator must not
 //! poison the epoch) and [`crate::Communicator::probe_recv`] (rank 0
@@ -31,33 +31,20 @@ pub struct StepHealthReport {
     pub step: u64,
     /// Wall-clock seconds of the step.
     pub wall_s: f64,
-    /// Advective CFL number after the step.
-    pub cfl: f64,
-    /// Seconds spent in the inter-rank gather-scatter exchange.
-    pub comm_s: f64,
-    /// Gather-scatter payload bytes this step.
-    pub gs_bytes: u64,
 }
 
 impl StepHealthReport {
     /// Flatten into the wire payload (an `F64` vector — every field is
     /// exactly representable: ranks and steps stay far below 2^53).
     pub fn to_payload(&self) -> Payload {
-        Payload::F64(vec![
-            self.rank as f64,
-            self.step as f64,
-            self.wall_s,
-            self.cfl,
-            self.comm_s,
-            self.gs_bytes as f64,
-        ])
+        Payload::F64(vec![self.rank as f64, self.step as f64, self.wall_s])
     }
 
     /// Parse a wire payload; `None` for anything malformed (a stray or
     /// corrupt frame on the tag must not take down the aggregator).
     pub fn from_payload(p: &Payload) -> Option<Self> {
         let v = match p {
-            Payload::F64(v) if v.len() == 6 => v,
+            Payload::F64(v) if v.len() == 3 => v,
             _ => return None,
         };
         if v[..2].iter().any(|x| !x.is_finite() || *x < 0.0) {
@@ -67,13 +54,6 @@ impl StepHealthReport {
             rank: v[0] as usize,
             step: v[1] as u64,
             wall_s: v[2],
-            cfl: v[3],
-            comm_s: v[4],
-            gs_bytes: if v[5].is_finite() && v[5] >= 0.0 {
-                v[5] as u64
-            } else {
-                0
-            },
         })
     }
 }
@@ -122,9 +102,6 @@ mod tests {
             rank,
             step,
             wall_s: 0.031,
-            cfl: 0.4,
-            comm_s: 0.002,
-            gs_bytes: 4096,
         }
     }
 
@@ -132,12 +109,12 @@ mod tests {
     fn payload_roundtrip() {
         let r = report(3, 99);
         assert_eq!(StepHealthReport::from_payload(&r.to_payload()), Some(r));
+        assert_eq!(r.to_payload(), Payload::F64(vec![3.0, 99.0, 0.031]));
         assert!(StepHealthReport::from_payload(&Payload::F64(vec![1.0])).is_none());
-        assert!(StepHealthReport::from_payload(&Payload::U64(vec![1, 2, 3, 4, 5, 6])).is_none());
-        assert!(
-            StepHealthReport::from_payload(&Payload::F64(vec![f64::NAN, 1., 1., 1., 1., 1.]))
-                .is_none()
-        );
+        // A six-value payload (the older wire format) is rejected, not misread.
+        assert!(StepHealthReport::from_payload(&Payload::F64(vec![1.; 6])).is_none());
+        assert!(StepHealthReport::from_payload(&Payload::U64(vec![1, 2, 3])).is_none());
+        assert!(StepHealthReport::from_payload(&Payload::F64(vec![f64::NAN, 1., 1.])).is_none());
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //! Flow control is a credit window over cumulative acks. Every slab body
 //! is sealed into a CRC-32 frame ([`crate::frame`]) carrying a
 //! per-channel monotone sequence number; the receiver acknowledges the
-//! highest contiguously processed sequence with a tiny best-effort `U64`
-//! message. The sender counts in-flight slabs as `sent − acked`; once
-//! that reaches the window it *drops* new slabs and counts them
-//! (`rbx_insitu_dropped_total`) instead of waiting. Acks are drained
+//! highest sequence it has processed with a tiny best-effort `U64`
+//! message. The sender counts in-flight slabs as those sent and not yet
+//! covered by an ack; once that reaches the window it *drops* new slabs
+//! and counts them (`rbx_insitu_dropped_total`) instead of waiting. A
+//! dropped slab still takes its sequence number, so the receiver sees
+//! every drop as a gap. Acks are drained
 //! with free probes on the offer path plus at most one short bounded
 //! probe when the window looks full, so an offer's worst-case cost at a
 //! dead peer is a single sub-millisecond wait — never an open-ended
@@ -38,6 +40,7 @@
 use crate::frame;
 use crate::{Communicator, Payload};
 use rbx_telemetry::Telemetry;
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Tag for framed slab bodies ("SLAB"). Distinct from the shrink block
@@ -69,9 +72,9 @@ pub struct SlabSenderStats {
     pub sent: u64,
     /// Slabs dropped because the window was full.
     pub dropped: u64,
-    /// Highest cumulative sequence acknowledged by the receiver.
+    /// Sent slabs the receiver has acknowledged.
     pub acked: u64,
-    /// High-water mark of in-flight (sent − acked) slabs.
+    /// High-water mark of in-flight (sent, not yet acked) slabs.
     pub inflight_highwater: u64,
     /// Consecutive window-full drops since the last successful send.
     pub consecutive_drops: u64,
@@ -82,8 +85,14 @@ pub struct SlabSenderStats {
 pub struct SlabSender<'a> {
     comm: &'a dyn Communicator,
     dest: usize,
-    window: u64,
+    window: usize,
+    /// Sequence number of the latest offer, sent or dropped.
     next_seq: u64,
+    /// Highest sequence number the receiver has acknowledged.
+    acked_seq: u64,
+    /// Sequence numbers of sent slabs no ack covers yet, oldest first —
+    /// never more than `window` of them.
+    unacked: VecDeque<u64>,
     stats: SlabSenderStats,
     telemetry: Telemetry,
 }
@@ -106,8 +115,10 @@ impl<'a> SlabSender<'a> {
         Self {
             comm,
             dest,
-            window: window as u64,
+            window,
             next_seq: 0,
+            acked_seq: 0,
+            unacked: VecDeque::with_capacity(window),
             stats: SlabSenderStats::default(),
             telemetry: Telemetry::disabled(),
         }
@@ -129,17 +140,25 @@ impl<'a> SlabSender<'a> {
         for _ in 0..=self.window {
             match self.comm.probe_recv(self.dest, SLAB_ACK_TAG, wait) {
                 Ok(Payload::U64(v)) if v.len() == 1 => {
-                    self.stats.acked = self.stats.acked.max(v[0]);
+                    self.acked_seq = self.acked_seq.max(v[0]);
                 }
                 Ok(_) => {} // malformed ack: ignore, the window stays honest
                 Err(_) => break,
             }
             wait = Duration::ZERO;
         }
+        while self
+            .unacked
+            .front()
+            .is_some_and(|&seq| seq <= self.acked_seq)
+        {
+            self.unacked.pop_front();
+            self.stats.acked += 1;
+        }
     }
 
-    fn in_flight(&self) -> u64 {
-        self.next_seq.saturating_sub(self.stats.acked)
+    fn in_flight(&self) -> usize {
+        self.unacked.len()
     }
 
     /// Offer one slab body. Returns immediately in every peer state:
@@ -152,6 +171,9 @@ impl<'a> SlabSender<'a> {
             // the inbox a zero-timeout probe cannot service.
             self.drain_acks(Self::ACK_WAIT);
         }
+        // The slab's sequence number is spent either way: a dropped one
+        // shows up at the receiver as a gap.
+        self.next_seq += 1;
         if self.in_flight() >= self.window {
             self.stats.dropped += 1;
             self.stats.consecutive_drops += 1;
@@ -161,12 +183,13 @@ impl<'a> SlabSender<'a> {
         let mut framed = Vec::with_capacity(body.len() + 1);
         framed.push(BODY_DATA);
         framed.extend_from_slice(body);
-        self.next_seq += 1;
         let sealed = frame::seal(&Payload::Bytes(framed), self.next_seq);
         self.comm.send_best_effort(self.dest, SLAB_DATA_TAG, sealed);
+        self.unacked.push_back(self.next_seq);
         self.stats.sent += 1;
         self.stats.consecutive_drops = 0;
-        self.stats.inflight_highwater = self.stats.inflight_highwater.max(self.in_flight());
+        let in_flight = self.in_flight() as u64;
+        self.stats.inflight_highwater = self.stats.inflight_highwater.max(in_flight);
         self.telemetry.counter_add("rbx_insitu_slabs_sent_total", 1);
         self.telemetry.gauge_set(
             "rbx_insitu_queue_highwater",
@@ -357,6 +380,31 @@ mod tests {
         assert_eq!(gaps, dropped, "receiver observes exactly the drops as gaps");
         assert_eq!(corrupt, 0);
         assert!(acked > 0, "acks must flow back");
+    }
+
+    #[test]
+    fn drops_reach_the_receiver_as_gaps() {
+        const GO: u64 = 0x474f;
+        let out = run_on_ranks(2, |c| {
+            if c.rank() == 0 {
+                // The receiver is not polling yet: no acks come back, so
+                // the window of 2 fills and the other 8 offers drop.
+                let mut tx = SlabSender::new(&c, 1, 2);
+                for i in 0..10u64 {
+                    tx.offer(&body(i));
+                }
+                tx.close();
+                c.send(1, GO, Payload::U64(vec![1]));
+                (tx.stats().sent, tx.stats().dropped)
+            } else {
+                let _ = c.recv(0, GO);
+                let mut rx = SlabReceiver::new(&c, 0);
+                while rx.poll(Duration::from_millis(100)) != SlabPoll::Closed {}
+                (rx.stats().received, rx.stats().gaps)
+            }
+        });
+        assert_eq!(out[0], (2, 8), "(sent, dropped)");
+        assert_eq!(out[1], (2, 8), "(received, gaps): every drop is a gap");
     }
 
     #[test]

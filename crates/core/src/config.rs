@@ -2,14 +2,13 @@
 
 use rbx_la::SchwarzMode;
 use rbx_telemetry::json::Value;
-use serde::{Deserialize, Serialize};
 
 /// Thermal boundary condition at the plates.
 ///
 /// Constant-temperature plates are the canonical RBC setup (and the
 /// paper's); constant-flux heating is the experimentally relevant variant
 /// whose role in the ultimate-regime debate is itself studied.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThermalBc {
     /// T = +0.5 at the bottom plate, −0.5 at the top plate (paper setup).
     Isothermal,
@@ -23,7 +22,7 @@ pub enum ThermalBc {
 }
 
 /// All tunables of one RBC simulation, mirroring the paper's §6 setup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Rayleigh number (the control parameter of the Nu(Ra) question).
     pub ra: f64,
@@ -37,62 +36,26 @@ pub struct SolverConfig {
     pub time_order: usize,
     /// Use 3/2-rule dealiasing for advection (paper: yes).
     pub dealias: bool,
-    /// Include the rotational (curl-curl) term in the pressure RHS.
-    pub rotational: bool,
     /// Pressure GMRES: absolute tolerance.
     pub p_tol: f64,
-    /// Pressure GMRES: max iterations.
-    pub p_maxit: usize,
-    /// Pressure GMRES restart length.
-    pub p_restart: usize,
     /// Size of the pressure solution-projection space (previous-solution
     /// recycling, Fischer 1998); 0 disables it.
     pub p_projection: usize,
     /// Polynomial degree of the Schwarz coarse level (paper: 1).
     pub coarse_order: usize,
     /// Schwarz execution mode for the pressure preconditioner.
-    #[serde(with = "schwarz_mode_serde")]
     pub schwarz_mode: SchwarzMode,
     /// Use the Schwarz preconditioner for pressure (false = Jacobi, for
     /// ablation).
     pub schwarz_enabled: bool,
     /// Velocity/temperature CG: relative tolerance.
     pub v_tol: f64,
-    /// Velocity/temperature CG: max iterations.
-    pub v_maxit: usize,
     /// Amplitude of the random perturbation seeding convection.
     pub ic_noise: f64,
     /// RNG seed for reproducible initial conditions.
     pub seed: u64,
     /// Thermal boundary condition at the plates.
     pub thermal_bc: ThermalBc,
-}
-
-// SchwarzMode lives in rbx-la without serde; serialize through a proxy.
-// (Unused when building against the in-tree serde substitute, whose derive
-// ignores `#[serde(with = ...)]` — keep the functions either way.)
-#[allow(dead_code)]
-mod schwarz_mode_serde {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(mode: &SchwarzMode, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(match mode {
-            SchwarzMode::Serial => "serial",
-            SchwarzMode::Overlapped => "overlapped",
-        })
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<SchwarzMode, D::Error> {
-        let s = String::deserialize(d)?;
-        match s.as_str() {
-            "serial" => Ok(SchwarzMode::Serial),
-            "overlapped" => Ok(SchwarzMode::Overlapped),
-            other => Err(serde::de::Error::custom(format!(
-                "unknown schwarz mode {other}"
-            ))),
-        }
-    }
 }
 
 impl Default for SolverConfig {
@@ -104,16 +67,12 @@ impl Default for SolverConfig {
             dt: 1e-3,
             time_order: 3,
             dealias: true,
-            rotational: true,
             p_tol: 1e-7,
-            p_maxit: 200,
-            p_restart: 30,
             p_projection: 8,
             coarse_order: 1,
             schwarz_mode: SchwarzMode::Serial,
             schwarz_enabled: true,
             v_tol: 1e-8,
-            v_maxit: 200,
             ic_noise: 1e-3,
             seed: 7,
             thermal_bc: ThermalBc::Isothermal,
@@ -151,16 +110,12 @@ impl SolverConfig {
             ("dt", Value::num(self.dt)),
             ("time_order", Value::int(self.time_order as u64)),
             ("dealias", Value::Bool(self.dealias)),
-            ("rotational", Value::Bool(self.rotational)),
             ("p_tol", Value::num(self.p_tol)),
-            ("p_maxit", Value::int(self.p_maxit as u64)),
-            ("p_restart", Value::int(self.p_restart as u64)),
             ("p_projection", Value::int(self.p_projection as u64)),
             ("coarse_order", Value::int(self.coarse_order as u64)),
             ("schwarz_mode", Value::str(schwarz_mode)),
             ("schwarz_enabled", Value::Bool(self.schwarz_enabled)),
             ("v_tol", Value::num(self.v_tol)),
-            ("v_maxit", Value::int(self.v_maxit as u64)),
             ("ic_noise", Value::num(self.ic_noise)),
             ("seed", Value::int(self.seed)),
             ("thermal_bc", Value::str(thermal_bc)),

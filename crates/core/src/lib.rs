@@ -21,7 +21,6 @@ pub mod case;
 pub mod checkpoint;
 pub mod config;
 pub mod diffops;
-pub mod elastic;
 pub mod error;
 pub mod faultinject;
 pub mod fields;
@@ -41,12 +40,11 @@ pub use checkpoint::{
 };
 pub use config::SolverConfig;
 pub use diffops::Dealias;
-pub use elastic::{agree_on_survivors, ElasticOutcome, ElasticReport, ElasticRunner};
 pub use error::{SimError, StepFault, StepPhase, StepVerdict};
 pub use faultinject::{FaultAction, FaultPlan};
 pub use fields::FlowState;
 pub use observables::Observables;
-pub use recovery::{RecoveryEvent, RecoveryPolicy, ResilientRunner, RunReport};
+pub use recovery::{RecoveryEvent, RecoveryPolicy, ResilientRunner, RunObserver, RunReport};
 pub use repartition::{plan_repartition, RepartitionPlan};
 pub use resolution::{ElementResolution, SpectralIndicator};
 pub use sim::Simulation;

@@ -1,11 +1,15 @@
-//! The fault-tolerant run loop: checkpoint, detect, roll back, retune,
-//! resume.
+//! The run loop: build, start, checkpoint, detect, roll back, retune,
+//! resume — and, on more than one rank, shrink past a dead rank.
 //!
 //! Week-long DNS campaigns meet faults the solver cannot prevent: an
 //! aggressive time step that finally trips nonlinear instability, a bad
-//! node producing NaNs, a torn or bit-rotten checkpoint. The
-//! [`ResilientRunner`] wraps [`Simulation::try_step`] with a recovery
-//! state machine:
+//! node producing NaNs, a torn or bit-rotten checkpoint, a rank that dies
+//! for good. The [`ResilientRunner`] owns the whole run.
+//! [`ResilientRunner::run`] partitions the mesh over the live ranks,
+//! builds the [`Simulation`], starts it fresh or from a restart file, and
+//! drives one segment per partition; each segment
+//! ([`ResilientRunner::run_with`]) wraps [`Simulation::try_step`] with a
+//! recovery state machine:
 //!
 //! ```text
 //!         ┌────────────── healthy step ──────────────┐
@@ -19,20 +23,34 @@
 //!   │ rollback ├ at the same step, escalate to older generations;
 //!   └────┬─────┘ dt ← max(dt·factor, dt_min)
 //!        │ budget left? resume stepping : RecoveryExhausted
+//!        ▼
+//!   ┌──────────┐ only on a communication fault, with > 1 rank: vote
+//!   │  shrink  ├ (rbx_comm::elastic), repartition onto the survivors,
+//!   └──────────┘ restore the newest verified generation, next segment
 //! ```
 //!
 //! Every transition is recorded as a [`RecoveryEvent`], so a post-mortem
 //! can reconstruct exactly what the run did. Injected faults (via
-//! [`FaultPlan`]) drive the same code paths as real ones.
+//! [`FaultPlan`]) drive the same code paths as real ones. Because every
+//! global reduction and gather-scatter combine folds in canonical
+//! global-element order, the physics after a shrink is byte-identical to
+//! a run launched at the surviving rank count.
 
-use crate::checkpoint::{CheckpointError, CheckpointSet};
+use crate::checkpoint::{read_checkpoint, CheckpointError, CheckpointSet};
+use crate::config::SolverConfig;
 use crate::error::{SimError, StepFault};
 use crate::faultinject::FaultPlan;
+use crate::repartition::plan_repartition;
 use crate::sim::{Simulation, StepStats};
+use rbx_comm::elastic::{is_shrink_sentinel, shrink_vote, SHRINK_REASON};
+use rbx_comm::{Communicator, SubsetComm};
+use rbx_device::WorkerPool;
+use rbx_mesh::HexMesh;
 use rbx_telemetry::json::Value;
 use rbx_telemetry::schema::TELEMETRY_SCHEMA;
+use rbx_telemetry::Telemetry;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Tunables for the recovery loop.
 #[derive(Debug, Clone, Copy)]
@@ -236,18 +254,48 @@ impl fmt::Display for RecoveryEvent {
 }
 
 /// Summary of a completed resilient run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunReport {
     /// Step counter at completion (== the requested target).
     pub steps_completed: usize,
-    /// Rollbacks performed.
+    /// Rollbacks performed, over every partition of the run.
     pub rollbacks: usize,
+    /// Shrinks survived (each one drops the dead ranks and repartitions).
+    pub shrinks: usize,
+    /// Rank count the run finished at.
+    pub final_ranks: usize,
     /// dt at the end of the run.
     pub final_dt: f64,
-    /// Full structured event log, in order.
+    /// Full structured event log, in order, including
+    /// [`RecoveryEvent::Shrink`] entries at each width change.
     pub events: Vec<RecoveryEvent>,
     /// Flight-recorder post-mortem files written during the run.
     pub flight_dumps: Vec<PathBuf>,
+}
+
+/// What the caller of [`ResilientRunner::run`] sees of the run. The solver
+/// is built inside the run (and rebuilt after a shrink), so this is the
+/// only view of it.
+pub trait RunObserver {
+    /// A solver was built and started: fresh, from the restart file, or —
+    /// after a shrink — from the newest verified checkpoint on the new
+    /// partition. Every live rank calls this once per partition.
+    fn start(&mut self, sim: &Simulation<'_>) {
+        let _ = sim;
+    }
+    /// A step completed with a usable state. After a rollback the
+    /// replayed steps are seen again.
+    fn step(&mut self, sim: &Simulation<'_>, stats: &StepStats);
+    /// The run reached its target; `sim` holds the final state. Every
+    /// surviving rank calls this, so it may run collectives on `sim.comm`.
+    fn finish(&mut self, sim: &Simulation<'_>) {
+        let _ = sim;
+    }
+}
+
+/// A run that only wants its [`RunReport`].
+impl RunObserver for () {
+    fn step(&mut self, _: &Simulation<'_>, _: &StepStats) {}
 }
 
 /// Append an event to the run log, mirroring it to the simulation's
@@ -264,10 +312,16 @@ fn log_event(sim: &Simulation<'_>, events: &mut Vec<RecoveryEvent>, ev: Recovery
     events.push(ev);
 }
 
-/// Drives a [`Simulation`] to a target step with checkpointing, health
-/// monitoring, and rollback-based recovery.
+/// Owns a run: builds the [`Simulation`] and drives it to a target step
+/// with checkpointing, health monitoring, rollback-based recovery and —
+/// on more than one rank — shrink-and-continue.
+///
+/// All ranks share one checkpoint directory (checkpoints are
+/// topology-independent and written collectively), which is what makes
+/// restoring onto fewer ranks possible at all.
 pub struct ResilientRunner {
-    /// Rotation set used for both periodic checkpoints and rollback.
+    /// Rotation set used for periodic checkpoints, rollback, the restart
+    /// fallback and the restore after a shrink.
     pub checkpoints: CheckpointSet,
     /// Recovery tunables.
     pub policy: RecoveryPolicy,
@@ -277,8 +331,9 @@ pub struct ResilientRunner {
     /// Directory for flight-recorder post-mortem dumps (`None` disables
     /// dumping even when the telemetry handle carries a ring).
     pub flight_dir: Option<PathBuf>,
-    /// Dump files written so far — readable even when `run_with` exits
-    /// with an error (the exhausted-recovery dump is the interesting one).
+    /// Dump files written so far in this run — readable even when the run
+    /// exits with an error (the exhausted-recovery dump is the interesting
+    /// one).
     pub flight_dumps: Vec<PathBuf>,
 }
 
@@ -301,9 +356,9 @@ impl ResilientRunner {
         self
     }
 
-    /// Dump the telemetry flight ring into `dir` on every divergence and
-    /// on recovery exhaustion, so post-mortems carry the last K steps of
-    /// context.
+    /// Dump the telemetry flight ring into `dir` on every divergence, on
+    /// recovery exhaustion and on a peer's shrink summons, so post-mortems
+    /// carry the last K steps of context.
     pub fn with_flight_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.flight_dir = Some(dir.into());
         self
@@ -333,36 +388,214 @@ impl ResilientRunner {
         }
     }
 
-    /// Advance `sim` to `target_step`, recovering from divergence by
-    /// rolling back to the newest verified checkpoint and reducing dt.
+    /// Own a whole run on `comm`: partition `mesh` over the live ranks,
+    /// build the solver with the caller's `pool` and `tel`, start it —
+    /// fresh ([`Simulation::init_rbc`]) or from `restart`, which falls back
+    /// to the newest verified generation of [`Self::checkpoints`] when the
+    /// file is rejected — and step it `steps` steps with rollback.
+    ///
+    /// On more than one rank, a budget exhausted on a communication fault
+    /// (or on a peer's shrink sentinel) runs the survivor vote
+    /// ([`shrink_vote`]). Survivors repartition onto the smaller width,
+    /// restore the newest verified generation of the shared,
+    /// topology-independent checkpoint set, log a
+    /// [`RecoveryEvent::Shrink`] and continue to the same target with a
+    /// fresh rollback budget; a rank voted dead gets
+    /// [`SimError::Evicted`]. A budget exhausted with a clean epoch is a
+    /// numerical divergence that no shrink can fix, and returns at once.
+    #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
-        sim: &mut Simulation<'_>,
-        target_step: usize,
+        cfg: &SolverConfig,
+        mesh: &HexMesh,
+        comm: &dyn Communicator,
+        pool: &WorkerPool,
+        tel: &Telemetry,
+        restart: Option<&Path>,
+        steps: usize,
+        obs: &mut dyn RunObserver,
     ) -> Result<RunReport, SimError> {
-        self.run_with(sim, target_step, |_, _| {})
+        let world = comm.size();
+        assert!(
+            world <= 64,
+            "shrink protocol bitmask supports at most 64 ranks"
+        );
+        self.flight_dumps.clear();
+        let mut report = RunReport::default();
+        let mut live: Vec<usize> = (0..world).collect();
+        let mut prev_part: Option<Vec<usize>> = None;
+        let mut shrunk_from: Option<(usize, Vec<usize>)> = None;
+        // Fixed by the first start: a shrink resumes toward the same step.
+        let mut fixed_target: Option<usize> = None;
+        loop {
+            // The full world steps on the caller's communicator itself, with
+            // its own collectives; only a shrunk one needs the renumbered
+            // view over the survivors.
+            let subset;
+            let c: &dyn Communicator = if live.len() == world {
+                comm
+            } else {
+                subset = SubsetComm::new(comm, live.clone()).expect("calling rank is live");
+                &subset
+            };
+            let plan =
+                plan_repartition(mesh, cfg.order, live.len(), prev_part.as_deref(), Some(tel))?;
+            let mut sim = {
+                let _span = tel.span_abs("repartition/rebuild");
+                Simulation::new(
+                    cfg.clone(),
+                    mesh,
+                    &plan.part,
+                    plan.elems[c.rank()].clone(),
+                    c,
+                )
+            };
+            sim.set_pool(pool);
+            sim.set_telemetry(tel);
+            let target = match fixed_target {
+                None => {
+                    if let Some(path) = restart {
+                        // Topology-independent restore: the file may have
+                        // been written at any rank count. A rejected file
+                        // (truncated, bit-flipped, stale metadata) falls
+                        // back to the newest verified generation instead
+                        // of aborting the campaign; every rank reads the
+                        // same files and so reaches the same decision.
+                        if let Err(e) = read_checkpoint(&mut sim, path) {
+                            let ev = RecoveryEvent::GenerationRejected {
+                                path: path.to_path_buf(),
+                                error: e.to_string(),
+                            };
+                            log_event(&sim, &mut report.events, ev);
+                            // Without a generation to fall back to, the
+                            // restart file's own rejection is the cause.
+                            if self.restore_newest(&mut sim, &mut report.events).is_err() {
+                                return Err(SimError::Checkpoint(e));
+                            }
+                        }
+                    } else {
+                        sim.init_rbc();
+                    }
+                    *fixed_target.insert(sim.state.istep + steps)
+                }
+                Some(t) => {
+                    {
+                        let _span = tel.span_abs("repartition/restore");
+                        self.restore_newest(&mut sim, &mut report.events)?;
+                    }
+                    if let Some((from_ranks, dead)) = shrunk_from.take() {
+                        tel.counter_add("rbx_recovery_shrink_total", 1);
+                        let ev = RecoveryEvent::Shrink {
+                            from_ranks,
+                            to_ranks: live.len(),
+                            dead,
+                            istep: sim.state.istep,
+                        };
+                        log_event(&sim, &mut report.events, ev);
+                    }
+                    t
+                }
+            };
+            obs.start(&sim);
+            match self.segment(&mut sim, target, &mut report, |s, st| obs.step(s, st)) {
+                Ok(()) => {
+                    obs.finish(&sim);
+                    return Ok(report);
+                }
+                // A permanently dead rank re-fails every retry, so the
+                // budget runs out on a communication fault (or on a peer's
+                // sentinel): vote, and shrink past the dead.
+                Err(SimError::RecoveryExhausted { retries, last })
+                    if live.len() > 1 && comm.poisoned().is_some() =>
+                {
+                    let exhausted = || SimError::RecoveryExhausted {
+                        retries,
+                        last: last.clone(),
+                    };
+                    let survivors =
+                        shrink_vote(comm, &live, report.shrinks).ok_or_else(exhausted)?;
+                    if !survivors.contains(&comm.rank()) {
+                        return Err(SimError::Evicted {
+                            istep: sim.state.istep,
+                            survivors: survivors.len(),
+                        });
+                    }
+                    if survivors.len() == live.len() {
+                        // Nobody is dead: shrinking cannot fix this.
+                        return Err(exhausted());
+                    }
+                    let dead = live
+                        .iter()
+                        .copied()
+                        .filter(|r| !survivors.contains(r))
+                        .collect();
+                    report.shrinks += 1;
+                    shrunk_from = Some((live.len(), dead));
+                    prev_part = Some(plan.part);
+                    live = survivors;
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
-    /// [`ResilientRunner::run`] with a per-step observer (sampling,
-    /// output); the observer sees only steps that completed with a usable
+    /// Advance a caller-built `sim` to `target_step` — one segment of
+    /// [`ResilientRunner::run`] on a fixed partition — recovering from
+    /// divergence by rolling back to the newest verified checkpoint and
+    /// reducing dt. `on_step` sees only steps that completed with a usable
     /// state.
     pub fn run_with(
         &mut self,
         sim: &mut Simulation<'_>,
         target_step: usize,
-        mut on_step: impl FnMut(&Simulation<'_>, &StepStats),
+        on_step: impl FnMut(&Simulation<'_>, &StepStats),
     ) -> Result<RunReport, SimError> {
-        let mut events = Vec::new();
+        self.flight_dumps.clear();
+        let mut report = RunReport::default();
+        self.segment(sim, target_step, &mut report, on_step)?;
+        Ok(report)
+    }
+
+    /// Restore the newest verified generation, logging every newer one it
+    /// had to reject.
+    fn restore_newest(
+        &self,
+        sim: &mut Simulation<'_>,
+        events: &mut Vec<RecoveryEvent>,
+    ) -> Result<(), SimError> {
+        let outcome = self
+            .checkpoints
+            .restore_latest(sim)
+            .map_err(SimError::Checkpoint)?;
+        for (path, error) in outcome.rejected {
+            let error = error.to_string();
+            log_event(
+                sim,
+                events,
+                RecoveryEvent::GenerationRejected { path, error },
+            );
+        }
+        Ok(())
+    }
+
+    /// The step loop of one partition. Appends to `report`; the rollback
+    /// budget is this segment's own.
+    fn segment(
+        &mut self,
+        sim: &mut Simulation<'_>,
+        target_step: usize,
+        report: &mut RunReport,
+        mut on_step: impl FnMut(&Simulation<'_>, &StepStats),
+    ) -> Result<(), SimError> {
+        let events = &mut report.events;
         let mut rollbacks = 0usize;
         let mut skip_escalation = 0usize;
         let mut last_divergence_step: Option<usize> = None;
-        self.flight_dumps.clear();
 
         // Anchor checkpoint: the first rollback needs a target even if the
         // very first step diverges. Failure here is fatal — a run that
         // cannot write its anchor has no recovery story at all.
-        self.checkpoint_now(sim, &mut events)?;
-
+        self.checkpoint_now(sim, events)?;
         while sim.state.istep < target_step {
             let next = sim.state.istep + 1;
             self.faults.before_step(sim, next);
@@ -371,7 +604,7 @@ impl ResilientRunner {
                     if let Some(fault) = stats.verdict.fault() {
                         log_event(
                             sim,
-                            &mut events,
+                            events,
                             RecoveryEvent::DegradedStep {
                                 istep: sim.state.istep,
                                 fault: fault.to_string(),
@@ -387,27 +620,25 @@ impl ResilientRunner {
                     if due {
                         // Mid-run write failures degrade rotation depth but
                         // must not kill a healthy simulation.
-                        let _ = self.checkpoint_now(sim, &mut events);
+                        let _ = self.checkpoint_now(sim, events);
                     }
                 }
                 Err(SimError::Diverged { istep, fault, .. }) => {
                     // A peer has installed the shrink sentinel: the
-                    // elastic layer owns the epoch from here. Exit
+                    // shrink protocol owns the epoch from here. Exit
                     // immediately — recovering would tear the sentinel
                     // down mid-summons, and rolling back would burn
                     // budget on a fault that is not ours to heal.
-                    if let Some(e) = sim.comm.poisoned() {
-                        if crate::elastic::is_shrink_sentinel(&e) {
-                            self.dump_flight(sim, "shrink", istep);
-                            return Err(SimError::RecoveryExhausted {
-                                retries: rollbacks,
-                                last: crate::elastic::SHRINK_REASON.to_string(),
-                            });
-                        }
+                    if sim.comm.poisoned().is_some_and(|e| is_shrink_sentinel(&e)) {
+                        self.dump_flight(sim, "shrink", istep);
+                        return Err(SimError::RecoveryExhausted {
+                            retries: rollbacks,
+                            last: SHRINK_REASON.to_string(),
+                        });
                     }
                     log_event(
                         sim,
-                        &mut events,
+                        events,
                         RecoveryEvent::Divergence {
                             istep,
                             fault: fault.to_string(),
@@ -451,7 +682,7 @@ impl ResilientRunner {
                     for (path, error) in &outcome.rejected {
                         log_event(
                             sim,
-                            &mut events,
+                            events,
                             RecoveryEvent::GenerationRejected {
                                 path: path.clone(),
                                 error: error.to_string(),
@@ -472,7 +703,7 @@ impl ResilientRunner {
                         self.align_restored_step(sim, skip_escalation, rollbacks)?;
                         log_event(
                             sim,
-                            &mut events,
+                            events,
                             RecoveryEvent::CommRecovered {
                                 istep: sim.state.istep,
                                 kind: match fault {
@@ -484,9 +715,10 @@ impl ResilientRunner {
                         );
                     }
                     rollbacks += 1;
+                    report.rollbacks += 1;
                     log_event(
                         sim,
-                        &mut events,
+                        events,
                         RecoveryEvent::RolledBack {
                             from_step,
                             to_step: sim.state.istep,
@@ -500,13 +732,11 @@ impl ResilientRunner {
             }
         }
 
-        Ok(RunReport {
-            steps_completed: sim.state.istep,
-            rollbacks,
-            final_dt: sim.cfg.dt,
-            events,
-            flight_dumps: self.flight_dumps.clone(),
-        })
+        report.steps_completed = sim.state.istep;
+        report.final_ranks = sim.comm.size();
+        report.final_dt = sim.cfg.dt;
+        report.flight_dumps = self.flight_dumps.clone();
+        Ok(())
     }
 
     /// Distributed rollback alignment after a communication fault.
@@ -540,14 +770,12 @@ impl ResilientRunner {
                 // a peer has summoned the survivor vote, recovering here
                 // would tear the sentinel down (or block in a rendezvous
                 // the voting peer will never join). Hand control to the
-                // elastic layer instead.
-                if let Some(e) = sim.comm.poisoned() {
-                    if crate::elastic::is_shrink_sentinel(&e) {
-                        return Err(SimError::RecoveryExhausted {
-                            retries: rollbacks,
-                            last: crate::elastic::SHRINK_REASON.to_string(),
-                        });
-                    }
+                // shrink protocol instead.
+                if sim.comm.poisoned().is_some_and(|e| is_shrink_sentinel(&e)) {
+                    return Err(SimError::RecoveryExhausted {
+                        retries: rollbacks,
+                        last: SHRINK_REASON.to_string(),
+                    });
                 }
                 // The alignment collective itself hit a fault (chaos can
                 // strike here too): heal the epoch and retry the round.
@@ -712,7 +940,7 @@ mod tests {
         let dir = tmpdir("nan");
         let mut runner = ResilientRunner::new(CheckpointSet::new(&dir, 3), policy(2, 3))
             .with_faults(FaultPlan::new(11).inject_nan_at(5));
-        let report = runner.run(&mut sim, 8).unwrap();
+        let report = runner.run_with(&mut sim, 8, |_, _| {}).unwrap();
         assert_eq!(report.steps_completed, 8);
         assert_eq!(report.rollbacks, 1);
         assert!((report.final_dt - dt0 * 0.5).abs() < 1e-18, "dt not halved");
@@ -757,7 +985,7 @@ mod tests {
         // generation 2.
         let mut runner = ResilientRunner::new(CheckpointSet::new(&dir, 3), policy(2, 3))
             .with_faults(FaultPlan::new(23).corrupt_checkpoint_at(4).inject_nan_at(5));
-        let report = runner.run(&mut sim, 8).unwrap();
+        let report = runner.run_with(&mut sim, 8, |_, _| {}).unwrap();
         assert_eq!(report.steps_completed, 8);
         assert_eq!(report.rollbacks, 1);
         assert!(
@@ -792,7 +1020,7 @@ mod tests {
         let dir = tmpdir("wfail");
         let mut runner = ResilientRunner::new(CheckpointSet::new(&dir, 3), policy(2, 3))
             .with_faults(FaultPlan::new(3).fail_write_at(4));
-        let report = runner.run(&mut sim, 6).unwrap();
+        let report = runner.run_with(&mut sim, 6, |_, _| {}).unwrap();
         assert_eq!(report.steps_completed, 6);
         assert!(
             report
@@ -825,7 +1053,7 @@ mod tests {
         let dir = tmpdir("telemetry");
         let mut runner = ResilientRunner::new(CheckpointSet::new(&dir, 3), policy(2, 3))
             .with_faults(FaultPlan::new(11).inject_nan_at(5));
-        let report = runner.run(&mut sim, 8).unwrap();
+        let report = runner.run_with(&mut sim, 8, |_, _| {}).unwrap();
         assert_eq!(report.rollbacks, 1);
         tel.flush();
 
@@ -920,10 +1148,46 @@ mod tests {
                     .inject_nan_at(5)
                     .inject_nan_at(6),
             );
-        let err = runner.run(&mut sim, 20).unwrap_err();
+        let err = runner.run_with(&mut sim, 20, |_, _| {}).unwrap_err();
         match err {
             SimError::RecoveryExhausted { retries, .. } => assert_eq!(retries, 2),
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    #[test]
+    fn two_rank_divergence_exhausts_without_a_survivor_vote() {
+        use rbx_comm::{run_on_ranks, CommTuning};
+        use rbx_device::WorkerPool;
+        use rbx_telemetry::Telemetry;
+        use std::time::Instant;
+
+        let mesh = box_mesh(2, 1, 2, [0., 2.], [0., 1.], [0., 1.], false, false);
+        let dir = tmpdir("two_rank_exhaust");
+        let started = Instant::now();
+        let out = run_on_ranks(2, |comm| {
+            // A fresh NaN on every step either rank can reach: numerical
+            // divergence on both ranks, with a clean comm epoch throughout.
+            let faults = (1..=6).fold(FaultPlan::new(5), |f, s| f.inject_nan_at(s));
+            let mut runner = ResilientRunner::new(CheckpointSet::new(&dir, 3), policy(100, 2))
+                .with_faults(faults);
+            let pool = WorkerPool::new(1);
+            let tel = Telemetry::disabled();
+            runner.run(&cfg(), &mesh, &comm, &pool, &tel, None, 20, &mut ())
+        });
+        let elapsed = started.elapsed();
+        for (rank, r) in out.into_iter().enumerate() {
+            match r {
+                Err(SimError::RecoveryExhausted { retries, .. }) => assert_eq!(retries, 2),
+                other => panic!("rank {rank}: expected RecoveryExhausted, got {other:?}"),
+            }
+        }
+        // The vote's presence window alone is 20 receive timeouts (100 s at
+        // the default); a run that entered it could not finish this soon.
+        let window = CommTuning::default().recv_timeout * 20;
+        assert!(
+            elapsed < window / 4,
+            "numerical divergence waited {elapsed:?} (vote window {window:?})"
+        );
     }
 }

@@ -49,6 +49,9 @@ pub const VELOCITY_WALLS: [BoundaryTag; 3] = [
 /// adiabatic → natural).
 pub const TEMPERATURE_WALLS: [BoundaryTag; 2] = [BoundaryTag::HotWall, BoundaryTag::ColdWall];
 
+/// Iteration cap of the velocity and temperature CG solves.
+const V_MAXIT: usize = 200;
+
 /// Iteration counts and diagnostics from one time step.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepStats {
@@ -763,12 +766,17 @@ impl<'a> Simulation<'a> {
 
     // audit:allow(hot-alloc): field-sized scratch per call; a shared scratch arena is the planned fix (ROADMAP), and each allocation is amortized by the O(N) kernel work that follows
     fn pressure_solve(&mut self, su: &[Vec<f64>; 3], u_ext: &[Vec<f64>; 3], nu: f64) -> SolveStats {
+        /// Pressure FGMRES iteration cap and restart length.
+        const P_MAXIT: usize = 200;
+        const P_RESTART: usize = 30;
         let n = self.n_local();
-        // S̃ = S − ν ∇×∇×u_ext (rotational correction).
+        // S̃ = S − ν ∇×∇×u_ext (rotational correction). The curl
+        // temporaries live in their own block, so they are freed before
+        // the solve allocates its work vectors.
         let mut sx = su[0].clone();
         let mut sy = su[1].clone();
         let mut sz = su[2].clone();
-        if self.cfg.rotational {
+        {
             let mut wx = vec![0.0; n];
             let mut wy = vec![0.0; n];
             let mut wz = vec![0.0; n];
@@ -848,8 +856,8 @@ impl<'a> Simulation<'a> {
                 &mut dx,
                 self.cfg.p_tol,
                 0.0,
-                self.cfg.p_maxit,
-                self.cfg.p_restart,
+                P_MAXIT,
+                P_RESTART,
             );
             if !stats.converged {
                 // Production-style diagnostic: a stalled pressure solve is
@@ -907,8 +915,8 @@ impl<'a> Simulation<'a> {
                 p,
                 self.cfg.p_tol,
                 0.0,
-                self.cfg.p_maxit,
-                self.cfg.p_restart,
+                P_MAXIT,
+                P_RESTART,
             );
             ortho_project_mean_layout(p, mass, layout, comm);
             stats
@@ -983,7 +991,7 @@ impl<'a> Simulation<'a> {
                 u,
                 0.0,
                 self.cfg.v_tol,
-                self.cfg.v_maxit,
+                V_MAXIT,
             );
         }
         out
@@ -1054,7 +1062,7 @@ impl<'a> Simulation<'a> {
             &mut theta,
             0.0,
             self.cfg.v_tol,
-            self.cfg.v_maxit,
+            V_MAXIT,
         );
         for i in 0..n {
             self.state.t[i] = theta[i] + self.t_lift[i];

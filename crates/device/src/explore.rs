@@ -365,10 +365,12 @@ mod tests {
         assert_eq!(report.schedules, 1);
     }
 
-    /// Model of [`crate::pool::WorkerPool::sum`]: workers claim chunks off
-    /// a shared counter (the fetch_add is one atomic step), accumulate
-    /// into per-chunk slots, and the partials combine in index order after
-    /// the join. The claim order varies per schedule; the sum must not.
+    /// Model of a pooled reduction: workers claim chunks off the pool's
+    /// shared counter (the fetch_add is one atomic step), write one
+    /// partial per chunk into a caller-owned slot, and the partials
+    /// combine in index order after the join — the pattern of the
+    /// solver's canonical reductions. The claim order varies per
+    /// schedule; the sum must not.
     #[test]
     fn pool_counter_model_is_deterministic() {
         const NCHUNKS: usize = 3;
@@ -406,7 +408,7 @@ mod tests {
                 (s, vec![mk("w0"), mk("w1")])
             },
             |s| {
-                // Index-ordered combine, as in WorkerPool::sum.
+                // Index-ordered combine after the join.
                 fingerprint_f64(&[s.partials.iter().sum::<f64>()])
             },
             100_000,

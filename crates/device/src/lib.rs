@@ -19,7 +19,7 @@ pub mod explore;
 pub mod pool;
 
 pub use desim::{simulate, SimConfig, SimKernel, SimResult, StreamPriority, TraceEvent};
-pub use pool::{loop_chunk, reduce_chunk, PoolStats, RangePtr, WorkerPool};
+pub use pool::{loop_chunk, PoolStats, RangePtr, WorkerPool};
 
 /// Virtual-GPU stream semantics, checked on the [`desim`] model: in-order
 /// streams, cross-stream overlap, executor serialization, priority under

@@ -15,12 +15,11 @@
 //!   loops, without the deques;
 //! * the calling thread participates in every job, so `threads == 1` means
 //!   zero worker threads and inline execution;
-//! * reduction partials live in a pool-owned buffer that grows amortized
-//!   and is reused across dispatches, and are combined **in chunk-index
-//!   order**, so sums are bitwise identical for every thread count —
-//!   provided the chunk size is a function of the problem size only (see
-//!   [`reduce_chunk`]). The single-thread path runs the same chunked
-//!   traversal for exactly this reason;
+//! * the pool runs element loops only and returns no values: a
+//!   reduction writes one partial per element into caller-owned storage
+//!   and folds them in global element order afterwards
+//!   (`rbx_la::ElemLayout::fold_sums`), so its bits cannot depend on the
+//!   thread count or the schedule;
 //! * [`WorkerPool::pair`] runs one task on a dedicated persistent helper
 //!   thread while the caller runs the other — the overlap primitive behind
 //!   the Schwarz coarse∥fine phase, kept off the worker complement so the
@@ -39,8 +38,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Signature of the monomorphized trampoline a job dispatches through:
-/// `(closure, chunk_index, start, end, partials)`.
-type Shim = unsafe fn(*const (), usize, usize, usize, *const AtomicU64);
+/// `(closure, start, end)`.
+type Shim = unsafe fn(*const (), usize, usize);
 
 /// Type-erased job descriptor broadcast to the workers. `data` points at a
 /// closure on the dispatcher's stack; the dispatcher outlives every
@@ -53,7 +52,6 @@ struct Job {
     n: usize,
     chunk: usize,
     nchunks: usize,
-    partials: *const AtomicU64,
 }
 
 // SAFETY: the raw pointers are dereferenced only between job publication
@@ -63,7 +61,7 @@ unsafe impl Send for Job {}
 
 /// # Safety
 /// Trivially sound: touches none of its raw-pointer arguments.
-unsafe fn shim_noop(_d: *const (), _c: usize, _s: usize, _e: usize, _p: *const AtomicU64) {}
+unsafe fn shim_noop(_d: *const (), _s: usize, _e: usize) {}
 
 impl Job {
     fn idle() -> Self {
@@ -73,7 +71,6 @@ impl Job {
             n: 0,
             chunk: 1,
             nchunks: 0,
-            partials: std::ptr::null(),
         }
     }
 }
@@ -81,68 +78,13 @@ impl Job {
 /// # Safety
 /// `data` must point at a live `F` for the whole call — guaranteed by
 /// the [`Job`] lifetime contract (dispatcher blocks until the handshake).
-unsafe fn shim_for_each<F: Fn(usize) + Sync>(
-    data: *const (),
-    _c: usize,
-    start: usize,
-    end: usize,
-    _p: *const AtomicU64,
-) {
-    let f = &*data.cast::<F>();
-    for i in start..end {
-        f(i);
-    }
-}
-
-/// # Safety
-/// Same contract as [`shim_for_each`]: `data` is a live `F` for the call.
 unsafe fn shim_for_each_range<F: Fn(usize, usize) + Sync>(
     data: *const (),
-    _c: usize,
     start: usize,
     end: usize,
-    _p: *const AtomicU64,
 ) {
     let f = &*data.cast::<F>();
     f(start, end);
-}
-
-/// # Safety
-/// `data` must point at a live `F` and `partials` at `nchunks` cells of
-/// which chunk `c` is exclusively this caller's — both hold under the
-/// [`Job`] lifetime contract.
-unsafe fn shim_sum<F: Fn(usize) -> f64 + Sync>(
-    data: *const (),
-    c: usize,
-    start: usize,
-    end: usize,
-    partials: *const AtomicU64,
-) {
-    let f = &*data.cast::<F>();
-    let mut acc = 0.0;
-    for i in start..end {
-        acc += f(i);
-    }
-    // ordering: relaxed — each partial cell has exactly one writer per
-    // dispatch (the chunk owner), and the dispatcher reads it only after
-    // the active-count handshake under the control mutex synchronizes.
-    (*partials.add(c)).store(acc.to_bits(), Ordering::Relaxed);
-}
-
-/// # Safety
-/// Same contract as [`shim_sum`]: live `F`, exclusive partial cell `c`.
-unsafe fn shim_sum_range<F: Fn(usize, usize) -> f64 + Sync>(
-    data: *const (),
-    c: usize,
-    start: usize,
-    end: usize,
-    partials: *const AtomicU64,
-) {
-    let f = &*data.cast::<F>();
-    let acc = f(start, end);
-    // ordering: relaxed — single writer per cell per dispatch; the reader
-    // is ordered by the completion handshake (see shim_sum).
-    (*partials.add(c)).store(acc.to_bits(), Ordering::Relaxed);
 }
 
 /// Dispatcher↔worker control block, guarded by [`Shared::ctrl`].
@@ -157,23 +99,6 @@ struct Ctrl {
     job: Job,
 }
 
-/// Pool-owned reduction partials, reused across dispatches (guarded by the
-/// dispatch gate, which the dispatcher holds for the whole job).
-struct Partials {
-    cells: Vec<AtomicU64>,
-}
-
-impl Partials {
-    /// Amortized growth: allocates only when a dispatch needs more chunks
-    /// than any previous one; the steady state reuses the buffer and the
-    /// dispatch path stays allocation-free.
-    fn ensure(&mut self, nchunks: usize) {
-        if self.cells.len() < nchunks {
-            self.cells.resize_with(nchunks, || AtomicU64::new(0));
-        }
-    }
-}
-
 struct Shared {
     ctrl: Mutex<Ctrl>,
     work_cv: Condvar,
@@ -182,8 +107,8 @@ struct Shared {
     counter: AtomicUsize,
     /// Sticky flag: a kernel closure panicked on a worker.
     panicked: AtomicBool,
-    /// Serializes dispatchers and owns the partials buffer.
-    gate: Mutex<Partials>,
+    /// Serializes dispatchers.
+    gate: Mutex<()>,
     dispatches: AtomicU64,
     chunks: AtomicU64,
     items: AtomicU64,
@@ -204,7 +129,7 @@ impl Shared {
             done_cv: Condvar::new(),
             counter: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
-            gate: Mutex::new(Partials { cells: Vec::new() }),
+            gate: Mutex::new(()),
             dispatches: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
             items: AtomicU64::new(0),
@@ -252,10 +177,10 @@ fn run_job(shared: &Shared, job: &Job) {
         }
         let start = c * job.chunk;
         let end = (start + job.chunk).min(job.n);
-        // SAFETY: the dispatcher keeps the closure and partials alive until
-        // every participant finishes, and each (c, start, end) triple is
-        // claimed exactly once.
-        unsafe { (job.shim)(job.data, c, start, end, job.partials) };
+        // SAFETY: the dispatcher keeps the closure alive until every
+        // participant finishes, and each (start, end) range is claimed
+        // exactly once.
+        unsafe { (job.shim)(job.data, start, end) };
     }
 }
 
@@ -517,42 +442,12 @@ impl WorkerPool {
         }
     }
 
-    /// Run `f(i)` for every `i in 0..n`, distributing dynamically in
-    /// chunks of `chunk` indices.
-    pub fn for_each<F: Fn(usize) + Sync>(&self, n: usize, chunk: usize, f: F) {
-        let data: *const F = &f;
-        self.run_erased(shim_for_each::<F>, data.cast(), n, chunk, false);
-    }
-
     /// Run `f(start, end)` over a disjoint chunk partition of `0..n` —
     /// the per-range form element-loop kernels use (one call per chunk,
     /// so per-range setup like scratch lookup is amortized).
     pub fn for_each_range<F: Fn(usize, usize) + Sync>(&self, n: usize, chunk: usize, f: F) {
         let data: *const F = &f;
-        self.run_erased(shim_for_each_range::<F>, data.cast(), n, chunk, false);
-    }
-
-    /// Deterministic sum-reduction `Σ f(i)`: a fixed chunk partition whose
-    /// partials combine in index order, so for a given `(n, chunk)` the
-    /// result bits are identical for every thread count and schedule. Use
-    /// a chunk that depends on `n` only (e.g. [`reduce_chunk`]) to keep
-    /// runs comparable across machines.
-    pub fn sum<F: Fn(usize) -> f64 + Sync>(&self, n: usize, chunk: usize, f: F) -> f64 {
-        let data: *const F = &f;
-        self.run_erased(shim_sum::<F>, data.cast(), n, chunk, true)
-    }
-
-    /// Range form of [`WorkerPool::sum`]: `f(start, end)` returns the
-    /// partial for one chunk (letting the kernel run a tight local loop).
-    /// Same determinism contract.
-    pub fn sum_range<F: Fn(usize, usize) -> f64 + Sync>(
-        &self,
-        n: usize,
-        chunk: usize,
-        f: F,
-    ) -> f64 {
-        let data: *const F = &f;
-        self.run_erased(shim_sum_range::<F>, data.cast(), n, chunk, true)
+        self.run_erased(shim_for_each_range::<F>, data.cast(), n, chunk);
     }
 
     /// Grain-gated [`WorkerPool::for_each_range`]: when `n` is below
@@ -632,36 +527,25 @@ impl WorkerPool {
         }
     }
 
-    /// The single dispatch path: publish the type-erased job, participate,
-    /// wait for the workers, and (for reductions) combine the partials in
-    /// index order. Performs no heap allocation in the steady state — the
-    /// partials buffer is pool-owned and grows amortized.
-    fn run_erased(&self, shim: Shim, data: *const (), n: usize, chunk: usize, reduce: bool) -> f64 {
+    /// The single dispatch path: publish the type-erased job, participate
+    /// and wait for the workers. Performs no heap allocation.
+    fn run_erased(&self, shim: Shim, data: *const (), n: usize, chunk: usize) {
         debug_assert!(
             !IN_POOL_JOB.with(|c| c.get()),
             "nested pool dispatch from inside a kernel closure would deadlock the dispatch gate"
         );
         let chunk = chunk.max(1);
         if n == 0 {
-            return 0.0;
+            return;
         }
         let nchunks = n.div_ceil(chunk);
-        let mut gate = self.shared.gate.lock();
-        if reduce {
-            gate.ensure(nchunks);
-        }
-        let partials: *const AtomicU64 = if reduce {
-            gate.cells.as_ptr()
-        } else {
-            std::ptr::null()
-        };
+        let _gate = self.shared.gate.lock();
         let job = Job {
             shim,
             data,
             n,
             chunk,
             nchunks,
-            partials,
         };
         let shared = &*self.shared;
         // ordering: relaxed — monotonic telemetry counters (see stats()).
@@ -698,28 +582,13 @@ impl WorkerPool {
             }
         } else {
             // Inline path (serial pool or single-chunk job): the identical
-            // chunked traversal, so reductions keep the same bits as the
-            // parallel path.
+            // chunked traversal as the parallel path.
             let _guard = JobGuard::enter();
-            for c in 0..nchunks {
-                let start = c * chunk;
-                let end = (start + chunk).min(n);
+            for start in (0..n).step_by(chunk) {
                 // SAFETY: same contract as run_job — closure outlives the
-                // loop, every (c, start, end) visited exactly once.
-                unsafe { (job.shim)(job.data, c, start, end, job.partials) };
+                // loop, every (start, end) range visited exactly once.
+                unsafe { (job.shim)(job.data, start, (start + chunk).min(n)) };
             }
-        }
-        if reduce {
-            let mut acc = 0.0;
-            for cell in gate.cells.iter().take(nchunks) {
-                // ordering: relaxed — all writers finished before the
-                // completion handshake (or ran on this thread); the combine
-                // order here, not the memory order, fixes the result bits.
-                acc += f64::from_bits(cell.load(Ordering::Relaxed));
-            }
-            acc
-        } else {
-            0.0
         }
     }
 }
@@ -802,30 +671,10 @@ pub fn loop_chunk(n: usize, threads: usize) -> usize {
     (n / (threads.max(1) * 4)).max(1)
 }
 
-/// Chunk size for a deterministic reduction — a function of `n` only, so
-/// the partial partition (and therefore the combined bits) is identical
-/// for every thread count and machine.
-pub fn reduce_chunk(n: usize) -> usize {
-    (n / 64).max(256)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn for_each_visits_every_index_once() {
-        let n = 1000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let pool = WorkerPool::new(4);
-        pool.for_each(n, 7, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
-        }
-    }
 
     #[test]
     fn for_each_range_covers_exactly_once() {
@@ -846,51 +695,13 @@ mod tests {
     #[test]
     fn for_each_empty_and_single() {
         let pool = WorkerPool::new(3);
-        pool.for_each(0, 1, |_| panic!("must not run"));
+        pool.for_each_range(0, 1, |_, _| panic!("must not run"));
         let hit = AtomicUsize::new(0);
-        pool.for_each(1, 1, |_| {
+        pool.for_each_range(1, 1, |start, end| {
+            assert_eq!((start, end), (0, 1));
             hit.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hit.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn sum_matches_serial() {
-        let pool = WorkerPool::new(4);
-        let n = 10_000;
-        let serial: f64 = (0..n).map(|i| (i as f64 * 0.001).sin()).sum();
-        let parallel = pool.sum(n, 64, |i| (i as f64 * 0.001).sin());
-        assert!((serial - parallel).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sum_deterministic_across_thread_counts() {
-        let n = 5431;
-        let f = |i: usize| ((i * 2654435761) % 1000) as f64 * 1e-3 - 0.5;
-        let chunk = 37;
-        let r1 = WorkerPool::new(1).sum(n, chunk, f);
-        let r4 = WorkerPool::new(4).sum(n, chunk, f);
-        let r7 = WorkerPool::new(7).sum(n, chunk, f);
-        // Bitwise identical because partials combine in index order and the
-        // serial path runs the same chunked traversal.
-        assert_eq!(r1.to_bits(), r4.to_bits());
-        assert_eq!(r1.to_bits(), r7.to_bits());
-    }
-
-    #[test]
-    fn sum_range_agrees_with_sum() {
-        let n = 4321;
-        let chunk = 53;
-        let pool = WorkerPool::new(4);
-        let a = pool.sum(n, chunk, |i| (i as f64).sqrt());
-        let b = pool.sum_range(n, chunk, |start, end| {
-            let mut acc = 0.0;
-            for i in start..end {
-                acc += (i as f64).sqrt();
-            }
-            acc
-        });
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
@@ -898,9 +709,12 @@ mod tests {
         let pool = WorkerPool::new(4);
         let before = pool.stats();
         for round in 0..100 {
-            let total = pool.sum(1000, 37, |i| (i + round) as f64);
-            let expect: f64 = (0..1000).map(|i| (i + round) as f64).sum();
-            assert_eq!(total, expect);
+            let total = AtomicUsize::new(0);
+            pool.for_each_range(1000, 37, |start, end| {
+                total.fetch_add((start..end).map(|i| i + round).sum(), Ordering::Relaxed);
+            });
+            let expect: usize = (0..1000).map(|i| i + round).sum();
+            assert_eq!(total.load(Ordering::Relaxed), expect);
         }
         let after = pool.stats();
         assert_eq!(after.dispatches - before.dispatches, 100);
@@ -939,8 +753,8 @@ mod tests {
                 coarse.fetch_add(1, Ordering::Relaxed);
             },
             || {
-                pool.for_each(500, 11, |_| {
-                    fine.fetch_add(1, Ordering::Relaxed);
+                pool.for_each_range(500, 11, |start, end| {
+                    fine.fetch_add(end - start, Ordering::Relaxed);
                 });
             },
         );
@@ -952,16 +766,19 @@ mod tests {
     fn worker_panic_propagates_and_pool_survives() {
         let pool = WorkerPool::new(4);
         let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.for_each(100, 1, |i| {
-                if i == 37 {
+            pool.for_each_range(100, 1, |start, _| {
+                if start == 37 {
                     panic!("boom");
                 }
             });
         }));
         assert!(r.is_err(), "kernel panic must propagate to the dispatcher");
         // The workers caught the panic and are still serving epochs.
-        let s = pool.sum(100, 7, |i| i as f64);
-        assert_eq!(s, 4950.0);
+        let total = AtomicUsize::new(0);
+        pool.for_each_range(100, 7, |start, end| {
+            total.fetch_add((start..end).sum(), Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 4950);
     }
 
     #[test]
@@ -974,8 +791,8 @@ mod tests {
                 let total = &total;
                 scope.spawn(move || {
                     for _ in 0..20 {
-                        pool.for_each(100, 9, |_| {
-                            total.fetch_add(1, Ordering::Relaxed);
+                        pool.for_each_range(100, 9, |start, end| {
+                            total.fetch_add(end - start, Ordering::Relaxed);
                         });
                     }
                 });
@@ -1000,14 +817,6 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i as f64);
         }
-    }
-
-    #[test]
-    fn reduce_chunk_depends_on_n_only() {
-        // Same n → same partition regardless of any notion of threads.
-        assert_eq!(reduce_chunk(1000), reduce_chunk(1000));
-        assert_eq!(reduce_chunk(100), 256);
-        assert_eq!(reduce_chunk(1 << 20), (1 << 20) / 64);
     }
 
     #[test]

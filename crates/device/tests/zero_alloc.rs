@@ -8,7 +8,7 @@
 //! The allocation check uses a counting `#[global_allocator]` and must own
 //! the whole test binary, so this file contains exactly one `#[test]`.
 
-use rbx_device::{loop_chunk, reduce_chunk, WorkerPool};
+use rbx_device::{loop_chunk, RangePtr, WorkerPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,56 +58,53 @@ fn dispatch_is_allocation_free_and_spawns_no_threads() {
 
     let data: Vec<f64> = (0..n).map(|i| (i as f64).sqrt()).collect();
     let mut out = vec![0.0f64; n];
-
-    // Warm-up: first reduction grows the pool-owned partials buffer to
-    // this job's chunk count; everything after reuses it.
     let lc = loop_chunk(n, pool.threads());
-    let rc = reduce_chunk(n);
-    let warm_sum = pool.sum(n, rc, |i| data[i]);
-    {
-        let op = rbx_device::RangePtr::new(&mut out);
+    // One shape of each: a dispatched element loop, a grain-gated loop
+    // that runs inline on the caller, and a coarse∥fine overlap pair.
+    let dispatch_all = |out: &mut [f64], add: f64| {
+        let op = RangePtr::new(out);
         pool.for_each_range(n, lc, |s, e| {
             // SAFETY: chunk ranges are pairwise disjoint.
             let o = unsafe { op.range_mut(s, e) };
             for (k, v) in o.iter_mut().enumerate() {
-                *v = data[s + k] * 2.0;
+                *v = data[s + k] + add;
             }
         });
-    }
+        pool.for_each_range_min(n, lc, n + 1, |s, e| {
+            // SAFETY: chunk ranges are pairwise disjoint.
+            let o = unsafe { op.range_mut(s, e) };
+            for v in o.iter_mut() {
+                *v *= 2.0;
+            }
+        });
+        pool.pair(|| {}, || {});
+    };
+
+    // Warm-up: one dispatch of every job shape.
+    dispatch_all(&mut out, 0.0);
+    let warm = pool.stats();
 
     // Steady state: many dispatches of every job shape, zero allocations
-    // observed by the dispatching thread's counter. (Workers allocate
-    // nothing either, but the counter is global, so a worker allocation
-    // would fail this assertion too — which is exactly the contract.)
+    // observed by the global counter. (Workers allocate nothing either,
+    // but the counter is global, so a worker allocation would fail this
+    // assertion too — which is exactly the contract.)
     let before = ALLOCS.load(Ordering::Relaxed);
-    let mut bits_stable = true;
-    for _ in 0..200 {
-        let a = pool.sum(n, rc, |i| data[i]);
-        let b = pool.sum_range(n, rc, |s, e| data[s..e].iter().sum());
-        bits_stable &= a.to_bits() == warm_sum.to_bits() && b.to_bits() == warm_sum.to_bits();
-        let op = rbx_device::RangePtr::new(&mut out);
-        pool.for_each_range(n, lc, |s, e| {
-            // SAFETY: chunk ranges are pairwise disjoint.
-            let o = unsafe { op.range_mut(s, e) };
-            for (k, v) in o.iter_mut().enumerate() {
-                *v = data[s + k] + 1.0;
-            }
-        });
-        pool.for_each(0, 1, |_| {});
+    for round in 0..200 {
+        dispatch_all(&mut out, round as f64);
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(
         delta, 0,
-        "steady-state pool dispatch must not allocate (saw {delta} allocations over 800 dispatches)"
+        "steady-state pool dispatch must not allocate (saw {delta} allocations over 600 dispatches)"
     );
-    assert!(
-        bits_stable,
-        "every steady-state reduction must reproduce the warm-up bits"
-    );
+    let last = pool.stats();
+    assert_eq!(last.dispatches - warm.dispatches, 200);
+    assert_eq!(last.grained - warm.grained, 200);
+    assert_eq!(last.pair_jobs - warm.pair_jobs, 200);
+    assert_eq!(out[n - 1], 2.0 * (data[n - 1] + 199.0));
 
     // No thread is spawned after pool construction: the OS thread count is
-    // unchanged across all those dispatches (and across a pair overlap).
-    pool.pair(|| {}, || {});
+    // unchanged across all those dispatches.
     if let Some(t0) = threads_after_construction {
         let t1 = os_thread_count().expect("/proc/self/status readable once means always");
         assert_eq!(

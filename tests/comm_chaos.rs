@@ -7,7 +7,7 @@
 //! with zero panics and zero deadlocks, and the final checkpoint is
 //! **byte-identical** to a fault-free run (comm faults are transient, so
 //! the replayed trajectory must not drift). A *persistent* sender crash
-//! no longer merely exhausts the budget: the `ElasticRunner` converts it
+//! no longer merely exhausts the budget: the runner converts it
 //! into a shrink-and-continue — survivors vote the dead rank out,
 //! repartition its elements from the shared topology-free checkpoint, and
 //! finish the run at the smaller width.
@@ -20,9 +20,10 @@ use rbx::comm::{
     run_on_ranks_tuned, ChaosComm, CommFaultPlan, CommTuning, Communicator, HardenedComm,
 };
 use rbx::core::{
-    CheckpointSet, ElasticOutcome, ElasticRunner, RecoveryEvent, RecoveryPolicy, ResilientRunner,
-    Simulation, SolverConfig,
+    CheckpointSet, RecoveryEvent, RecoveryPolicy, ResilientRunner, SimError, Simulation,
+    SolverConfig,
 };
+use rbx::device::WorkerPool;
 use rbx::telemetry::schema::validate_line;
 use rbx::telemetry::Telemetry;
 use std::path::{Path, PathBuf};
@@ -106,7 +107,7 @@ fn run_chaos_case(nranks: usize, dir: &Path, plan: Option<CommFaultPlan>) -> Vec
 
         comm.inner().set_armed(armed);
         let report = runner
-            .run(&mut sim, STEPS)
+            .run_with(&mut sim, STEPS, |_, _| {})
             .unwrap_or_else(|e| panic!("rank {}: chaos run failed: {e}", tc.rank()));
         comm.inner().set_armed(false);
 
@@ -214,6 +215,7 @@ fn persistent_sender_crash_shrinks_and_continues() {
             max_rollbacks: 1,
             ..Default::default()
         };
+        let pool = WorkerPool::new(1);
         // Calibration pass: build the world and write the anchor with a
         // benign plan, counting armed send ops. The crash threshold then
         // lands just past setup — the job starts healthy and rank 1 goes
@@ -222,8 +224,17 @@ fn persistent_sender_crash_shrinks_and_continues() {
             let chaos = ChaosComm::new(&tc, CommFaultPlan::new(7));
             let comm = HardenedComm::new(chaos);
             comm.inner().set_armed(true);
-            ElasticRunner::new(calib_ref, 4, policy)
-                .run(cfg_ref, &case_ref.mesh, &comm, None, 0)
+            ResilientRunner::new(CheckpointSet::new(calib_ref, 4), policy)
+                .run(
+                    cfg_ref,
+                    &case_ref.mesh,
+                    &comm,
+                    &pool,
+                    &Telemetry::disabled(),
+                    None,
+                    0,
+                    &mut (),
+                )
                 .unwrap_or_else(|e| panic!("rank {}: calibration errored: {e}", tc.rank()));
             comm.inner().send_ops()
         };
@@ -234,11 +245,18 @@ fn persistent_sender_crash_shrinks_and_continues() {
         let jsonl = dir_ref.join(format!("rank{}.jsonl", tc.rank()));
         tel.open_jsonl(&jsonl).unwrap();
         comm.set_telemetry(&tel);
-        let runner = ElasticRunner::new(chk_ref, 4, policy);
+        let mut runner = ResilientRunner::new(CheckpointSet::new(chk_ref, 4), policy);
         comm.inner().set_armed(true);
-        let out = runner
-            .run(cfg_ref, &case_ref.mesh, &comm, Some(&tel), STEPS)
-            .unwrap_or_else(|e| panic!("rank {}: elastic run errored: {e}", tc.rank()));
+        let out = runner.run(
+            cfg_ref,
+            &case_ref.mesh,
+            &comm,
+            &pool,
+            &tel,
+            None,
+            STEPS,
+            &mut (),
+        );
         let prom = dir_ref.join(format!("rank{}.prom", tc.rank()));
         tel.write_prometheus(&prom).unwrap();
         (out, std::fs::read_to_string(&prom).unwrap(), jsonl)
@@ -246,24 +264,30 @@ fn persistent_sender_crash_shrinks_and_continues() {
 
     // Rank 1 (the crashed sender) must learn of its own eviction.
     match &outcomes[1].0 {
-        ElasticOutcome::Evicted { survivors, .. } => assert_eq!(*survivors, 1),
+        Err(SimError::Evicted { survivors, .. }) => assert_eq!(*survivors, 1),
         other => panic!("rank 1 should be evicted, got {other:?}"),
     }
     // Rank 0 survives, shrinks exactly once, and finishes all steps solo.
     let (report, prom, jsonl) = match &outcomes[0] {
-        (ElasticOutcome::Completed(r), prom, jsonl) => (r, prom, jsonl),
+        (Ok(r), prom, jsonl) => (r, prom, jsonl),
         (other, ..) => panic!("rank 0 should complete via shrink, got {other:?}"),
     };
     assert_eq!(report.steps_completed, STEPS);
     assert_eq!(report.shrinks, 1);
-    assert_eq!(report.initial_ranks, 2);
     assert_eq!(report.final_ranks, 1);
-    let shrink_events = report
+    let shrinks: Vec<(usize, usize)> = report
         .events
         .iter()
-        .filter(|e| matches!(e, RecoveryEvent::Shrink { .. }))
-        .count();
-    assert_eq!(shrink_events, 1, "events: {:?}", report.events);
+        .filter_map(|e| match e {
+            RecoveryEvent::Shrink {
+                from_ranks,
+                to_ranks,
+                ..
+            } => Some((*from_ranks, *to_ranks)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(shrinks, vec![(2, 1)], "events: {:?}", report.events);
     assert!(
         prom.contains("rbx_recovery_shrink_total 1"),
         "prometheus export must count the shrink:\n{prom}"
@@ -315,7 +339,9 @@ fn chaos_run_emits_schema_valid_telemetry() {
         };
         let mut runner = ResilientRunner::new(CheckpointSet::new(chk_ref, 4), policy);
         comm.inner().set_armed(true);
-        let report = runner.run(&mut sim, STEPS).expect("telemetry chaos run");
+        let report = runner
+            .run_with(&mut sim, STEPS, |_, _| {})
+            .expect("telemetry chaos run");
         comm.inner().set_armed(false);
         let prom = dir_ref.join(format!("rank{}.prom", tc.rank()));
         tel.write_prometheus(&prom).unwrap();

@@ -1,6 +1,6 @@
 //! End-to-end acceptance for the observability plane.
 //!
-//! A 4-rank elastic run with full observability on — per-rank JSONL
+//! A 4-rank run with full observability on — per-rank JSONL
 //! streams, flight rings, health detectors on rank 0 — hits a permanent
 //! sender crash. The acceptance bar:
 //!
@@ -16,7 +16,10 @@
 use rbx::comm::{
     run_on_ranks_tuned, ChaosComm, CommFaultPlan, CommTuning, Communicator, HardenedComm,
 };
-use rbx::core::{ElasticOutcome, ElasticRunner, RecoveryPolicy, SolverConfig};
+use rbx::core::{
+    CheckpointSet, RecoveryEvent, RecoveryPolicy, ResilientRunner, SimError, SolverConfig,
+};
+use rbx::device::WorkerPool;
 use rbx::obs::{merge_files, HealthConfig, HealthMonitor};
 use rbx::telemetry::json::Value;
 use rbx::telemetry::schema::{
@@ -107,6 +110,7 @@ fn crash_leaves_flight_dumps_health_events_and_a_mergeable_timeline() {
             max_rollbacks: 1,
             ..Default::default()
         };
+        let pool = WorkerPool::new(1);
         // Calibration pass: count armed send ops through setup + a clean
         // run, so the crash threshold lands just past setup — the job
         // starts healthy and the last rank goes permanently silent early
@@ -115,8 +119,17 @@ fn crash_leaves_flight_dumps_health_events_and_a_mergeable_timeline() {
             let chaos = ChaosComm::new(&tc, CommFaultPlan::new(7));
             let comm = HardenedComm::new(chaos);
             comm.inner().set_armed(true);
-            ElasticRunner::new(calib_ref, 4, policy)
-                .run(cfg_ref, &case_ref.mesh, &comm, None, 0)
+            ResilientRunner::new(CheckpointSet::new(calib_ref, 4), policy)
+                .run(
+                    cfg_ref,
+                    &case_ref.mesh,
+                    &comm,
+                    &pool,
+                    &Telemetry::disabled(),
+                    None,
+                    0,
+                    &mut (),
+                )
                 .unwrap_or_else(|e| panic!("rank {}: calibration errored: {e}", tc.rank()));
             comm.inner().send_ops()
         };
@@ -139,11 +152,19 @@ fn crash_leaves_flight_dumps_health_events_and_a_mergeable_timeline() {
             mon
         });
 
-        let runner = ElasticRunner::new(chk_ref, 4, policy).with_flight_dir(flight_ref);
+        let mut runner = ResilientRunner::new(CheckpointSet::new(chk_ref, 4), policy)
+            .with_flight_dir(flight_ref);
         comm.inner().set_armed(true);
-        let out = runner
-            .run(cfg_ref, &case_ref.mesh, &comm, Some(&tel), STEPS)
-            .unwrap_or_else(|e| panic!("rank {}: elastic run errored: {e}", tc.rank()));
+        let out = runner.run(
+            cfg_ref,
+            &case_ref.mesh,
+            &comm,
+            &pool,
+            &tel,
+            None,
+            STEPS,
+            &mut (),
+        );
         tel.flush();
         if let Some(mon) = &health {
             mon.flush();
@@ -160,16 +181,30 @@ fn crash_leaves_flight_dumps_health_events_and_a_mergeable_timeline() {
     // The crashed sender learns of its own eviction; everyone else
     // completes through the shrink.
     match &outcomes[NRANKS - 1].0 {
-        ElasticOutcome::Evicted { survivors, .. } => assert_eq!(*survivors, NRANKS - 1),
+        Err(SimError::Evicted { survivors, .. }) => assert_eq!(*survivors, NRANKS - 1),
         other => panic!("rank {} should be evicted, got {other:?}", NRANKS - 1),
     }
     for (rank, (out, _, _)) in outcomes.iter().enumerate().take(NRANKS - 1) {
         let report = match out {
-            ElasticOutcome::Completed(r) => r,
+            Ok(r) => r,
             other => panic!("rank {rank} should complete via shrink, got {other:?}"),
         };
         assert_eq!(report.steps_completed, STEPS, "rank {rank}");
-        assert!(report.shrinks >= 1, "rank {rank}: no shrink recorded");
+        assert_eq!(
+            report.shrinks, 1,
+            "rank {rank}: expected exactly one shrink"
+        );
+        assert_eq!(report.final_ranks, NRANKS - 1, "rank {rank}");
+        assert!(
+            report.events.iter().any(|e| matches!(
+                e,
+                RecoveryEvent::Shrink { from_ranks, to_ranks, .. }
+                    if (*from_ranks, *to_ranks) == (NRANKS, NRANKS - 1)
+            )),
+            "rank {rank}: no {NRANKS} → {} shrink event: {:?}",
+            NRANKS - 1,
+            report.events
+        );
         // The flight recorder fired on every survivor: at least one
         // schema-valid post-mortem dump, honest about its contents.
         assert!(

@@ -169,7 +169,7 @@ fn persistent_divergence_fails_loud_not_silent() {
     let mut runner = ResilientRunner::new(CheckpointSet::new(&dir, 3), policy).with_faults(faults);
 
     let err = runner
-        .run(&mut sim, 20)
+        .run_with(&mut sim, 20, |_, _| {})
         .expect_err("budget must be exhausted");
     let msg = err.to_string();
     assert!(
