@@ -46,7 +46,6 @@ fn fixture(p: usize, nx: usize) -> Fixture {
         gs.clone(),
         &mult,
         vec![1.0; geom.total_nodes()],
-        &geom.mass,
         1.0,
         0.0,
         &rbx::device::WorkerPool::new(1),

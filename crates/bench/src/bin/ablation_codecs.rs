@@ -17,7 +17,7 @@ use std::time::Instant;
 
 fn main() {
     println!("lossless codec ablation (same truncated payload through each codec)\n");
-    let sim = developed_box(6, 200);
+    let sim = developed_box(6, 2, 200);
     let basis = ModalBasis::new(sim.cfg.order + 1);
     let field = &sim.state.t;
     let raw_bytes = field.len() * 8;

@@ -11,7 +11,9 @@
 //!    dual-stream launching with priorities. Deterministic and
 //!    host-independent;
 //! 2. **real solver** — the actual `SchwarzMg` preconditioner in Serial vs
-//!    Overlapped mode inside the pressure solve of an RBC run. (Note: real
+//!    Overlapped mode inside the pressure solve of an RBC run, on the
+//!    paper's linear coarse space (`coarse_order` 1; the coarse problem is
+//!    solved exactly rather than by the paper's 10-iteration PCG). (Note: real
 //!    thread overlap needs > 1 host core to pay off; the output reports
 //!    the host's parallelism.)
 //!
@@ -114,7 +116,7 @@ fn main() {
     println!(
         "real-solver experiment ({STEPS} RBC steps, pressure phase; host has {cores} core(s)):"
     );
-    let mut sim = developed_box(5, 5);
+    let mut sim = developed_box(5, 1, 5);
     sim.cfg.schwarz_mode = SchwarzMode::Serial;
     sim.timers.reset();
     for _ in 0..STEPS {
@@ -122,7 +124,7 @@ fn main() {
     }
     let real_serial = sim.timers.seconds(rbx::core::Phase::Pressure);
 
-    let mut sim = developed_box(5, 5);
+    let mut sim = developed_box(5, 1, 5);
     sim.cfg.schwarz_mode = SchwarzMode::Overlapped;
     sim.timers.reset();
     for _ in 0..STEPS {

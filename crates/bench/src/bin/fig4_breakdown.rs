@@ -21,7 +21,8 @@ fn main() {
     println!("Fig. 4 reproduction: wall-time distribution of one time step\n");
 
     // ---- measured ---------------------------------------------------------
-    let mut sim = developed_box(6, 10);
+    // The paper's linear coarse space (§5.3), not the solver default.
+    let mut sim = developed_box(6, 1, 10);
     sim.timers.reset();
     for _ in 0..60 {
         assert!(sim.step().converged);

@@ -30,7 +30,7 @@ fn main() {
         .unwrap_or(400);
     println!("Fig. 5 reproduction: lossy compression of a velocity field");
     println!("(developing the flow for {steps} steps first)\n");
-    let sim = developed_box(6, steps);
+    let sim = developed_box(6, 2, steps);
     let basis = ModalBasis::new(sim.cfg.order + 1);
     let field = &sim.state.u[2]; // vertical velocity (the convective field)
 

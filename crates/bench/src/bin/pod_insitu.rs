@@ -22,7 +22,7 @@ fn main() {
     println!("in-situ streaming POD (paper §5.2)\n");
 
     // ---- baseline: solver only -------------------------------------------
-    let mut sim = developed_box(5, 20);
+    let mut sim = developed_box(5, 2, 20);
     let t0 = std::time::Instant::now();
     for _ in 0..STEPS {
         assert!(sim.step().converged);
@@ -30,7 +30,7 @@ fn main() {
     let solver_only = t0.elapsed().as_secs_f64();
 
     // ---- solver + in-situ POD ---------------------------------------------
-    let mut sim = developed_box(5, 20);
+    let mut sim = developed_box(5, 2, 20);
     let n = sim.n_local();
     let weights = sim.geom.mass.clone();
     let comm = rbx::comm::SingleComm::new();

@@ -82,6 +82,7 @@ struct Args {
     gamma: f64,
     ra: f64,
     order: usize,
+    coarse_order: Option<usize>,
     dt: f64,
     steps: usize,
     ranks: usize,
@@ -132,6 +133,7 @@ fn parse_args() -> Args {
         gamma: 2.0,
         ra: 1e5,
         order: 5,
+        coarse_order: None,
         dt: 2e-3,
         steps: 300,
         ranks: 1,
@@ -167,6 +169,7 @@ fn parse_args() -> Args {
             "--gamma" => args.gamma = value(&flag, it),
             "--ra" => args.ra = value(&flag, it),
             "--order" => args.order = value(&flag, it),
+            "--coarse-order" => args.coarse_order = Some(value(&flag, it)),
             "--dt" => args.dt = value(&flag, it),
             "--steps" => args.steps = value(&flag, it),
             "--ranks" => args.ranks = value(&flag, it),
@@ -194,7 +197,8 @@ fn parse_args() -> Args {
             "--flight" => args.flight = value(&flag, it),
             "--help" | "-h" => {
                 println!(
-                    "flags: --case box|cylinder --gamma G --ra RA --order P --dt DT \
+                    "flags: --case box|cylinder --gamma G --ra RA --order P \
+                     --coarse-order N --dt DT \
                      --steps N --ranks N --analysis-ranks K --threads N --resolution R \
                      --sample-every N --checkpoint-every N \
                      --checkpoint-keep K --max-rollbacks N --dt-factor F \
@@ -213,10 +217,18 @@ fn parse_args() -> Args {
     if !args.dt.is_finite() || args.dt <= 0.0 {
         die("--dt must be a positive finite number");
     }
-    // The coarse level of the pressure preconditioner runs at order 1,
-    // strictly below the fine order.
+    // The coarse level of the pressure preconditioner needs a degree of
+    // at least 1, strictly below the fine order.
     if args.order < 2 {
         die("--order must be at least 2");
+    }
+    if let Some(c) = args.coarse_order {
+        if c < 1 || c >= args.order {
+            die(&format!(
+                "--coarse-order must be in 1..{} (below --order {})",
+                args.order, args.order
+            ));
+        }
     }
     if !(args.dt_factor > 0.0 && args.dt_factor < 1.0) {
         die("--dt-factor must be in (0, 1)");
@@ -1047,13 +1059,18 @@ fn main() {
         "cylinder" => rbx::core::rbc_cylinder_case(args.gamma, (args.resolution / 2).max(1), 1),
         other => die(&format!("unknown case {other:?} for --case (box|cylinder)")),
     };
-    let cfg = SolverConfig {
+    let mut cfg = SolverConfig {
         ra: args.ra,
         order: args.order,
         dt: args.dt,
         ic_noise: 0.05,
         ..Default::default()
     };
+    // Echo the coarse degree the solver runs, not the unclamped default.
+    cfg.coarse_order = args
+        .coarse_order
+        .unwrap_or(cfg.coarse_order)
+        .min(args.order - 1);
     // Every rank owns at least one element (the runner's repartitioner
     // balances them by its cost model).
     let nelem = case.mesh.num_elements();

@@ -23,14 +23,17 @@ pub fn leaked_sim(case: CaseSetup, cfg: SolverConfig) -> Simulation<'static> {
 }
 
 /// A developed laptop-scale RBC state: Γ = 2 box, Ra = 10⁵, run for
-/// `steps` time steps from the seeded initial condition.
-pub fn developed_box(order: usize, steps: usize) -> Simulation<'static> {
+/// `steps` time steps from the seeded initial condition, with the Schwarz
+/// coarse level at degree `coarse_order` (1 reproduces the paper's §5.3
+/// linear coarse space; the solver default is 2).
+pub fn developed_box(order: usize, coarse_order: usize, steps: usize) -> Simulation<'static> {
     let case = rbx::core::rbc_box_case(2.0, 3, 3, false, 1);
     let cfg = SolverConfig {
         ra: 1e5,
         order,
         dt: 2e-3,
         ic_noise: 0.05,
+        coarse_order,
         ..Default::default()
     };
     let mut sim = leaked_sim(case, cfg);
@@ -102,7 +105,7 @@ mod tests {
 
     #[test]
     fn developed_box_advances() {
-        let sim = developed_box(3, 3);
+        let sim = developed_box(3, 2, 3);
         assert_eq!(sim.state.istep, 3);
     }
 

@@ -2,8 +2,9 @@
 //! same per-rank body, so a tiny box run checkpoints the same bytes, writes
 //! the same observables header and emits one `kind: "summary"` record at
 //! `--ranks 1`, `--ranks 2` and `--ranks 1 --analysis-ranks 1`; a
-//! corrupt restart file falls back to the newest verified generation; an
-//! order the coarse level cannot sit below is a usage error.
+//! corrupt restart file falls back to the newest verified generation and
+//! is rejected once; an order the coarse level cannot sit below, or a
+//! coarse order outside `1..order`, is a usage error.
 
 use rbx::telemetry::json::Value;
 use std::path::{Path, PathBuf};
@@ -104,12 +105,17 @@ fn corrupt_restart_falls_back_to_the_newest_verified_generation() {
         .and_then(Value::as_arr)
         .expect("recovery_events array");
     let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).unwrap_or("").to_string();
-    assert!(
-        events
-            .iter()
-            .any(|e| field(e, "event") == "generation_rejected"
-                && field(e, "detail").contains("chk_0000000020.bpl")),
-        "no rejection of the corrupt restart file: {text}"
+    // Rejected once: the fallback walk does not read the file again.
+    let rejections = events
+        .iter()
+        .filter(|e| {
+            field(e, "event") == "generation_rejected"
+                && field(e, "detail").contains("chk_0000000020.bpl")
+        })
+        .count();
+    assert_eq!(
+        rejections, 1,
+        "the corrupt restart file must be rejected exactly once: {text}"
     );
     let anchor = events
         .iter()
@@ -128,8 +134,9 @@ fn corrupt_restart_falls_back_to_the_newest_verified_generation() {
 
 #[test]
 fn order_one_is_a_usage_error() {
-    // The coarse level of the pressure preconditioner runs at order 1, so
-    // the fine order must be at least 2: a usage error, not a panic.
+    // The coarse level of the pressure preconditioner needs degree ≥ 1
+    // below the fine order, so the fine order must be at least 2: a usage
+    // error, not a panic.
     let out = Command::new(env!("CARGO_BIN_EXE_run_dns"))
         .args(["--order", "1", "--steps", "1", "--resolution", "1"])
         .output()
@@ -137,4 +144,53 @@ fn order_one_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
     assert!(stderr.contains("--order must be at least 2"), "{stderr}");
+}
+
+/// `run_dns` on a one-element box at order 3 for one step with `extra`
+/// flags; returns the exit code, stdout and stderr.
+fn run_once(name: &str, extra: &[&str]) -> (Option<i32>, String, String) {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("run_dns_cli")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&out);
+    let res = Command::new(env!("CARGO_BIN_EXE_run_dns"))
+        .args(["--steps", "1", "--order", "3", "--resolution", "1"])
+        .args(["--threads", "1", "--out"])
+        .arg(&out)
+        .args(extra)
+        .output()
+        .expect("run_dns starts");
+    (
+        res.status.code(),
+        String::from_utf8_lossy(&res.stdout).into_owned(),
+        String::from_utf8_lossy(&res.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn coarse_order_flag_is_echoed_and_range_checked() {
+    let coarse_order = |stdout: &str| {
+        let line = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("config: "))
+            .expect("a config line");
+        let cfg = Value::parse(line).expect("config is JSON");
+        cfg.get("coarse_order").and_then(Value::as_u64)
+    };
+    // The paper's linear coarse space, and the default (degree 2).
+    let (code, stdout, stderr) = run_once("coarse_order_1", &["--coarse-order", "1"]);
+    assert_eq!(code, Some(0), "stderr:\n{stderr}");
+    assert_eq!(coarse_order(&stdout), Some(1), "{stdout}");
+    let (code, stdout, stderr) = run_once("coarse_order_default", &[]);
+    assert_eq!(code, Some(0), "stderr:\n{stderr}");
+    assert_eq!(coarse_order(&stdout), Some(2), "{stdout}");
+    // Outside 1 ≤ N < --order: a usage error.
+    for bad in ["0", "3"] {
+        let (code, _, stderr) = run_once("coarse_order_bad", &["--coarse-order", bad]);
+        assert_eq!(code, Some(2), "--coarse-order {bad}: stderr:\n{stderr}");
+        assert!(
+            stderr.contains("--coarse-order must be in 1..3"),
+            "{stderr}"
+        );
+    }
 }

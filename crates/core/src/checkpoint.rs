@@ -239,11 +239,7 @@ fn var_crc(v: &Variable) -> u64 {
         c.update(&d.to_le_bytes());
     }
     match &v.data {
-        VarData::F64(data) => {
-            for &x in data {
-                c.update(&x.to_le_bytes());
-            }
-        }
+        VarData::F64(data) => c.update_f64s(data),
         VarData::Bytes(data) => c.update(data),
     }
     c.finish()
@@ -347,15 +343,24 @@ fn verify_integrity(path: &Path, step: &StepData) -> Result<(), CheckpointError>
     Ok(())
 }
 
-// audit:allow(hot-alloc): restore path: runs once per restart, and the owned copy is the return contract
-fn take(path: &Path, step: &StepData, name: &str, n: usize) -> Result<Vec<f64>, CheckpointError> {
+/// Move the verified `f64` payload of variable `name` out of `step`.
+/// Each variable is taken at most once, so no payload is copied.
+// audit:allow(hot-alloc): restore path: runs once per restart; only the error values allocate
+fn take(
+    path: &Path,
+    step: &mut StepData,
+    name: &str,
+    n: usize,
+) -> Result<Vec<f64>, CheckpointError> {
     let v = step
-        .var(name)
+        .vars
+        .iter_mut()
+        .find(|v| v.name == name)
         .ok_or_else(|| CheckpointError::MissingVariable {
             path: path.to_path_buf(),
             name: name.to_string(),
         })?;
-    match &v.data {
+    match &mut v.data {
         VarData::F64(data) => {
             if data.len() != n {
                 return Err(CheckpointError::WrongLength {
@@ -371,7 +376,7 @@ fn take(path: &Path, step: &StepData, name: &str, n: usize) -> Result<Vec<f64>, 
                     name: name.to_string(),
                 });
             }
-            Ok(data.clone())
+            Ok(std::mem::take(data))
         }
         _ => Err(CheckpointError::WrongType {
             path: path.to_path_buf(),
@@ -548,7 +553,11 @@ fn scatter_elems(global: &mut [f64], local: &[f64], elems: &[usize], n_per: usiz
 }
 
 /// Extract this rank's element blocks from a global field.
-fn extract_elems(global: &[f64], elems: &[usize], n_per: usize) -> Vec<f64> {
+fn extract_elems(global: Vec<f64>, elems: &[usize], n_per: usize) -> Vec<f64> {
+    // A rank holding every element in global order keeps the field as is.
+    if elems.len() * n_per == global.len() && elems.iter().enumerate().all(|(i, &e)| i == e) {
+        return global;
+    }
     let mut out = Vec::with_capacity(elems.len() * n_per);
     for &ge in elems {
         out.extend_from_slice(&global[ge * n_per..(ge + 1) * n_per]);
@@ -728,7 +737,7 @@ pub fn write_checkpoint(sim: &Simulation<'_>, path: &Path) -> Result<(), Checkpo
 /// contract); when the stored space doesn't fit the restoring
 /// configuration it is cleared and rebuilds over a few solves.
 pub fn read_checkpoint(sim: &mut Simulation<'_>, path: &Path) -> Result<(), CheckpointError> {
-    let steps = read_bpl(path).map_err(|source| CheckpointError::Io {
+    let mut steps = read_bpl(path).map_err(|source| CheckpointError::Io {
         path: path.to_path_buf(),
         source,
     })?;
@@ -738,7 +747,7 @@ pub fn read_checkpoint(sim: &mut Simulation<'_>, path: &Path) -> Result<(), Chec
             count: steps.len(),
         });
     }
-    let step = &steps[0];
+    let step = &mut steps[0];
     verify_integrity(path, step)?;
 
     let n_per = sim.elem_layout.n_per;
@@ -756,7 +765,7 @@ pub fn read_checkpoint(sim: &mut Simulation<'_>, path: &Path) -> Result<(), Chec
     let mut new = FlowState::new(n);
     // Fields are stored globally; pull out this rank's element blocks.
     let my = sim.my_elems.clone();
-    let local = |g: Vec<f64>| extract_elems(&g, &my, n_per);
+    let local = |g: Vec<f64>| extract_elems(g, &my, n_per);
     for d in 0..3 {
         new.u[d] = local(take(path, step, &format!("u{d}"), nglob)?);
     }
@@ -958,8 +967,35 @@ impl CheckpointSet {
         sim: &mut Simulation<'_>,
         skip: usize,
     ) -> Result<RestoreOutcome, CheckpointError> {
+        self.restore_walk(sim, skip, None)
+    }
+
+    /// [`CheckpointSet::restore_latest`] that never reads `tried`: a file
+    /// the caller has already read and rejected (a `--restart` file that
+    /// lives in this directory), so it is neither read nor reported twice.
+    pub fn restore_latest_except(
+        &self,
+        sim: &mut Simulation<'_>,
+        tried: Option<&Path>,
+    ) -> Result<RestoreOutcome, CheckpointError> {
+        self.restore_walk(sim, 0, tried)
+    }
+
+    fn restore_walk(
+        &self,
+        sim: &mut Simulation<'_>,
+        skip: usize,
+        tried: Option<&Path>,
+    ) -> Result<RestoreOutcome, CheckpointError> {
+        let same = |a: &Path, b: &Path| match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+            (Ok(a), Ok(b)) => a == b,
+            _ => a == b,
+        };
         let mut rejected = Vec::new();
         for path in self.generations().into_iter().skip(skip) {
+            if tried.is_some_and(|t| same(t, &path)) {
+                continue;
+            }
             match read_checkpoint(sim, &path) {
                 Ok(()) => return Ok(RestoreOutcome { path, rejected }),
                 Err(e) => rejected.push((path, e)),

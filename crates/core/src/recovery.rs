@@ -469,7 +469,9 @@ impl ResilientRunner {
                             log_event(&sim, &mut report.events, ev);
                             // Without a generation to fall back to, the
                             // restart file's own rejection is the cause.
-                            if self.restore_newest(&mut sim, &mut report.events).is_err() {
+                            let newest =
+                                self.restore_newest(&mut sim, &mut report.events, Some(path));
+                            if newest.is_err() {
                                 return Err(SimError::Checkpoint(e));
                             }
                         }
@@ -481,7 +483,7 @@ impl ResilientRunner {
                 Some(t) => {
                     {
                         let _span = tel.span_abs("repartition/restore");
-                        self.restore_newest(&mut sim, &mut report.events)?;
+                        self.restore_newest(&mut sim, &mut report.events, None)?;
                     }
                     if let Some((from_ranks, dead)) = shrunk_from.take() {
                         tel.counter_add("rbx_recovery_shrink_total", 1);
@@ -557,15 +559,16 @@ impl ResilientRunner {
     }
 
     /// Restore the newest verified generation, logging every newer one it
-    /// had to reject.
+    /// had to reject; `tried` (an already rejected file) is not read again.
     fn restore_newest(
         &self,
         sim: &mut Simulation<'_>,
         events: &mut Vec<RecoveryEvent>,
+        tried: Option<&Path>,
     ) -> Result<(), SimError> {
         let outcome = self
             .checkpoints
-            .restore_latest(sim)
+            .restore_latest_except(sim, tried)
             .map_err(SimError::Checkpoint)?;
         for (path, error) in outcome.rejected {
             let error = error.to_string();

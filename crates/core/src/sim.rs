@@ -211,20 +211,20 @@ impl<'a> Simulation<'a> {
         let pool = WorkerPool::new(1);
         gs.set_pool(&pool);
         let fdm = ElementFdm::new(&geom);
-        let coarse =
-            CoarseGrid::build_with_order(mesh, p, cfg.coarse_order, part, &my_elems, &[], comm);
-        let mut schwarz = SchwarzMg::new(
+        // The coarse degree is clamped below the fine one, so every order
+        // the solver accepts runs with the default coarse space.
+        let coarse_p = cfg.coarse_order.min(p - 1);
+        let coarse = CoarseGrid::build_with_order(mesh, p, coarse_p, part, &my_elems, &[], comm);
+        let schwarz = SchwarzMg::new(
             fdm,
             coarse,
             gs.clone(),
             &mult,
             mask_p.clone(),
-            &geom.mass,
             1.0,
             0.0,
             &pool,
         );
-        schwarz.set_elem_layout(elem_layout.clone());
 
         let diag_a = assembled_diagonal(&geom, &gs, 1.0, 0.0, comm);
         let diag_b = assembled_diagonal(&geom, &gs, 0.0, 1.0, comm);

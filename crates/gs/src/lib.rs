@@ -29,6 +29,7 @@ use rbx_device::{loop_chunk, RangePtr, WorkerPool};
 use rbx_mesh::topology::{classify_node, NodeClass, HEX_EDGES, HEX_FACES};
 use rbx_mesh::HexMesh;
 use rbx_telemetry::Telemetry;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{OnceLock, PoisonError, RwLock};
 
@@ -37,6 +38,14 @@ use std::sync::{OnceLock, PoisonError, RwLock};
 /// core hosts: a group is a few loads and adds, so the loop needs
 /// thousands of groups to amortize the fixed ~10 µs pool wake.
 const GS_GROUPS: usize = 2048;
+
+thread_local! {
+    /// Per-group reduction values of one apply, reused across applies. It
+    /// lives in a thread-local, not in the operator: the operator is shared
+    /// behind an `Arc`, and the overlapped Schwarz mode applies the fine
+    /// and the coarse gather-scatter on two threads at once.
+    static GROUP_VALUES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Reduction operator applied across nodes sharing a global id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,6 +149,66 @@ fn face_key(cycle: [u64; 4], a: usize, b: usize, p: usize) -> Key {
     Key::Face(cycle[m], cycle[nxt], cycle[diag], ca as u16, cb as u16)
 }
 
+/// Key of the non-interior node `(i, j, k)` of global element `ge` at
+/// degree `p`; `None` for element-interior nodes, which no other element
+/// shares.
+fn node_key(mesh: &HexMesh, p: usize, ge: usize, i: usize, j: usize, k: usize) -> Option<Key> {
+    match classify_node(i, j, k, p) {
+        NodeClass::Interior => None,
+        NodeClass::Vertex(v) => Some(Key::Vertex(mesh.elems[ge][v] as u64)),
+        NodeClass::Edge { edge, t } => {
+            let (a, b) = HEX_EDGES[edge];
+            let va = mesh.elems[ge][a] as u64;
+            let vb = mesh.elems[ge][b] as u64;
+            let (vmin, vmax, tt) = if va < vb {
+                (va, vb, t)
+            } else {
+                (vb, va, p - t)
+            };
+            Some(Key::Edge(vmin, vmax, tt as u16))
+        }
+        NodeClass::Face { face, a, b } => {
+            let mut cycle = [0u64; 4];
+            for (slot, &lv) in HEX_FACES[face].iter().enumerate() {
+                cycle[slot] = mesh.elems[ge][lv] as u64;
+            }
+            Some(face_key(cycle, a, b, p))
+        }
+    }
+}
+
+/// Global node numbering of the whole mesh at degree `p`: the id of node
+/// `i + n·(j + n·k)` of global element `e` (`n = p + 1`) is entry
+/// `e·n³ + i + n·(j + n·k)` of the returned vector, and ids run over
+/// `0..count`. Ids are handed out in global (element, node) scan order,
+/// so every rank that holds the mesh derives the same numbering without
+/// communication. Coincident nodes share an id exactly when the
+/// gather-scatter groups them.
+pub fn global_numbering(mesh: &HexMesh, p: usize) -> (Vec<usize>, usize) {
+    let n = p + 1;
+    let nn = n * n * n;
+    let mut ids = Vec::with_capacity(mesh.num_elements() * nn);
+    let mut seen: HashMap<Key, usize> = HashMap::new();
+    let mut count = 0;
+    for ge in 0..mesh.num_elements() {
+        for k in 0..n {
+            for j in 0..n {
+                for i in 0..n {
+                    let id = match node_key(mesh, p, ge, i, j, k) {
+                        Some(key) => *seen.entry(key).or_insert(count),
+                        None => count,
+                    };
+                    if id == count {
+                        count += 1;
+                    }
+                    ids.push(id);
+                }
+            }
+        }
+    }
+    (ids, count)
+}
+
 /// A built gather-scatter operator for one rank's elements.
 pub struct GatherScatter {
     /// Local node count (`nelv_local · (p+1)³`).
@@ -209,31 +278,7 @@ impl GatherScatter {
         let nn = n * n * n;
         let n_local = my_elems.len() * nn;
 
-        // Key of every non-interior node of a (global) element.
-        let node_key = |ge: usize, i: usize, j: usize, k: usize| -> Option<Key> {
-            match classify_node(i, j, k, p) {
-                NodeClass::Interior => None,
-                NodeClass::Vertex(v) => Some(Key::Vertex(mesh.elems[ge][v] as u64)),
-                NodeClass::Edge { edge, t } => {
-                    let (a, b) = HEX_EDGES[edge];
-                    let va = mesh.elems[ge][a] as u64;
-                    let vb = mesh.elems[ge][b] as u64;
-                    let (vmin, vmax, tt) = if va < vb {
-                        (va, vb, t)
-                    } else {
-                        (vb, va, p - t)
-                    };
-                    Some(Key::Edge(vmin, vmax, tt as u16))
-                }
-                NodeClass::Face { face, a, b } => {
-                    let mut cycle = [0u64; 4];
-                    for (slot, &lv) in HEX_FACES[face].iter().enumerate() {
-                        cycle[slot] = mesh.elems[ge][lv] as u64;
-                    }
-                    Some(face_key(cycle, a, b, p))
-                }
-            }
-        };
+        let node_key = |ge: usize, i: usize, j: usize, k: usize| node_key(mesh, p, ge, i, j, k);
 
         // 1. Group local boundary nodes by key.
         let mut local_groups: BTreeMap<Key, Vec<u32>> = BTreeMap::new();
@@ -467,8 +512,13 @@ impl GatherScatter {
         }
         let tel = self.tel();
         let ngroups = self.num_groups();
-        // audit:allow(hot-alloc): per-apply group buffer — hoisting it into self would need interior mutability on a handle shared across threads (Schwarz overlap); one ngroups vec amortizes over the whole reduce+scatter
-        let mut gval = vec![0.0; ngroups];
+        // Phase 1 writes every slot, so the reused buffer is never cleared;
+        // it only grows, to the largest operator applied on this thread.
+        let mut buf = GROUP_VALUES.with(|c| std::mem::take(&mut *c.borrow_mut()));
+        if buf.len() < ngroups {
+            buf.resize(ngroups, 0.0);
+        }
+        let gval = &mut buf[..ngroups];
 
         // Read once per apply; a concurrent `set_pool` waits for it.
         let pool = self.pool.read().unwrap_or_else(PoisonError::into_inner);
@@ -480,7 +530,7 @@ impl GatherScatter {
         // so the result bits do not depend on the thread count.
         {
             let _g = tel.map(|t| t.span_abs("pool/gs"));
-            let gp = RangePtr::new(&mut gval);
+            let gp = RangePtr::new(gval);
             pool.for_each_range_min(ngroups, chunk, GS_GROUPS, |g0, g1| {
                 // SAFETY: chunk ranges of the group index are pairwise
                 // disjoint, so each gval slot has exactly one writer.
@@ -582,7 +632,7 @@ impl GatherScatter {
         // scatter writes of parallel group chunks never alias.
         let _g = tel.map(|t| t.span_abs("pool/gs"));
         let up = RangePtr::new(u);
-        let gv = &gval;
+        let gv = &*gval;
         pool.for_each_range_min(ngroups, chunk, GS_GROUPS, |g0, g1| {
             for gi in g0..g1 {
                 let lo = self.group_ptr[gi] as usize;
@@ -594,6 +644,7 @@ impl GatherScatter {
                 }
             }
         });
+        GROUP_VALUES.with(|c| *c.borrow_mut() = buf);
         Ok(())
     }
 

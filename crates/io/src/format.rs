@@ -15,7 +15,7 @@
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"BPL1";
@@ -151,7 +151,7 @@ fn need(buf: &impl Buf, bytes: usize, what: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-fn decode_step(buf: &mut impl Buf) -> std::io::Result<StepData> {
+fn decode_step(buf: &mut &[u8]) -> std::io::Result<StepData> {
     need(buf, 1 + 8 + 8 + 4, "step header")?;
     let marker = buf.get_u8();
     if marker != STEP_MARKER {
@@ -189,10 +189,16 @@ fn decode_step(buf: &mut impl Buf) -> std::io::Result<StepData> {
                         "f64 variable {name:?} payload length {payload_len} not a multiple of 8"
                     )));
                 }
-                let mut v = Vec::with_capacity(payload_len / 8);
-                for _ in 0..payload_len / 8 {
-                    v.push(buf.get_f64_le());
-                }
+                let (payload, rest) = buf.split_at(payload_len);
+                *buf = rest;
+                let v = payload
+                    .chunks_exact(8)
+                    .map(|b| {
+                        let mut le = [0u8; 8];
+                        le.copy_from_slice(b);
+                        f64::from_le_bytes(le)
+                    })
+                    .collect();
                 VarData::F64(v)
             }
             1 => {
@@ -265,8 +271,7 @@ impl BplReader {
     /// bad magic, unknown dtypes — is a descriptive
     /// [`std::io::ErrorKind::InvalidData`] error, never a panic.
     pub fn open(path: &Path) -> std::io::Result<Self> {
-        let mut raw = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut raw)?;
+        let raw = std::fs::read(path)?;
         if raw.len() < 4 || &raw[..4] != MAGIC {
             return Err(malformed(format!(
                 "{}: not a BPL file (bad magic)",

@@ -4,7 +4,8 @@
 //! analytically from the tensor-product structure (no operator probes),
 //! then assembled with a gather-scatter `Add`. This is the "element-wise
 //! block Jacobi" preconditioner the paper uses for the velocity and
-//! temperature Helmholtz solves and inside the coarse-grid PCG.
+//! temperature Helmholtz solves (and inside its coarse-grid PCG, which
+//! this code replaces with an exact solve).
 
 use rbx_comm::Communicator;
 use rbx_gs::{GatherScatter, GsOp};

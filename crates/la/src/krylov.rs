@@ -271,8 +271,8 @@ pub fn pcg(
 /// Flexible GMRES with restart length `m` and right preconditioning.
 ///
 /// Flexibility (storing the preconditioned directions) permits a
-/// preconditioner that is itself an inner iteration — exactly the hybrid
-/// Schwarz preconditioner whose coarse level runs a fixed-iteration PCG.
+/// preconditioner that varies between applies — the paper's hybrid
+/// Schwarz preconditioner, whose coarse level runs a fixed-iteration PCG.
 #[allow(clippy::too_many_arguments)]
 pub fn fgmres(
     mut op: impl FnMut(&[f64], &mut [f64]),

@@ -20,14 +20,18 @@
 //! * [`jacobi`] — the assembled-diagonal (block-Jacobi in Nek parlance)
 //!   preconditioner;
 //! * [`fdm`] — element-local fast diagonalization solves;
-//! * [`coarse`] — the linear-element coarse-grid problem solved with a
-//!   fixed-iteration block-Jacobi PCG (paper §5.3, ≈10 iterations);
+//! * [`coarse`] — the low-degree coarse-grid problem (degree 2 by default;
+//!   the paper's §5.3 uses linear elements), solved exactly with a
+//!   Cholesky factor built once at set-up;
+//! * [`cholesky`] — the sparse Cholesky factorisation and the
+//!   nested-dissection ordering behind it;
 //! * [`schwarz`] — the two-level additive Schwarz preconditioner
 //!   `M⁻¹ = R₀ᵀA₀⁻¹R₀ + Σ RᵏᵀÃᵏ⁻¹Rᵏ` (paper Eq. 3), in both the serial
 //!   and the **task-overlapped** formulation that runs the coarse solve
 //!   concurrently with the fine-level local solves.
 
 pub mod bc;
+pub mod cholesky;
 pub mod coarse;
 pub mod error;
 pub mod fdm;

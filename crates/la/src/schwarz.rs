@@ -6,13 +6,18 @@
 //! The fine term solves each element with the fast diagonalization method
 //! (natural boundary conditions, constant mode pseudo-inverted) and
 //! restores continuity by weighted gather-scatter averaging; the coarse
-//! term restricts to linear elements and runs the fixed-iteration
-//! block-Jacobi PCG of [`CoarseGrid`].
+//! term restricts to a low-degree copy of the mesh and solves it exactly
+//! with the factor [`CoarseGrid`] builds once (one allreduce per apply).
+//!
+//! On the pure-Neumann pressure problem the output keeps whatever
+//! constant the two terms produce: `A·1 = 0`, so a constant in `M⁻¹ r`
+//! changes no Krylov residual, and the caller removes the mean from the
+//! solution once per solve. That keeps the apply at one global reduction.
 //!
 //! The two terms are independent, which is the insight behind the paper's
 //! §5.3 innovation: "exploit the available task-parallelism and launch the
 //! left and the right part of (3) in parallel". [`SchwarzMode::Overlapped`]
-//! runs the coarse-grid solve (communication-heavy, many small kernels) on
+//! runs the coarse-grid solve (its reduction and its small kernels) on
 //! a separate thread concurrently with the element-local FDM sweep
 //! (compute-heavy, no communication) — the CPU equivalent of the paper's
 //! dual-stream, dual-OpenMP-thread formulation, with identical numerics:
@@ -20,7 +25,7 @@
 
 use crate::coarse::CoarseGrid;
 use crate::fdm::ElementFdm;
-use crate::ops::{hadamard, ortho_project_mean, ortho_project_mean_layout, ElemLayout};
+use crate::ops::hadamard;
 use rbx_comm::Communicator;
 use rbx_device::WorkerPool;
 use rbx_gs::{GatherScatter, GsOp};
@@ -46,7 +51,7 @@ pub enum SchwarzMode {
 pub struct SchwarzMg {
     /// Element-local fast-diagonalization solver (fine level).
     pub fdm: ElementFdm,
-    /// Linear-element coarse level.
+    /// Coarse level.
     pub coarse: CoarseGrid,
     /// Fine-level gather-scatter (for the weighted averaging of the local
     /// solves).
@@ -55,8 +60,6 @@ pub struct SchwarzMg {
     wt: Vec<f64>,
     /// Fine-level Dirichlet mask.
     mask: Vec<f64>,
-    /// Fine-level mass × inverse multiplicity (mean projection weights).
-    bw: Vec<f64>,
     /// Stiffness coefficient of the preconditioned operator.
     pub h1: f64,
     /// Mass coefficient of the preconditioned operator.
@@ -66,9 +69,6 @@ pub struct SchwarzMg {
     /// Worker pool for the fine-level FDM sweep and, in overlapped mode,
     /// the coarse∥fine pairing on its helper thread.
     pool: WorkerPool,
-    /// Optional fine element layout: when set, the final Neumann mean
-    /// projection reduces canonically (rank-count-invariant bits).
-    elem_layout: Option<Arc<ElemLayout>>,
 }
 
 impl SchwarzMg {
@@ -80,7 +80,6 @@ impl SchwarzMg {
     /// * `gs` — the fine-level gather-scatter;
     /// * `mult` — fine-node multiplicities;
     /// * `mask` — fine-level Dirichlet mask;
-    /// * `mass` — fine diagonal mass (for the Neumann mean projection);
     /// * `(h1, h2)` — coefficients of the operator being preconditioned;
     /// * `pool` — where the fine sweep runs (`WorkerPool::new(1)` for one
     ///   thread; the bits do not depend on the thread count).
@@ -91,33 +90,22 @@ impl SchwarzMg {
         gs: Arc<GatherScatter>,
         mult: &[f64],
         mask: Vec<f64>,
-        mass: &[f64],
         h1: f64,
         h2: f64,
         pool: &WorkerPool,
     ) -> Self {
         let wt: Vec<f64> = mult.iter().map(|&m| 1.0 / m).collect();
-        let bw: Vec<f64> = mass.iter().zip(&wt).map(|(b, w)| b * w).collect();
         Self {
             fdm,
             coarse,
             gs,
             wt,
             mask,
-            bw,
             h1,
             h2,
             tel: Telemetry::disabled(),
             pool: pool.clone(),
-            elem_layout: None,
         }
-    }
-
-    /// Attach the fine element layout so the final Neumann mean projection
-    /// reduces canonically — required for the elastic-restart contract
-    /// (identical preconditioner bits on every rank count).
-    pub fn set_elem_layout(&mut self, layout: Arc<ElemLayout>) {
-        self.elem_layout = Some(layout);
     }
 
     /// Replace the worker pool the fine-level FDM sweep (and, in
@@ -159,8 +147,8 @@ impl SchwarzMg {
         let tel = &self.tel;
         let rw_ref = &rw;
         let zc = &mut z_coarse;
-        // Coarse task: restriction → fixed-iteration PCG (with its
-        // allreduces) → prolongation.
+        // Coarse task: restriction → exact solve (one allreduce) →
+        // prolongation.
         let mut coarse_task = move || {
             let _g = tel.span_abs("schwarz/coarse");
             coarse.correct_add(rw_ref, zc, comm);
@@ -196,12 +184,6 @@ impl SchwarzMg {
             z[i] = z_coarse[i] + z_fine[i];
         }
         hadamard(&self.mask, z);
-        if self.coarse.neumann {
-            match &self.elem_layout {
-                Some(l) => ortho_project_mean_layout(z, &self.bw, l, comm),
-                None => ortho_project_mean(z, &self.bw, comm),
-            }
-        }
     }
 }
 
@@ -252,7 +234,6 @@ mod tests {
             gs.clone(),
             &mult,
             mask.clone(),
-            &geom.mass,
             1.0,
             0.0,
             &WorkerPool::new(1),
@@ -503,17 +484,7 @@ mod tests {
             let fdm = ElementFdm::new(&geom);
             let coarse = CoarseGrid::build(mesh_ref, p, part_ref, my, &ALL_WALLS, comm);
             let pool = WorkerPool::new(1);
-            let schwarz = SchwarzMg::new(
-                fdm,
-                coarse,
-                gs.clone(),
-                &mult,
-                mask,
-                &geom.mass,
-                1.0,
-                0.0,
-                &pool,
-            );
+            let schwarz = SchwarzMg::new(fdm, coarse, gs.clone(), &mult, mask, 1.0, 0.0, &pool);
             let r: Vec<f64> = my
                 .iter()
                 .flat_map(|&ge| r_global[ge * n_per..(ge + 1) * n_per].to_vec())

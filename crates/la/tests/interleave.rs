@@ -74,7 +74,6 @@ fn every_interleaving_of_overlapped_schwarz_is_bitwise_identical() {
         gs.clone(),
         &mult,
         mask.clone(),
-        &geom.mass,
         1.0,
         0.0,
         &rbx_device::WorkerPool::new(1),

@@ -158,6 +158,14 @@ impl Telemetry {
         }
     }
 
+    /// Record one call of `path` that took `seconds`, timed before the
+    /// handle was attached (a set-up stage). No-op when disabled.
+    pub fn record_span(&self, path: &str, seconds: f64) {
+        if self.is_enabled() {
+            self.inner.tracer.record_at(path, seconds);
+        }
+    }
+
     /// Add to a counter metric (gated).
     #[inline]
     pub fn counter_add(&self, name: &str, v: u64) {

@@ -76,6 +76,10 @@ pub const SPANS: &[SpanDef] = &[
         help: "coarse-to-fine prolongation transfer",
     },
     SpanDef {
+        path: "coarse/factor",
+        help: "coarse-grid set-up: global numbering, nested-dissection ordering, assembly and Cholesky factorisation (once per Simulation)",
+    },
+    SpanDef {
         path: "schwarz/gs",
         help: "weighted gather-scatter averaging after the overlap joins",
     },

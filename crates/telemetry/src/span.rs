@@ -144,6 +144,15 @@ impl SpanTracer {
         }
     }
 
+    /// Record one completed call of an absolute `path` that was timed
+    /// elsewhere.
+    pub fn record_at(&self, path: &str, seconds: f64) {
+        let mut st = self.lock();
+        let agg = st.agg.entry(path.to_string()).or_default();
+        agg.calls += 1;
+        agg.seconds += seconds;
+    }
+
     /// Total seconds recorded under an exact path.
     pub fn seconds(&self, path: &str) -> f64 {
         self.lock().agg.get(path).map_or(0.0, |a| a.seconds)
