@@ -70,27 +70,52 @@ pub fn phys_grad(
 /// reference derivatives of its values `ue` combined through the
 /// inverse-map metrics into `g`.
 fn elem_grad(geom: &GeomFactors, base: usize, ue: &[f64], g: [&mut [f64]; 3], s: &mut DiffScratch) {
+    ref_derivs(geom, ue, s);
+    for (c, gc) in g.into_iter().enumerate() {
+        combine_component(geom, base, c, gc, s);
+    }
+}
+
+/// Component `c` of the physical gradient of the element whose nodes
+/// start at `base` — the same bits [`phys_grad`] writes there — for
+/// callers that need one component of a few elements.
+pub(crate) fn elem_grad_component(
+    geom: &GeomFactors,
+    base: usize,
+    ue: &[f64],
+    c: usize,
+    gc: &mut [f64],
+    s: &mut DiffScratch,
+) {
+    ref_derivs(geom, ue, s);
+    combine_component(geom, base, c, gc, s);
+}
+
+/// The three reference derivatives of one element's values into `s`.
+fn ref_derivs(geom: &GeomFactors, ue: &[f64], s: &mut DiffScratch) {
     let n = geom.nx1;
     let nn = n * n * n;
-    let end = base + nn;
     s.ur.resize(nn, 0.0);
     s.us.resize(nn, 0.0);
     s.ut.resize(nn, 0.0);
     deriv_x(&geom.d, ue, &mut s.ur, n);
     deriv_y(&geom.d, ue, &mut s.us, n);
     deriv_z(&geom.d, ue, &mut s.ut, n);
+}
+
+/// Physical component `c` from the reference derivatives in `s`.
+fn combine_component(geom: &GeomFactors, base: usize, c: usize, gc: &mut [f64], s: &DiffScratch) {
+    let end = base + s.ur.len();
     let dr = &geom.dr;
-    for (c, gc) in g.into_iter().enumerate() {
-        simd::combine3(
-            gc,
-            &dr[c][base..end],
-            &s.ur,
-            &dr[3 + c][base..end],
-            &s.us,
-            &dr[6 + c][base..end],
-            &s.ut,
-        );
-    }
+    simd::combine3(
+        gc,
+        &dr[c][base..end],
+        &s.ur,
+        &dr[3 + c][base..end],
+        &s.us,
+        &dr[6 + c][base..end],
+        &s.ut,
+    );
 }
 
 /// Pooled [`phys_grad`]: element chunks self-schedule across the pool's

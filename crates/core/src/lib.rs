@@ -36,7 +36,8 @@ pub mod timers;
 
 pub use case::{rbc_box_case, rbc_cylinder_case, CaseSetup};
 pub use checkpoint::{
-    read_checkpoint, write_checkpoint, CheckpointError, CheckpointSet, RestoreOutcome,
+    read_checkpoint, write_checkpoint, CheckpointError, CheckpointSet, DurableGeneration,
+    RestoreOutcome,
 };
 pub use config::SolverConfig;
 pub use diffops::Dealias;

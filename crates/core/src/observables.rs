@@ -6,7 +6,7 @@
 //! plate-averaged conductive flux — whose agreement in a statistically
 //! steady state is the standard resolution check in RBC studies.
 
-use crate::diffops::{phys_grad, pointwise_divergence, DiffScratch};
+use crate::diffops::{elem_grad_component, phys_grad, pointwise_divergence, DiffScratch};
 use rbx_comm::{allreduce_scalar, allreduce_scalar_max, Communicator};
 use rbx_mesh::topology::face_to_volume;
 use rbx_mesh::{BoundaryTag, GeomFactors, HexMesh};
@@ -60,28 +60,37 @@ impl<'a> Observables<'a> {
     /// `Nu = ∓⟨∂T/∂z⟩_plate` (− on the hot bottom wall, + on the cold top
     /// wall, where the non-dimensional conductive profile has slope −1).
     pub fn nusselt_wall(&self, t: &[f64], tag: BoundaryTag, comm: &dyn Communicator) -> f64 {
-        let ntot = self.geom.total_nodes();
-        let mut gx = vec![0.0; ntot];
-        let mut gy = vec![0.0; ntot];
-        let mut gz = vec![0.0; ntot];
-        let mut scratch = DiffScratch::default();
-        phys_grad(self.geom, t, &mut gx, &mut gy, &mut gz, &mut scratch);
-
         let n = self.geom.nx1;
         let nn = n * n * n;
+        // ∂T/∂z of the elements that touch the plate, one at a time: the
+        // gradient is element-local, so these are the full gradient's bits.
+        let mut gz = vec![0.0; nn];
+        let mut scratch = DiffScratch::default();
         let mut flux = 0.0;
         let mut area = 0.0;
         for (le, &ge) in self.my_elems.iter().enumerate() {
-            for f in 0..6 {
-                if self.mesh.face_tags[ge][f] != tag {
+            let tags = &self.mesh.face_tags[ge];
+            if !tags.contains(&tag) {
+                continue;
+            }
+            let base = le * nn;
+            elem_grad_component(
+                self.geom,
+                base,
+                &t[base..base + nn],
+                2,
+                &mut gz,
+                &mut scratch,
+            );
+            for (f, &face_tag) in tags.iter().enumerate() {
+                if face_tag != tag {
                     continue;
                 }
                 let w = self.geom.face_area_weights(le, f);
                 for b in 0..n {
                     for a in 0..n {
                         let (i, j, k) = face_to_volume(f, a, b, self.geom.p);
-                        let idx = le * nn + i + n * (j + n * k);
-                        flux += w[a + n * b] * gz[idx];
+                        flux += w[a + n * b] * gz[i + n * (j + n * k)];
                         area += w[a + n * b];
                     }
                 }
@@ -264,6 +273,71 @@ mod tests {
         let nu_cold = obs.nusselt_wall(&t, BoundaryTag::ColdWall, &comm);
         assert!((nu_hot - 1.0).abs() < 1e-10, "hot Nu {nu_hot}");
         assert!((nu_cold - 1.0).abs() < 1e-10, "cold Nu {nu_cold}");
+    }
+
+    /// The plate Nusselt number from the full three-component gradient
+    /// of every element: the reference the wall-only path must match.
+    fn nusselt_wall_full_gradient(
+        geom: &GeomFactors,
+        mesh: &HexMesh,
+        my: &[usize],
+        t: &[f64],
+        tag: BoundaryTag,
+    ) -> f64 {
+        let ntot = geom.total_nodes();
+        let (mut gx, mut gy, mut gz) = (vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]);
+        phys_grad(
+            geom,
+            t,
+            &mut gx,
+            &mut gy,
+            &mut gz,
+            &mut DiffScratch::default(),
+        );
+        let n = geom.nx1;
+        let nn = n * n * n;
+        let (mut flux, mut area) = (0.0, 0.0);
+        for (le, &ge) in my.iter().enumerate() {
+            for f in 0..6 {
+                if mesh.face_tags[ge][f] != tag {
+                    continue;
+                }
+                let w = geom.face_area_weights(le, f);
+                for b in 0..n {
+                    for a in 0..n {
+                        let (i, j, k) = face_to_volume(f, a, b, geom.p);
+                        flux += w[a + n * b] * gz[le * nn + i + n * (j + n * k)];
+                        area += w[a + n * b];
+                    }
+                }
+            }
+        }
+        -(flux / area)
+    }
+
+    #[test]
+    fn wall_nusselt_is_bitwise_the_full_gradient_result() {
+        use rbx_mesh::cylinder::{cylinder_mesh, CylinderParams};
+        let comm = SingleComm::new();
+        let meshes = [
+            box_mesh(3, 2, 2, [0., 2.], [0., 1.], [0., 1.], false, false),
+            cylinder_mesh(CylinderParams::default()),
+        ];
+        for mesh in &meshes {
+            let geom = GeomFactors::new(mesh, 4);
+            let my: Vec<usize> = (0..mesh.num_elements()).collect();
+            let obs = Observables::new(&geom, mesh, &my);
+            let [x, y, z] = &geom.coords;
+            let t: Vec<f64> = (0..geom.total_nodes())
+                .map(|i| 0.5 - z[i] + 0.1 * (3.0 * x[i]).sin() * (2.0 * y[i] + z[i]).cos())
+                .collect();
+            for tag in [BoundaryTag::HotWall, BoundaryTag::ColdWall] {
+                let got = obs.nusselt_wall(&t, tag, &comm);
+                let want = nusselt_wall_full_gradient(&geom, mesh, &my, &t, tag);
+                assert!(got.is_finite());
+                assert_eq!(got.to_bits(), want.to_bits(), "{tag:?}: {got} vs {want}");
+            }
+        }
     }
 
     #[test]

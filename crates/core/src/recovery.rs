@@ -79,14 +79,15 @@ impl Default for RecoveryPolicy {
 /// One entry in the recovery loop's structured event log.
 #[derive(Debug)]
 pub enum RecoveryEvent {
-    /// A checkpoint generation was written (and pruned into rotation).
+    /// A checkpoint generation is durable (and pruned into rotation).
     CheckpointWritten {
         /// Step the checkpoint captures.
         istep: usize,
         /// Where it was written.
         path: PathBuf,
-        /// Wall-clock seconds the write took (input to the
-        /// checkpoint-latency-growth health detector).
+        /// Wall-clock seconds from the hand-off to the writer until the
+        /// generation was durable (input to the checkpoint-latency-growth
+        /// health detector).
         write_s: f64,
     },
     /// A checkpoint write failed; the run continued on older generations.
@@ -561,11 +562,12 @@ impl ResilientRunner {
     /// Restore the newest verified generation, logging every newer one it
     /// had to reject; `tried` (an already rejected file) is not read again.
     fn restore_newest(
-        &self,
+        &mut self,
         sim: &mut Simulation<'_>,
         events: &mut Vec<RecoveryEvent>,
         tried: Option<&Path>,
     ) -> Result<(), SimError> {
+        let _ = self.settle_checkpoint(sim, events);
         let outcome = self
             .checkpoints
             .restore_latest_except(sim, tried)
@@ -582,8 +584,23 @@ impl ResilientRunner {
     }
 
     /// The step loop of one partition. Appends to `report`; the rollback
-    /// budget is this segment's own.
+    /// budget is this segment's own. Returns only after the last
+    /// checkpoint generation has settled and been logged.
     fn segment(
+        &mut self,
+        sim: &mut Simulation<'_>,
+        target_step: usize,
+        report: &mut RunReport,
+        on_step: impl FnMut(&Simulation<'_>, &StepStats),
+    ) -> Result<(), SimError> {
+        let result = self.step_loop(sim, target_step, report, on_step);
+        // A failure of the last generation degrades rotation depth like a
+        // mid-run one: logged, not fatal.
+        let _ = self.settle_checkpoint(sim, &mut report.events);
+        result
+    }
+
+    fn step_loop(
         &mut self,
         sim: &mut Simulation<'_>,
         target_step: usize,
@@ -595,10 +612,12 @@ impl ResilientRunner {
         let mut skip_escalation = 0usize;
         let mut last_divergence_step: Option<usize> = None;
 
-        // Anchor checkpoint: the first rollback needs a target even if the
-        // very first step diverges. Failure here is fatal — a run that
-        // cannot write its anchor has no recovery story at all.
+        // Anchor checkpoint, settled before the first step: the first
+        // rollback needs a target even if the very first step diverges.
+        // Failure here is fatal — a run that cannot write its anchor has
+        // no recovery story at all.
         self.checkpoint_now(sim, events)?;
+        self.settle_checkpoint(sim, events)?;
         while sim.state.istep < target_step {
             let next = sim.state.istep + 1;
             self.faults.before_step(sim, next);
@@ -673,6 +692,9 @@ impl ResilientRunner {
                         last_divergence_step = Some(istep);
                     }
                     let from_step = istep;
+                    // The generation in flight lands (and is logged) before
+                    // the restore reads the set.
+                    let _ = self.settle_checkpoint(sim, events);
                     let outcome = match self.checkpoints.restore_skipping(sim, skip_escalation) {
                         Ok(o) => o,
                         Err(e) => {
@@ -806,60 +828,77 @@ impl ResilientRunner {
         })
     }
 
-    /// Write a checkpoint generation now, honoring any armed write-fault,
-    /// and record the outcome.
+    /// Hand a checkpoint generation to the set now, honoring any armed
+    /// write-fault. The previous generation is settled and logged first,
+    /// so a failure this returns is this generation's own; its success is
+    /// logged when it settles.
     fn checkpoint_now(
         &mut self,
         sim: &Simulation<'_>,
         events: &mut Vec<RecoveryEvent>,
     ) -> Result<(), CheckpointError> {
+        let _ = self.settle_checkpoint(sim, events);
         let istep = sim.state.istep;
-        if let Some(source) = self.faults.take_write_failure(istep) {
-            let err = CheckpointError::Io {
+        let result = match self.faults.take_write_failure(istep) {
+            Some(source) => Err(CheckpointError::Io {
                 path: self.checkpoints.path_for_step(istep),
                 source,
-            };
-            log_event(
-                sim,
-                events,
-                RecoveryEvent::CheckpointWriteFailed {
-                    istep,
-                    error: err.to_string(),
-                },
-            );
-            return Err(err);
+            }),
+            None => self.checkpoints.write(sim).map(|_| ()),
+        };
+        if let Err(e) = &result {
+            log_write_failed(sim, events, istep, e);
         }
-        let write_start = std::time::Instant::now();
-        match self.checkpoints.write(sim) {
-            Ok(path) => {
-                let write_s = write_start.elapsed().as_secs_f64();
+        result
+    }
+
+    /// Wait for the generation in flight and log how it ended:
+    /// `checkpoint_written` once it is durable — after the fault plan's
+    /// corrupt-after-write hook has had its chance at the file — or
+    /// `checkpoint_write_failed`.
+    fn settle_checkpoint(
+        &mut self,
+        sim: &Simulation<'_>,
+        events: &mut Vec<RecoveryEvent>,
+    ) -> Result<(), CheckpointError> {
+        match self.checkpoints.settle() {
+            Ok(None) => Ok(()),
+            Ok(Some(g)) => {
                 sim.tel
-                    .histogram_observe("rbx_checkpoint_write_seconds", write_s);
-                self.faults.after_checkpoint_write(istep, &path);
-                log_event(
-                    sim,
-                    events,
-                    RecoveryEvent::CheckpointWritten {
-                        istep,
-                        path,
-                        write_s,
-                    },
-                );
+                    .histogram_observe("rbx_checkpoint_write_seconds", g.write_s);
+                self.faults.after_checkpoint_write(g.istep, &g.path);
+                let ev = RecoveryEvent::CheckpointWritten {
+                    istep: g.istep,
+                    path: g.path,
+                    write_s: g.write_s,
+                };
+                log_event(sim, events, ev);
                 Ok(())
             }
             Err(e) => {
-                log_event(
-                    sim,
-                    events,
-                    RecoveryEvent::CheckpointWriteFailed {
-                        istep,
-                        error: e.to_string(),
-                    },
-                );
+                let istep = match &e {
+                    CheckpointError::WriteFailed { istep, .. } => *istep,
+                    _ => sim.state.istep,
+                };
+                log_write_failed(sim, events, istep, &e);
                 Err(e)
             }
         }
     }
+}
+
+/// Log a failed checkpoint generation.
+fn log_write_failed(
+    sim: &Simulation<'_>,
+    events: &mut Vec<RecoveryEvent>,
+    istep: usize,
+    e: &CheckpointError,
+) {
+    let ev = RecoveryEvent::CheckpointWriteFailed {
+        istep,
+        error: e.to_string(),
+    };
+    log_event(sim, events, ev);
 }
 
 #[cfg(test)]
@@ -1035,6 +1074,52 @@ mod tests {
         );
         // The generation at step 4 must simply be absent from rotation.
         assert!(!Path::new(&dir).join("chk_0000000004.bpl").exists());
+    }
+
+    #[test]
+    fn run_with_leaves_its_final_generation_durable() {
+        let mesh = box_mesh(1, 1, 2, [0., 1.], [0., 1.], [0., 1.], false, false);
+        let comm = SingleComm::new();
+        let part = vec![0; 2];
+        let mut sim = sim_in(&mesh, &part, &comm);
+        let dir = tmpdir("final_durable");
+        let mut runner = ResilientRunner::new(CheckpointSet::new(&dir, 3), policy(2, 3));
+        let report = runner.run_with(&mut sim, 5, |_, _| {}).unwrap();
+        let last = report.events.iter().rev().find_map(|e| match e {
+            RecoveryEvent::CheckpointWritten { istep, path, .. } => Some((*istep, path.clone())),
+            _ => None,
+        });
+        let (istep, path) = last.expect("a checkpoint_written event");
+        assert_eq!(istep, 5);
+        // Durable without any further call on the set.
+        let mut fresh = sim_in(&mesh, &part, &comm);
+        read_checkpoint(&mut fresh, &path).unwrap();
+        assert_eq!(fresh.state.istep, 5);
+        assert!(runner.checkpoints.settle().unwrap().is_none());
+    }
+
+    #[test]
+    fn unwritable_checkpoint_directory_is_one_failed_event() {
+        use rbx_telemetry::Telemetry;
+        let mesh = box_mesh(1, 1, 2, [0., 1.], [0., 1.], [0., 1.], false, false);
+        let comm = SingleComm::new();
+        let part = vec![0; 2];
+        let mut sim = sim_in(&mesh, &part, &comm);
+        let tel = Telemetry::enabled();
+        sim.set_telemetry(&tel);
+        let blocker = tmpdir("unwritable").join("blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let set = CheckpointSet::new(blocker.join("chk"), 3);
+        let mut runner = ResilientRunner::new(set, policy(2, 3));
+        // The anchor cannot land, which is fatal.
+        let err = runner.run_with(&mut sim, 4, |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("step 0"), "{err}");
+        assert_eq!(
+            tel.metrics()
+                .counter("rbx_recovery_events_total{event=\"checkpoint_write_failed\"}"),
+            1
+        );
+        assert_eq!(sim.state.istep, 0, "no step before the anchor settled");
     }
 
     #[test]

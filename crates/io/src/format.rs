@@ -14,12 +14,15 @@
 //!     payload_len u64, payload
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Buf;
 use std::io::Write;
+use std::ops::Range;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"BPL1";
 const STEP_MARKER: u8 = 0x53;
+const DTYPE_F64: u8 = 0;
+const DTYPE_BYTES: u8 = 1;
 
 /// Variable payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,41 +97,170 @@ impl StepData {
     }
 }
 
-/// Serialize one step to bytes.
-pub fn encode_step(step: &StepData) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u8(STEP_MARKER);
-    buf.put_u64_le(step.step);
-    buf.put_f64_le(step.time);
-    buf.put_u32_le(step.vars.len() as u32);
-    for v in &step.vars {
-        let name = v.name.as_bytes();
-        assert!(name.len() <= u16::MAX as usize, "variable name too long");
-        buf.put_u16_le(name.len() as u16);
-        buf.put_slice(name);
-        match &v.data {
-            VarData::F64(_) => buf.put_u8(0),
-            VarData::Bytes(_) => buf.put_u8(1),
-        }
-        assert!(v.shape.len() <= u8::MAX as usize);
-        buf.put_u8(v.shape.len() as u8);
-        for &d in &v.shape {
-            buf.put_u64_le(d);
-        }
-        match &v.data {
-            VarData::F64(data) => {
-                buf.put_u64_le((data.len() * 8) as u64);
-                for &x in data {
-                    buf.put_f64_le(x);
-                }
-            }
-            VarData::Bytes(data) => {
-                buf.put_u64_le(data.len() as u64);
-                buf.put_slice(data);
-            }
+/// Where one encoded variable's parts sit in a [`BplImage`]'s bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VarSpan {
+    /// The name's UTF-8 bytes.
+    pub name: Range<usize>,
+    /// The shape dimensions, `u64` LE each.
+    pub shape: Range<usize>,
+    /// The payload bytes.
+    pub payload: Range<usize>,
+}
+
+/// A BPL byte image encoded in one pass into one owned buffer: the step
+/// header, then variables appended one by one, each payload copied in
+/// bulk. The variable count in the header is kept current, so the bytes
+/// are a complete step (or file) after every append.
+#[derive(Debug)]
+pub struct BplImage {
+    buf: Vec<u8>,
+    nvars_at: usize,
+    nvars: u32,
+}
+
+impl BplImage {
+    /// Start a whole file — magic, then the header of its one step — in
+    /// `buf`, whose contents are dropped and whose capacity is reused and
+    /// grown to at least `capacity` bytes.
+    pub fn file(mut buf: Vec<u8>, step: u64, time: f64, capacity: usize) -> Self {
+        buf.clear();
+        buf.reserve(capacity);
+        buf.extend_from_slice(MAGIC);
+        Self::step(buf, step, time)
+    }
+
+    /// Start one step record at the end of `buf`, to be appended to an
+    /// open file.
+    fn step(mut buf: Vec<u8>, step: u64, time: f64) -> Self {
+        buf.push(STEP_MARKER);
+        buf.extend_from_slice(&step.to_le_bytes());
+        buf.extend_from_slice(&time.to_le_bytes());
+        let nvars_at = buf.len();
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        Self {
+            buf,
+            nvars_at,
+            nvars: 0,
         }
     }
-    buf.freeze()
+
+    /// Bytes one variable takes: name length, name, dtype, ndims, dims,
+    /// payload length and payload.
+    pub fn var_len(name: &str, ndims: usize, payload_bytes: usize) -> usize {
+        2 + name.len() + 2 + 8 * ndims + 8 + payload_bytes
+    }
+
+    /// Append a variable's header; its payload must follow at once.
+    fn var_header(
+        &mut self,
+        name: &str,
+        dtype: u8,
+        shape: &[u64],
+        payload_bytes: usize,
+    ) -> VarSpan {
+        assert!(name.len() <= u16::MAX as usize, "variable name too long");
+        assert!(shape.len() <= u8::MAX as usize, "too many dimensions");
+        let b = &mut self.buf;
+        b.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        let name_at = b.len();
+        b.extend_from_slice(name.as_bytes());
+        b.push(dtype);
+        b.push(shape.len() as u8);
+        let shape_at = b.len();
+        for d in shape {
+            b.extend_from_slice(&d.to_le_bytes());
+        }
+        let shape_end = b.len();
+        b.extend_from_slice(&(payload_bytes as u64).to_le_bytes());
+        self.nvars += 1;
+        self.buf[self.nvars_at..self.nvars_at + 4].copy_from_slice(&self.nvars.to_le_bytes());
+        let payload_at = self.buf.len();
+        VarSpan {
+            name: name_at..name_at + name.len(),
+            shape: shape_at..shape_end,
+            payload: payload_at..payload_at + payload_bytes,
+        }
+    }
+
+    /// Append an f64 variable.
+    pub fn f64s(&mut self, name: &str, shape: &[u64], data: &[f64]) -> VarSpan {
+        let span = self.var_header(name, DTYPE_F64, shape, 8 * data.len());
+        #[cfg(target_endian = "little")]
+        self.buf
+            .extend_from_slice(crate::integrity::f64_le_bytes(data));
+        #[cfg(not(target_endian = "little"))]
+        for x in data {
+            self.buf.extend_from_slice(&x.to_le_bytes());
+        }
+        span
+    }
+
+    /// Append an f64 variable of `len` zeros, to be filled in place
+    /// through [`BplImage::fill_f64s`].
+    pub fn f64_slot(&mut self, name: &str, shape: &[u64], len: usize) -> VarSpan {
+        let span = self.var_header(name, DTYPE_F64, shape, 8 * len);
+        self.buf.resize(span.payload.end, 0);
+        span
+    }
+
+    /// Overwrite the f64 payload of `span` from value index `at` on with
+    /// `data`, which must fit in the payload.
+    pub fn fill_f64s(&mut self, span: &VarSpan, at: usize, data: &[f64]) {
+        let start = span.payload.start + 8 * at;
+        let dst = &mut self.buf[start..start + 8 * data.len()];
+        debug_assert!(
+            start + dst.len() <= span.payload.end,
+            "fill past the payload"
+        );
+        #[cfg(target_endian = "little")]
+        dst.copy_from_slice(crate::integrity::f64_le_bytes(data));
+        #[cfg(not(target_endian = "little"))]
+        for (d, x) in dst.chunks_exact_mut(8).zip(data) {
+            d.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+
+    /// Append a byte variable.
+    pub fn bytes(&mut self, name: &str, shape: &[u64], data: &[u8]) -> VarSpan {
+        let span = self.var_header(name, DTYPE_BYTES, shape, data.len());
+        self.buf.extend_from_slice(data);
+        span
+    }
+
+    /// The encoded bytes so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The buffer, for writing out or for reuse by the next image.
+    pub fn into_inner(self) -> Vec<u8> {
+        self.buf
+    }
+}
+
+/// Serialize one step to bytes.
+pub fn encode_step(step: &StepData) -> Vec<u8> {
+    let len = 21
+        + step
+            .vars
+            .iter()
+            .map(|v| {
+                let bytes = match &v.data {
+                    VarData::F64(d) => 8 * d.len(),
+                    VarData::Bytes(d) => d.len(),
+                };
+                BplImage::var_len(&v.name, v.shape.len(), bytes)
+            })
+            .sum::<usize>();
+    let mut img = BplImage::step(Vec::with_capacity(len), step.step, step.time);
+    for v in &step.vars {
+        match &v.data {
+            VarData::F64(d) => img.f64s(&v.name, &v.shape, d),
+            VarData::Bytes(d) => img.bytes(&v.name, &v.shape, d),
+        };
+    }
+    img.into_inner()
 }
 
 /// Build the descriptive `InvalidData` error every malformed-file case
@@ -183,7 +315,7 @@ fn decode_step(buf: &mut &[u8]) -> std::io::Result<StepData> {
         let payload_len = buf.get_u64_le() as usize;
         need(buf, payload_len, "variable payload")?;
         let data = match dtype {
-            0 => {
+            DTYPE_F64 => {
                 if !payload_len.is_multiple_of(8) {
                     return Err(malformed(format!(
                         "f64 variable {name:?} payload length {payload_len} not a multiple of 8"
@@ -201,7 +333,7 @@ fn decode_step(buf: &mut &[u8]) -> std::io::Result<StepData> {
                     .collect();
                 VarData::F64(v)
             }
-            1 => {
+            DTYPE_BYTES => {
                 let mut v = vec![0u8; payload_len];
                 buf.copy_to_slice(&mut v);
                 VarData::Bytes(v)
@@ -250,14 +382,6 @@ impl BplWriter {
     pub fn close(mut self) -> std::io::Result<()> {
         self.file.flush()
     }
-
-    /// Flush, then fsync to durable storage before closing. Checkpoint
-    /// writers use this so a rename-over can't expose a half-written file
-    /// after a crash.
-    pub fn close_sync(mut self) -> std::io::Result<()> {
-        self.file.flush()?;
-        self.file.get_ref().sync_all()
-    }
 }
 
 /// Whole-file reader.
@@ -303,12 +427,12 @@ pub fn write_bpl(path: &Path, steps: &[StepData]) -> std::io::Result<()> {
     w.close()
 }
 
-/// Crash-safe variant of [`write_bpl`]: the data goes to a temporary
-/// sibling first, is fsynced, and is renamed over `path` only once it is
-/// durable; the parent directory is then fsynced so the rename itself
-/// survives a crash. A reader (or a crash mid-write) therefore sees either
-/// the complete old file or the complete new file, never a torn one.
-pub fn write_bpl_atomic(path: &Path, steps: &[StepData]) -> std::io::Result<()> {
+/// Crash-safe file write: `bytes` go to a temporary sibling first, which
+/// is fsynced and renamed over `path` only once it is durable; the parent
+/// directory is then fsynced so the rename itself survives a crash. A
+/// reader (or a crash mid-write) therefore sees either the complete old
+/// file or the complete new file, never a torn one.
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let file_name = path.file_name().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
     })?;
@@ -316,11 +440,10 @@ pub fn write_bpl_atomic(path: &Path, steps: &[StepData]) -> std::io::Result<()> 
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
 
-    let mut w = BplWriter::create(&tmp)?;
-    for s in steps {
-        w.write_step(s)?;
-    }
-    w.close_sync()?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
     // Persist the directory entry; without this the rename can be lost on
     // power failure even though the file contents are safe.
@@ -378,6 +501,39 @@ mod tests {
     }
 
     #[test]
+    fn image_slots_encode_like_whole_variables() {
+        let data: Vec<f64> = (0..16).map(|k| k as f64 * 0.25 - 1.0).collect();
+        let mut whole = BplImage::file(Vec::new(), 7, 0.5, 0);
+        whole.f64s("f", &[2, 8], &data);
+        whole.bytes("b", &[3], &[9, 8, 7]);
+        let mut slotted = BplImage::file(vec![1, 2, 3], 7, 0.5, 1024);
+        let span = slotted.f64_slot("f", &[2, 8], 16);
+        slotted.fill_f64s(&span, 8, &data[8..]);
+        slotted.fill_f64s(&span, 0, &data[..8]);
+        slotted.bytes("b", &[3], &[9, 8, 7]);
+        assert_eq!(whole.as_bytes(), slotted.as_bytes());
+        let bytes = slotted.as_bytes();
+        assert_eq!(&bytes[span.name.clone()], b"f");
+        assert_eq!(
+            &bytes[span.shape.clone()],
+            &[2u64, 8].map(u64::to_le_bytes).concat()[..]
+        );
+        assert_eq!(span.payload.len(), 16 * 8);
+        assert_eq!(&bytes[..4], MAGIC);
+        assert_eq!(
+            &bytes[4..],
+            &encode_step(&StepData {
+                step: 7,
+                time: 0.5,
+                vars: vec![
+                    Variable::f64("f", vec![2, 8], data.clone()),
+                    Variable::bytes("b", vec![3], vec![9, 8, 7]),
+                ],
+            })[..]
+        );
+    }
+
+    #[test]
     fn variable_lookup() {
         let s = sample_step(0);
         assert!(s.var("velocity_x").is_some());
@@ -424,7 +580,7 @@ mod tests {
     #[test]
     fn rejects_unknown_dtype() {
         let s = sample_step(0);
-        let mut bytes = encode_step(&s).to_vec();
+        let mut bytes = encode_step(&s);
         // dtype byte of the first variable: step header (21) + name_len (2)
         // + name bytes.
         let off = 21 + 2 + s.vars[0].name.len();
@@ -439,13 +595,24 @@ mod tests {
         let dir = std::env::temp_dir().join("rbx_io_test_atomic");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("atomic.bpl");
-        let steps: Vec<StepData> = (0..3).map(sample_step).collect();
-        write_bpl_atomic(&path, &steps).unwrap();
-        assert_eq!(read_bpl(&path).unwrap(), steps);
+        let image = |i: u64| {
+            let s = sample_step(i);
+            let mut img = BplImage::file(Vec::new(), s.step, s.time, 0);
+            for v in &s.vars {
+                match &v.data {
+                    VarData::F64(d) => img.f64s(&v.name, &v.shape, d),
+                    VarData::Bytes(d) => img.bytes(&v.name, &v.shape, d),
+                };
+            }
+            (s, img.into_inner())
+        };
+        let (s1, bytes1) = image(3);
+        write_file_atomic(&path, &bytes1).unwrap();
+        assert_eq!(read_bpl(&path).unwrap(), vec![s1]);
         // Overwrite in place: readers must never see a torn file.
-        let steps2: Vec<StepData> = (5..7).map(sample_step).collect();
-        write_bpl_atomic(&path, &steps2).unwrap();
-        assert_eq!(read_bpl(&path).unwrap(), steps2);
+        let (s2, bytes2) = image(5);
+        write_file_atomic(&path, &bytes2).unwrap();
+        assert_eq!(read_bpl(&path).unwrap(), vec![s2]);
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

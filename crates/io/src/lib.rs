@@ -23,7 +23,8 @@ pub mod vtk;
 
 pub use engine::{staging_channel, AsyncBplWriter, StagingReader, StagingWriter};
 pub use format::{
-    read_bpl, write_bpl, write_bpl_atomic, BplReader, BplWriter, StepData, VarData, Variable,
+    read_bpl, write_bpl, write_file_atomic, BplImage, BplReader, BplWriter, StepData, VarData,
+    VarSpan, Variable,
 };
 pub use integrity::{crc64, crc64_f64s, Crc64};
 pub use shipping::{bcast_bytes, decode_slab_body, encode_slab_body, gather_bytes_to_root};

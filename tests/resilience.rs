@@ -101,6 +101,8 @@ fn bit_flipped_checkpoint_is_rejected_and_older_generation_restores() {
         assert!(st.verdict.is_healthy(), "setup step failed: {st:?}");
         set.write(&sim).expect("checkpoint write");
     }
+    // The newest generation is read directly below: let it land first.
+    set.settle().expect("newest generation lands");
 
     // Flip one bit deep inside the newest generation's payload region.
     let newest = set.path_for_step(4);
