@@ -4,20 +4,27 @@
 //! The solver thread's only obligations are (a) a double-buffered
 //! snapshot copy of the field and (b) a non-blocking queue handoff; the
 //! modal transform, truncation, quantization and entropy coding all run
-//! on a dedicated encoder thread. "Double-buffered" is literal: at most
-//! one snapshot waits in the queue while one is being encoded, so the
-//! stage holds at most two field copies and [`AsyncFieldCompressor::
-//! try_submit`] can decide instantly. When both slots are occupied the
-//! snapshot is *dropped and counted* (`rbx_insitu_compress_busy_total`
-//! at the call site) — the same drop-with-counter degradation ladder as
-//! the slab channel (DESIGN.md §16): the solver never waits for the
-//! encoder.
+//! on a dedicated encoder thread. "Double-buffered" is literal: the stage
+//! holds at most two snapshots — queued or being encoded — so it holds at
+//! most two field copies and [`AsyncFieldCompressor::try_submit`] can
+//! decide instantly. A slot frees when its encoding finishes, not when
+//! the encoder thread picks the job up, so a woken encoder that the
+//! scheduler has not run yet still leaves the second slot free. When both
+//! slots are occupied the snapshot is *dropped and counted*
+//! (`rbx_insitu_compress_busy_total` at the call site) — the same
+//! drop-with-counter degradation ladder as the slab channel (DESIGN.md
+//! §16): the solver never waits for the encoder.
 
 use crate::pipeline::{compress_field, Compressed, CompressionConfig};
 use rbx_basis::ModalBasis;
 use rbx_mesh::GeomFactors;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Snapshots the stage holds at once: one queued, one being encoded.
+const SLOTS: usize = 2;
 
 struct Job {
     step: u64,
@@ -52,6 +59,8 @@ pub struct AsyncCompressorStats {
 /// queue and a drop-don't-block submit path.
 pub struct AsyncFieldCompressor {
     tx: Option<SyncSender<Job>>,
+    /// Snapshots submitted whose encoding has not finished.
+    occupied: Arc<AtomicUsize>,
     rx: Receiver<CompressedField>,
     handle: Option<JoinHandle<()>>,
     stats: AsyncCompressorStats,
@@ -63,10 +72,12 @@ impl AsyncFieldCompressor {
     /// field's nodes-per-direction (`order + 1`).
     pub fn new(geom: &GeomFactors, basis_n: usize, cfg: CompressionConfig) -> Self {
         assert_eq!(basis_n, geom.nx1, "basis size must match the geometry");
-        // One slot in the channel + one job inside the encoder = the two
-        // snapshot buffers of the double-buffering contract.
-        let (tx, job_rx) = sync_channel::<Job>(1);
+        // `occupied` counts the two snapshot buffers of the
+        // double-buffering contract; the channel never holds more.
+        let (tx, job_rx) = sync_channel::<Job>(SLOTS);
         let (out_tx, rx) = sync_channel::<CompressedField>(64);
+        let occupied = Arc::new(AtomicUsize::new(0));
+        let freed = Arc::clone(&occupied);
         let geom = geom.clone();
         let handle = std::thread::Builder::new()
             .name("rbx-compress-async".into())
@@ -74,6 +85,10 @@ impl AsyncFieldCompressor {
                 let basis = ModalBasis::new(basis_n);
                 for job in job_rx.iter() {
                     let compressed = compress_field(&job.field, &geom, &basis, &cfg);
+                    drop(job.field);
+                    // ordering: a slot count, no data is published
+                    // through it (the jobs and results travel by channel).
+                    freed.fetch_sub(1, Ordering::Relaxed);
                     let done = CompressedField {
                         step: job.step,
                         time: job.time,
@@ -91,6 +106,7 @@ impl AsyncFieldCompressor {
             .expect("spawn async compressor");
         Self {
             tx: Some(tx),
+            occupied,
             rx,
             handle: Some(handle),
             stats: AsyncCompressorStats::default(),
@@ -99,13 +115,23 @@ impl AsyncFieldCompressor {
 
     /// Offer one snapshot. Copies the field (the snapshot) and returns
     /// `true` if a buffer slot was free; returns `false` — dropping the
-    /// snapshot — when the stage is busy or the encoder thread has died.
-    /// Never blocks.
+    /// snapshot — when both slots hold unfinished snapshots or the encoder
+    /// thread has died. Never blocks.
     pub fn try_submit(&mut self, step: u64, time: f64, var: &str, field: &[f64]) -> bool {
         let Some(tx) = self.tx.as_ref() else {
             self.stats.busy_dropped += 1;
             return false;
         };
+        // Only this thread takes a slot, so a free one stays free until
+        // the send below.
+        // ordering: a slot count, no data is published through it (the
+        // jobs and results travel by channel).
+        if self.occupied.load(Ordering::Relaxed) >= SLOTS {
+            self.stats.busy_dropped += 1;
+            return false;
+        }
+        // ordering: as above.
+        self.occupied.fetch_add(1, Ordering::Relaxed);
         let job = Job {
             step,
             time,
@@ -118,6 +144,8 @@ impl AsyncFieldCompressor {
                 true
             }
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
+                // ordering: as above.
+                self.occupied.fetch_sub(1, Ordering::Relaxed);
                 self.stats.busy_dropped += 1;
                 false
             }
@@ -244,6 +272,21 @@ mod tests {
             elapsed < Duration::from_secs(5),
             "submit path blocked: {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn idle_stage_takes_two_snapshots_before_its_encoder_runs() {
+        // Back-to-back submits leave the encoder thread no time to pick up
+        // the first; both slots must still be free.
+        let (geom, _) = setup(6);
+        let mut stage = AsyncFieldCompressor::new(&geom, 7, CompressionConfig::default());
+        let f = smooth_field(&geom, 0.0);
+        assert!(stage.try_submit(0, 0.0, "uz", &f));
+        assert!(stage.try_submit(1, 0.0, "uz", &f));
+        let (mut done, stats) = stage.finish();
+        done.sort_by_key(|d| d.step);
+        assert_eq!(stats.submitted, 2);
+        assert_eq!(done.iter().map(|d| d.step).collect::<Vec<_>>(), [0, 1]);
     }
 
     #[test]
