@@ -18,11 +18,17 @@
 //! * **Embedded CRC-64** — every variable (and the step header) carries a
 //!   CRC-64/XZ in a `__crc64` table; a bit flip anywhere in the file is
 //!   detected at restart, not silently integrated for weeks.
-//! * **Typed read path** — every failure mode (truncation, missing or
-//!   mistyped variables, wrong lengths, non-finite payloads, stale lag
-//!   metadata) is a descriptive [`CheckpointError`], and the target
-//!   [`Simulation`]'s state is left untouched on any error, so a caller
-//!   can fall through to an older generation.
+//! * **Typed read path, in place** — a restore reads the file once and
+//!   parses it where it lies ([`rbx_io::parse_bpl`]): the checksums are
+//!   taken over the image's own byte spans by the function that built the
+//!   table, and each rank copies its element blocks of every field
+//!   straight from the payload bytes into the new state, walking the same
+//!   field inventory the writer encoded from. Every failure mode
+//!   (truncation, missing or mistyped variables, wrong lengths,
+//!   non-finite payloads, stale lag metadata) is a descriptive
+//!   [`CheckpointError`], and the target [`Simulation`]'s state is left
+//!   untouched on any error, so a caller can fall through to an older
+//!   generation.
 //! * **Rotation** — [`CheckpointSet`] keeps the last K generations
 //!   (`chk_<istep>.bpl`) and restores from the newest one that passes
 //!   verification, escalating backwards through the survivors.
@@ -31,7 +37,7 @@
 //! *global element order* — one shared file per generation, independent of
 //! how elements were distributed across ranks at write time. A run
 //! checkpointed on N ranks restores on M ranks for any M: each rank reads
-//! the shared file and extracts exactly the element blocks it owns. The
+//! the shared file and copies out exactly the element blocks it owns. The
 //! write is a collective — every rank ships its element blocks to rank 0
 //! (bit-preserving point-to-point, not a floating-point reduction), which
 //! assembles the global fields and performs the atomic write; a trailing
@@ -51,7 +57,9 @@
 use crate::fields::FlowState;
 use crate::sim::Simulation;
 use rbx_comm::{CommError, Payload};
-use rbx_io::{read_bpl, write_file_atomic, BplImage, Crc64, StepData, VarData, VarSpan, Variable};
+use rbx_io::{
+    decode_f64s, parse_bpl, write_file_atomic, BplImage, Crc64, Dtype, StepSpans, VarSpan,
+};
 use rbx_mesh::{Curve, HexMesh};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -249,17 +257,14 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-/// CRC-64 of one variable: shape dims (LE) then payload bytes, so a
-/// corrupted dimension is caught even when the payload survives.
-fn var_crc(v: &Variable) -> u64 {
+/// CRC-64 of one variable of an image: its shape dims (LE) then its
+/// payload bytes, in place, so a corrupted dimension is caught even when
+/// the payload survives. The writer's table and the restore's check both
+/// come from here.
+fn span_crc(image: &[u8], span: &VarSpan) -> u64 {
     let mut c = Crc64::new();
-    for &d in &v.shape {
-        c.update(&d.to_le_bytes());
-    }
-    match &v.data {
-        VarData::F64(data) => c.update_f64s(data),
-        VarData::Bytes(data) => c.update(data),
-    }
+    c.update(&image[span.shape.clone()]);
+    c.update(&image[span.payload.clone()]);
     c.finish()
 }
 
@@ -277,119 +282,148 @@ fn push_crc_record(rec: &mut Vec<u8>, name: &[u8], crc: u64) {
     rec.extend_from_slice(&crc.to_le_bytes());
 }
 
-fn parse_integrity(path: &Path, step: &StepData) -> Result<Vec<(String, u64)>, CheckpointError> {
-    let missing = |detail: &str| CheckpointError::ChecksumMissing {
-        path: path.to_path_buf(),
-        detail: detail.to_string(),
-    };
-    let v = step
-        .var(CRC_VAR)
-        .ok_or_else(|| missing("no __crc64 variable"))?;
-    let bytes = match &v.data {
-        VarData::Bytes(b) => b.as_slice(),
-        _ => return Err(missing("__crc64 has wrong type")),
-    };
+/// The `__crc64` table of an image: the header record, then one record
+/// per variable in `spans`, each over its shape and payload bytes in place.
+fn crc_table(image: &[u8], step: u64, time: f64, spans: &[VarSpan]) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(18 + spans.iter().map(|s| 10 + s.name.len()).sum::<usize>());
+    push_crc_record(&mut rec, CRC_HEADER.as_bytes(), header_crc(step, time));
+    for span in spans {
+        push_crc_record(&mut rec, &image[span.name.clone()], span_crc(image, span));
+    }
+    rec
+}
+
+/// The `(name, crc)` records of a `__crc64` table, borrowed from its
+/// payload; `Err` says what is malformed.
+fn crc_records(mut rest: &[u8]) -> Result<Vec<(&[u8], u64)>, &'static str> {
     let mut out = Vec::new();
-    let mut rest = bytes;
     while !rest.is_empty() {
-        if rest.len() < 2 {
-            return Err(missing("truncated record header"));
+        let [lo, hi, tail @ ..] = rest else {
+            return Err("truncated record header");
+        };
+        let name_len = usize::from(u16::from_le_bytes([*lo, *hi]));
+        if tail.len() < name_len + 8 {
+            return Err("truncated record");
         }
-        let name_len = u16::from_le_bytes([rest[0], rest[1]]) as usize;
-        rest = &rest[2..];
-        if rest.len() < name_len + 8 {
-            return Err(missing("truncated record"));
-        }
-        let name = std::str::from_utf8(&rest[..name_len])
-            .map_err(|_| missing("record name is not UTF-8"))?
-            .to_string();
-        let mut crc_bytes = [0u8; 8];
-        crc_bytes.copy_from_slice(&rest[name_len..name_len + 8]);
-        out.push((name, u64::from_le_bytes(crc_bytes)));
-        rest = &rest[name_len + 8..];
+        let (name, tail) = tail.split_at(name_len);
+        std::str::from_utf8(name).map_err(|_| "record name is not UTF-8")?;
+        let (crc, tail) = tail.split_at(8);
+        out.push((name, u64::from_le_bytes(std::array::from_fn(|k| crc[k]))));
+        rest = tail;
     }
     Ok(out)
 }
 
-/// Verify every checksum in the step against the data actually read.
-fn verify_integrity(path: &Path, step: &StepData) -> Result<(), CheckpointError> {
-    let table = parse_integrity(path, step)?;
-    let lookup = |name: &str| table.iter().find(|(n, _)| n == name).map(|(_, c)| *c);
-    let mismatch = |name: &str, stored: u64, computed: u64| CheckpointError::ChecksumMismatch {
-        path: path.to_path_buf(),
-        name: name.to_string(),
-        stored,
-        computed,
-    };
-    let computed = header_crc(step.step, step.time);
-    match lookup(CRC_HEADER) {
-        Some(stored) if stored == computed => {}
-        Some(stored) => return Err(mismatch(CRC_HEADER, stored, computed)),
-        None => {
-            return Err(CheckpointError::ChecksumMissing {
-                path: path.to_path_buf(),
-                detail: "no __header record".to_string(),
-            })
-        }
-    }
-    for v in &step.vars {
-        if v.name == CRC_VAR {
-            continue;
-        }
-        let computed = var_crc(v);
-        match lookup(&v.name) {
-            Some(stored) if stored == computed => {}
-            Some(stored) => return Err(mismatch(&v.name, stored, computed)),
-            None => {
-                return Err(CheckpointError::ChecksumMissing {
-                    path: path.to_path_buf(),
-                    detail: format!("no record for variable {:?}", v.name),
-                })
-            }
-        }
-    }
-    Ok(())
+/// A checkpoint file image parsed in place: its one step's variables
+/// located, nothing decoded. Every lookup is typed: a missing, mistyped,
+/// wrong-length or non-finite variable is its own [`CheckpointError`].
+struct CheckpointFile<'a> {
+    path: &'a Path,
+    image: &'a [u8],
+    step: StepSpans,
 }
 
-/// Move the verified `f64` payload of variable `name` out of `step`.
-/// Each variable is taken at most once, so no payload is copied.
-// audit:allow(hot-alloc): restore path: runs once per restart; only the error values allocate
-fn take(
-    path: &Path,
-    step: &mut StepData,
-    name: &str,
-    n: usize,
-) -> Result<Vec<f64>, CheckpointError> {
-    let v = step
-        .vars
-        .iter_mut()
-        .find(|v| v.name == name)
-        .ok_or_else(|| CheckpointError::MissingVariable {
+impl<'a> CheckpointFile<'a> {
+    /// Locate the variables of the one step in `image`.
+    fn parse(path: &'a Path, image: &'a [u8]) -> Result<Self, CheckpointError> {
+        let steps = parse_bpl(image).map_err(|source| CheckpointError::Io {
             path: path.to_path_buf(),
-            name: name.to_string(),
+            source,
         })?;
-    match &mut v.data {
-        VarData::F64(data) => {
-            if data.len() != n {
-                return Err(CheckpointError::WrongLength {
-                    path: path.to_path_buf(),
-                    name: name.to_string(),
-                    expected: n,
-                    actual: data.len(),
-                });
-            }
-            if data.iter().any(|x| !x.is_finite()) {
-                return Err(CheckpointError::NonFiniteData {
-                    path: path.to_path_buf(),
-                    name: name.to_string(),
-                });
-            }
-            Ok(std::mem::take(data))
+        let count = steps.len();
+        match <[StepSpans; 1]>::try_from(steps) {
+            Ok([step]) => Ok(Self { path, image, step }),
+            Err(_) => Err(CheckpointError::WrongStepCount {
+                path: path.to_path_buf(),
+                count,
+            }),
         }
-        _ => Err(CheckpointError::WrongType {
-            path: path.to_path_buf(),
-            name: name.to_string(),
-        }),
+    }
+
+    /// Check every variable (and the step header) against its record in
+    /// the `__crc64` table, over the bytes in place.
+    fn verify(&self) -> Result<(), CheckpointError> {
+        let path = || self.path.to_path_buf();
+        let missing = |detail: String| CheckpointError::ChecksumMissing {
+            path: path(),
+            detail,
+        };
+        let table = match self.step.var_named(self.image, CRC_VAR) {
+            None => return Err(missing("no __crc64 variable".into())),
+            Some((Dtype::Bytes, span)) => crc_records(&self.image[span.payload.clone()])
+                .map_err(|detail| missing(detail.into()))?,
+            Some(_) => return Err(missing("__crc64 has wrong type".into())),
+        };
+        let check = |name: &[u8], computed: u64| match table.iter().find(|(n, _)| *n == name) {
+            Some(&(_, stored)) if stored == computed => Ok(()),
+            Some(&(_, stored)) => Err(CheckpointError::ChecksumMismatch {
+                path: path(),
+                name: String::from_utf8_lossy(name).into_owned(),
+                stored,
+                computed,
+            }),
+            None => Err(missing(format!(
+                "no record for {:?}",
+                String::from_utf8_lossy(name)
+            ))),
+        };
+        check(
+            CRC_HEADER.as_bytes(),
+            header_crc(self.step.step, self.step.time),
+        )?;
+        for (_, span) in &self.step.vars {
+            let name = &self.image[span.name.clone()];
+            if name != CRC_VAR.as_bytes() {
+                check(name, span_crc(self.image, span))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The payload of variable `name`, which must hold `dtype`.
+    fn payload(&self, name: &str, dtype: Dtype) -> Result<&'a [u8], CheckpointError> {
+        match self.step.var_named(self.image, name) {
+            Some((d, span)) if *d == dtype => Ok(&self.image[span.payload.clone()]),
+            Some(_) => Err(CheckpointError::WrongType {
+                path: self.path.to_path_buf(),
+                name: name.to_string(),
+            }),
+            None => Err(CheckpointError::MissingVariable {
+                path: self.path.to_path_buf(),
+                name: name.to_string(),
+            }),
+        }
+    }
+
+    /// The payload of the `f64` variable `name`, which must hold `len`
+    /// finite values.
+    fn f64s(&self, name: &str, len: usize) -> Result<&'a [u8], CheckpointError> {
+        let payload = self.payload(name, Dtype::F64)?;
+        if payload.len() != 8 * len {
+            return Err(CheckpointError::WrongLength {
+                path: self.path.to_path_buf(),
+                name: name.to_string(),
+                expected: len,
+                actual: payload.len() / 8,
+            });
+        }
+        // No early exit, so the scan vectorizes.
+        if !decode_f64s(payload).fold(true, |ok, x| ok & x.is_finite()) {
+            return Err(CheckpointError::NonFiniteData {
+                path: self.path.to_path_buf(),
+                name: name.to_string(),
+            });
+        }
+        Ok(payload)
+    }
+
+    /// The `N` finite values of the small `f64` variable `name`.
+    fn values<const N: usize>(&self, name: &str) -> Result<[f64; N], CheckpointError> {
+        let mut out = [0.0; N];
+        for (o, x) in out.iter_mut().zip(decode_f64s(self.f64s(name, N)?)) {
+            *o = x;
+        }
+        Ok(out)
     }
 }
 
@@ -442,125 +476,165 @@ pub fn mesh_content_hash(mesh: &HexMesh) -> u64 {
     c.finish()
 }
 
-/// The manifest payload: schema version, mesh fingerprint, global element
-/// count and polynomial order. Byte layout (LE): `version u32, mesh_hash
-/// u64, nelem_global u64, order u32`.
+/// The manifest's fields and their byte ranges (LE): schema version
+/// (u32), mesh fingerprint (u64), global element count (u64) and
+/// polynomial order (u32).
+const MANIFEST_FIELDS: [(&str, std::ops::Range<usize>); 4] = [
+    ("version", 0..4),
+    ("mesh_hash", 4..12),
+    ("nelem_global", 12..20),
+    ("order", 20..24),
+];
+
+/// The manifest payload of a discretization.
 fn manifest_bytes(mesh_hash: u64, nelem_global: usize, order: usize) -> [u8; 24] {
+    let values = [
+        u64::from(MANIFEST_VERSION),
+        mesh_hash,
+        nelem_global as u64,
+        order as u64,
+    ];
     let mut b = [0u8; 24];
-    b[0..4].copy_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    b[4..12].copy_from_slice(&mesh_hash.to_le_bytes());
-    b[12..20].copy_from_slice(&(nelem_global as u64).to_le_bytes());
-    b[20..24].copy_from_slice(&(order as u32).to_le_bytes());
+    for ((_, at), v) in MANIFEST_FIELDS.into_iter().zip(values) {
+        b[at.clone()].copy_from_slice(&v.to_le_bytes()[..at.len()]);
+    }
     b
 }
 
-/// Parse and validate the manifest against the restoring simulation's
-/// discretization.
-fn check_manifest(
-    path: &Path,
-    step: &StepData,
-    mesh_hash: u64,
-    nelem_global: usize,
-    order: usize,
-) -> Result<(), CheckpointError> {
-    let v = step
-        .var(MANIFEST_VAR)
-        .ok_or_else(|| CheckpointError::MissingVariable {
-            path: path.to_path_buf(),
-            name: MANIFEST_VAR.to_string(),
-        })?;
-    let b = match &v.data {
-        VarData::Bytes(b) if b.len() == 24 => b.as_slice(),
-        VarData::Bytes(b) => {
-            return Err(CheckpointError::InvalidMetadata {
-                path: path.to_path_buf(),
-                detail: format!("manifest has {} bytes, expected 24", b.len()),
-            })
-        }
-        _ => {
-            return Err(CheckpointError::WrongType {
-                path: path.to_path_buf(),
-                name: MANIFEST_VAR.to_string(),
-            })
-        }
-    };
-    // audit:allow(no-panic): try_into on a length-4 slice is infallible; offsets are bounds-checked against the manifest length above
-    let u32_at = |o: usize| u32::from_le_bytes(b[o..o + 4].try_into().unwrap());
-    // audit:allow(no-panic): try_into on a length-8 slice is infallible; offsets are bounds-checked against the manifest length above
-    let u64_at = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().unwrap());
-    let mismatch = |field: &'static str, expected: u64, found: u64| {
-        Err(CheckpointError::LayoutMismatch {
-            path: path.to_path_buf(),
+/// Validate the checkpoint's manifest field by field against `want`, the
+/// manifest of the restoring simulation's discretization.
+fn check_manifest(file: &CheckpointFile<'_>, want: [u8; 24]) -> Result<(), CheckpointError> {
+    let found = file.payload(MANIFEST_VAR, Dtype::Bytes)?;
+    if found.len() != want.len() {
+        return Err(CheckpointError::InvalidMetadata {
+            path: file.path.to_path_buf(),
+            detail: format!("manifest has {} bytes, expected 24", found.len()),
+        });
+    }
+    let le = |b: &[u8]| b.iter().rev().fold(0, |acc, &x| acc << 8 | u64::from(x));
+    match MANIFEST_FIELDS
+        .into_iter()
+        .find(|(_, at)| found[at.clone()] != want[at.clone()])
+    {
+        Some((field, at)) => Err(CheckpointError::LayoutMismatch {
+            path: file.path.to_path_buf(),
             field,
-            expected,
-            found,
-        })
-    };
-    if u32_at(0) != MANIFEST_VERSION {
-        return mismatch("version", MANIFEST_VERSION as u64, u32_at(0) as u64);
+            expected: le(&want[at.clone()]),
+            found: le(&found[at]),
+        }),
+        None => Ok(()),
     }
-    if u64_at(4) != mesh_hash {
-        return mismatch("mesh_hash", mesh_hash, u64_at(4));
-    }
-    if u64_at(12) != nelem_global as u64 {
-        return mismatch("nelem_global", nelem_global as u64, u64_at(12));
-    }
-    if u32_at(20) as usize != order {
-        return mismatch("order", order as u64, u32_at(20) as u64);
-    }
-    Ok(())
 }
 
-/// The per-rank field inventory in the fixed global serialization order.
-/// Every rank computes the same list structure (depths and the projection
-/// count evolve collectively), so the packed gather needs no per-field
-/// framing.
+/// One global field of a checkpoint: where it lives in the solver state.
+/// `i` indexes a lag level or a projection vector, `d` a velocity or
+/// forcing component.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    U(usize),
+    P,
+    T,
+    ULag(usize, usize),
+    TLag(usize),
+    FLag(usize, usize),
+    FtLag(usize),
+    ProjBasis(usize),
+    ProjImage(usize),
+}
+
+/// The field inventory: every global field of a checkpoint in file
+/// order, fixed by the lag depths `[u_lag, f_lag, t_lag]` (`ft_lag` is
+/// pushed with `f_lag` and shares its depth) and the projection count. The writer encodes in this order and the restore
+/// reads in it; every rank derives the same list, so the packed gather
+/// needs no per-field framing.
+fn inventory([du, df, dt]: [usize; 3], nproj: usize) -> Vec<Field> {
+    use Field::*;
+    let mut out = vec![U(0), U(1), U(2), P, T];
+    out.extend((0..du).flat_map(|i| (0..3).map(move |d| ULag(i, d))));
+    out.extend((0..dt).map(TLag));
+    out.extend((0..df).flat_map(|i| (0..3).map(move |d| FLag(i, d))));
+    out.extend((0..df).map(FtLag));
+    out.extend((0..nproj).map(ProjBasis));
+    out.extend((0..nproj).map(ProjImage));
+    out
+}
+
+impl Field {
+    /// The variable name the field is stored under.
+    fn var_name(self) -> String {
+        match self {
+            Field::U(d) => format!("u{d}"),
+            Field::P => "p".to_string(),
+            Field::T => "t".to_string(),
+            Field::ULag(i, d) => format!("u_lag{i}_{d}"),
+            Field::TLag(i) => format!("t_lag{i}"),
+            Field::FLag(i, d) => format!("f_lag{i}_{d}"),
+            Field::FtLag(i) => format!("ft_lag{i}"),
+            Field::ProjBasis(i) => format!("proj_basis{i}"),
+            Field::ProjImage(i) => format!("proj_image{i}"),
+        }
+    }
+
+    /// The field's values in `s` and the projection space.
+    fn of<'a>(self, s: &'a FlowState, basis: &'a [Vec<f64>], images: &'a [Vec<f64>]) -> &'a [f64] {
+        match self {
+            Field::U(d) => &s.u[d],
+            Field::P => &s.p,
+            Field::T => &s.t,
+            Field::ULag(i, d) => &s.u_lag[i][d],
+            Field::TLag(i) => &s.t_lag[i],
+            Field::FLag(i, d) => &s.f_lag[i][d],
+            Field::FtLag(i) => &s.ft_lag[i],
+            Field::ProjBasis(i) => &basis[i],
+            Field::ProjImage(i) => &images[i],
+        }
+    }
+
+    /// The field's storage in a state being restored.
+    fn slot<'a>(
+        self,
+        s: &'a mut FlowState,
+        basis: &'a mut [Vec<f64>],
+        images: &'a mut [Vec<f64>],
+    ) -> &'a mut Vec<f64> {
+        match self {
+            Field::U(d) => &mut s.u[d],
+            Field::P => &mut s.p,
+            Field::T => &mut s.t,
+            Field::ULag(i, d) => &mut s.u_lag[i][d],
+            Field::TLag(i) => &mut s.t_lag[i],
+            Field::FLag(i, d) => &mut s.f_lag[i][d],
+            Field::FtLag(i) => &mut s.ft_lag[i],
+            Field::ProjBasis(i) => &mut basis[i],
+            Field::ProjImage(i) => &mut images[i],
+        }
+    }
+}
+
+/// The lag depths `[u_lag, f_lag, t_lag]` of `s`, as stored.
+fn lag_depths(s: &FlowState) -> [usize; 3] {
+    [s.u_lag.len(), s.f_lag.len(), s.t_lag.len()]
+}
+
+/// This rank's fields, named, in [`inventory`] order.
 fn local_field_list<'a>(
     s: &'a FlowState,
     basis: &'a [Vec<f64>],
     images: &'a [Vec<f64>],
 ) -> Vec<(String, &'a [f64])> {
-    let mut out: Vec<(String, &[f64])> = vec![
-        ("u0".to_string(), &s.u[0]),
-        ("u1".to_string(), &s.u[1]),
-        ("u2".to_string(), &s.u[2]),
-        ("p".to_string(), &s.p),
-        ("t".to_string(), &s.t),
-    ];
-    for (i, ul) in s.u_lag.iter().enumerate() {
-        for d in 0..3 {
-            out.push((format!("u_lag{i}_{d}"), &ul[d][..]));
-        }
-    }
-    for (i, tl) in s.t_lag.iter().enumerate() {
-        out.push((format!("t_lag{i}"), &tl[..]));
-    }
-    for (i, fl) in s.f_lag.iter().enumerate() {
-        for d in 0..3 {
-            out.push((format!("f_lag{i}_{d}"), &fl[d][..]));
-        }
-    }
-    for (i, ftl) in s.ft_lag.iter().enumerate() {
-        out.push((format!("ft_lag{i}"), &ftl[..]));
-    }
-    for (i, bv) in basis.iter().enumerate() {
-        out.push((format!("proj_basis{i}"), &bv[..]));
-    }
-    for (i, iv) in images.iter().enumerate() {
-        out.push((format!("proj_image{i}"), &iv[..]));
-    }
-    out
+    inventory(lag_depths(s), basis.len())
+        .into_iter()
+        .map(|f| (f.var_name(), f.of(s, basis, images)))
+        .collect()
 }
 
-/// Extract this rank's element blocks from a global field.
-fn extract_elems(global: Vec<f64>, elems: &[usize], n_per: usize) -> Vec<f64> {
-    // A rank holding every element in global order keeps the field as is.
-    if elems.len() * n_per == global.len() && elems.iter().enumerate().all(|(i, &e)| i == e) {
-        return global;
-    }
+/// This rank's element blocks of one global field, copied straight from
+/// the field's payload bytes: the mirror of the writer's block scatter.
+fn local_blocks(payload: &[u8], elems: &[usize], n_per: usize) -> Vec<f64> {
+    let block = 8 * n_per;
     let mut out = Vec::with_capacity(elems.len() * n_per);
     for &ge in elems {
-        out.extend_from_slice(&global[ge * n_per..(ge + 1) * n_per]);
+        out.extend(decode_f64s(&payload[ge * block..(ge + 1) * block]));
     }
     out
 }
@@ -575,24 +649,14 @@ struct Generation {
 }
 
 impl Generation {
-    /// Append the `__crc64` table: the header record, then one record per
-    /// variable, each checksummed over its shape and payload bytes in
-    /// place.
+    /// Append the `__crc64` table.
     fn seal(&mut self) {
-        let bytes = self.image.as_bytes();
-        let mut rec =
-            Vec::with_capacity(18 + self.spans.iter().map(|s| 10 + s.name.len()).sum::<usize>());
-        push_crc_record(
-            &mut rec,
-            CRC_HEADER.as_bytes(),
-            header_crc(self.istep as u64, self.time),
+        let rec = crc_table(
+            self.image.as_bytes(),
+            self.istep as u64,
+            self.time,
+            &self.spans,
         );
-        for span in &self.spans {
-            let mut c = Crc64::new();
-            c.update(&bytes[span.shape.clone()]);
-            c.update(&bytes[span.payload.clone()]);
-            push_crc_record(&mut rec, &bytes[span.name.clone()], c.finish());
-        }
         self.image.bytes(CRC_VAR, &[rec.len() as u64], &rec);
     }
 
@@ -673,15 +737,8 @@ fn encode_generation(
         spans.push(put_field(&mut image, name, local));
     }
     spans.push(image.f64s("meta", &[2], &[s.time, s.istep as f64]));
-    spans.push(image.f64s(
-        "lag_depths",
-        &[3],
-        &[
-            s.u_lag.len() as f64,
-            s.f_lag.len() as f64,
-            s.t_lag.len() as f64,
-        ],
-    ));
+    let depths = lag_depths(s).map(|d| d as f64);
+    spans.push(image.f64s("lag_depths", &[3], &depths));
     spans.push(image.f64s("dt_hist", &[s.dt_hist.len() as u64], &s.dt_hist));
     spans.push(image.f64s("proj_meta", &[1], &[basis.len() as f64]));
     for (name, local) in tail {
@@ -785,9 +842,10 @@ pub fn write_checkpoint(sim: &Simulation<'_>, path: &Path) -> Result<(), Checkpo
 ///
 /// The mesh and polynomial order must match the checkpoint (enforced by
 /// the manifest), but the rank count and partition are free: each rank
-/// reads the shared file locally — no communication — and extracts
-/// exactly the element blocks it owns, so an N-rank checkpoint restores
-/// on M ranks.
+/// reads the shared file locally — no communication — and copies
+/// exactly the element blocks it owns straight from the file image (no
+/// global-length field is built), so an N-rank checkpoint restores on M
+/// ranks.
 ///
 /// The checkpoint is fully verified — integrity checksums, the layout
 /// manifest, variable presence/type/length, finite payloads, metadata
@@ -798,135 +856,86 @@ pub fn write_checkpoint(sim: &Simulation<'_>, path: &Path) -> Result<(), Checkpo
 /// contract); when the stored space doesn't fit the restoring
 /// configuration it is cleared and rebuilds over a few solves.
 pub fn read_checkpoint(sim: &mut Simulation<'_>, path: &Path) -> Result<(), CheckpointError> {
-    let mut steps = read_bpl(path).map_err(|source| CheckpointError::Io {
+    let image = std::fs::read(path).map_err(|source| CheckpointError::Io {
         path: path.to_path_buf(),
         source,
     })?;
-    if steps.len() != 1 {
-        return Err(CheckpointError::WrongStepCount {
-            path: path.to_path_buf(),
-            count: steps.len(),
-        });
-    }
-    let step = &mut steps[0];
-    verify_integrity(path, step)?;
+    let file = CheckpointFile::parse(path, &image)?;
+    file.verify()?;
+    let invalid = |detail: String| CheckpointError::InvalidMetadata {
+        path: path.to_path_buf(),
+        detail,
+    };
 
     let n_per = sim.elem_layout.n_per;
     let nelem_global = sim.elem_layout.nelem_global;
-    let nglob = nelem_global * n_per;
-    check_manifest(
-        path,
-        step,
-        mesh_content_hash(sim.mesh),
-        nelem_global,
-        sim.cfg.order,
-    )?;
-    let n = sim.n_local();
-    let max_order = sim.cfg.time_order;
-    let mut new = FlowState::new(n);
-    // Fields are stored globally; pull out this rank's element blocks.
-    let my = sim.my_elems.clone();
-    let local = |g: Vec<f64>| extract_elems(g, &my, n_per);
-    for d in 0..3 {
-        new.u[d] = local(take(path, step, &format!("u{d}"), nglob)?);
-    }
-    new.p = local(take(path, step, "p", nglob)?);
-    new.t = local(take(path, step, "t", nglob)?);
-    let meta = take(path, step, "meta", 2)?;
-    new.time = meta[0];
-    new.istep = take_count(path, meta[1], "step counter", u32::MAX as usize)?;
+    let manifest = manifest_bytes(mesh_content_hash(sim.mesh), nelem_global, sim.cfg.order);
+    check_manifest(&file, manifest)?;
+    let [time, istep] = file.values("meta")?;
+    let istep = take_count(path, istep, "step counter", u32::MAX as usize)?;
 
     // Lag depths must be consistent with the configured BDF/EXT order: a
     // checkpoint from a higher-order run (or corrupted metadata) would
     // otherwise make the multistep update index out of bounds or silently
     // integrate with the wrong scheme.
-    let depths = take(path, step, "lag_depths", 3)?;
-    let du = take_count(path, depths[0], "u_lag depth", MAX_LAG_DEPTH)?;
-    let df = take_count(path, depths[1], "f_lag depth", MAX_LAG_DEPTH)?;
-    let dt_ = take_count(path, depths[2], "t_lag depth", MAX_LAG_DEPTH)?;
-    for (what, depth) in [("u_lag", du), ("f_lag", df), ("t_lag", dt_)] {
-        if depth > max_order {
-            return Err(CheckpointError::InvalidMetadata {
-                path: path.to_path_buf(),
-                detail: format!("{what} depth {depth} exceeds configured time order {max_order}"),
-            });
+    let max_order = sim.cfg.time_order;
+    let mut depths = [0; 3];
+    for ((what, value), depth) in ["u_lag", "f_lag", "t_lag"]
+        .into_iter()
+        .zip(file.values::<3>("lag_depths")?)
+        .zip(&mut depths)
+    {
+        *depth = take_count(path, value, &format!("{what} depth"), MAX_LAG_DEPTH)?;
+        if *depth > max_order {
+            return Err(invalid(format!(
+                "{what} depth {depth} exceeds configured time order {max_order}"
+            )));
         }
     }
+    let [nproj] = file.values("proj_meta")?;
+    let nproj = take_count(path, nproj, "projection count", MAX_PROJ_VECS)?;
 
-    new.u_lag = (0..du)
-        .map(|i| {
-            Ok([
-                local(take(path, step, &format!("u_lag{i}_0"), nglob)?),
-                local(take(path, step, &format!("u_lag{i}_1"), nglob)?),
-                local(take(path, step, &format!("u_lag{i}_2"), nglob)?),
-            ])
-        })
-        .collect::<Result<_, CheckpointError>>()?;
-    new.t_lag = (0..dt_)
-        .map(|i| take(path, step, &format!("t_lag{i}"), nglob).map(&local))
-        .collect::<Result<_, CheckpointError>>()?;
-    new.f_lag = (0..df)
-        .map(|i| {
-            Ok([
-                local(take(path, step, &format!("f_lag{i}_0"), nglob)?),
-                local(take(path, step, &format!("f_lag{i}_1"), nglob)?),
-                local(take(path, step, &format!("f_lag{i}_2"), nglob)?),
-            ])
-        })
-        .collect::<Result<_, CheckpointError>>()?;
-    new.ft_lag = (0..df)
-        .map(|i| take(path, step, &format!("ft_lag{i}"), nglob).map(&local))
-        .collect::<Result<_, CheckpointError>>()?;
-
-    // Projection space: stored globally like everything else; restored so
-    // a mid-run restart replays the original Krylov trajectory bitwise.
-    let proj_meta = take(path, step, "proj_meta", 1)?;
-    let nproj = take_count(path, proj_meta[0], "projection count", MAX_PROJ_VECS)?;
-    let mut proj_basis = Vec::with_capacity(nproj);
-    let mut proj_images = Vec::with_capacity(nproj);
-    for i in 0..nproj {
-        proj_basis.push(local(take(path, step, &format!("proj_basis{i}"), nglob)?));
-        proj_images.push(local(take(path, step, &format!("proj_image{i}"), nglob)?));
+    let dt_bytes = file.payload("dt_hist", Dtype::F64)?;
+    if dt_bytes.len() > 8 * MAX_LAG_DEPTH {
+        return Err(invalid(format!(
+            "dt_hist has {} entries (max {MAX_LAG_DEPTH})",
+            dt_bytes.len() / 8
+        )));
     }
-
-    let dt_var = step
-        .var("dt_hist")
-        .ok_or_else(|| CheckpointError::MissingVariable {
-            path: path.to_path_buf(),
-            name: "dt_hist".to_string(),
-        })?;
-    let dt_hist = match &dt_var.data {
-        VarData::F64(v) => v.clone(),
-        _ => {
-            return Err(CheckpointError::WrongType {
-                path: path.to_path_buf(),
-                name: "dt_hist".to_string(),
-            })
-        }
-    };
-    if dt_hist.len() > MAX_LAG_DEPTH {
-        return Err(CheckpointError::InvalidMetadata {
-            path: path.to_path_buf(),
-            detail: format!(
-                "dt_hist has {} entries (max {MAX_LAG_DEPTH})",
-                dt_hist.len()
-            ),
-        });
-    }
+    let dt_hist: Vec<f64> = decode_f64s(dt_bytes).collect();
     if dt_hist.iter().any(|&dt| !dt.is_finite() || dt <= 0.0) {
-        return Err(CheckpointError::InvalidMetadata {
-            path: path.to_path_buf(),
-            detail: "dt_hist contains non-positive or non-finite steps".to_string(),
-        });
+        return Err(invalid(
+            "dt_hist contains non-positive or non-finite steps".to_string(),
+        ));
     }
+
+    // The fields, stored globally: each rank copies out its own element
+    // blocks into a state assembled off to the side. The projection space
+    // is restored too, so a mid-run restart replays the original Krylov
+    // trajectory bitwise.
+    let [du, df, dt] = depths;
+    let mut new = FlowState::new(0);
+    new.time = time;
+    new.istep = istep;
     new.dt_hist = dt_hist;
+    new.u_lag = vec![Default::default(); du];
+    new.t_lag = vec![Vec::new(); dt];
+    new.f_lag = vec![Default::default(); df];
+    new.ft_lag = vec![Vec::new(); df];
+    let mut basis = vec![Vec::new(); nproj];
+    let mut images = vec![Vec::new(); nproj];
+    for field in inventory(depths, nproj) {
+        let payload = file.f64s(&field.var_name(), nelem_global * n_per)?;
+        *field.slot(&mut new, &mut basis, &mut images) =
+            local_blocks(payload, &sim.my_elems, n_per);
+    }
 
     // Everything verified: commit in one move. The projection space is
     // part of the restart contract; if the stored space doesn't fit this
     // configuration (e.g. a smaller `p_projection`), fall back to an
     // empty space that rebuilds over the next few solves.
     sim.state = new;
-    if !sim.restore_projection(proj_basis, proj_images) {
+    if !sim.restore_projection(basis, images) {
         sim.reset_projection();
     }
     Ok(())
@@ -1388,6 +1397,7 @@ mod tests {
     use super::*;
     use crate::config::SolverConfig;
     use rbx_comm::SingleComm;
+    use rbx_io::{StepData, VarData, Variable};
     use rbx_mesh::generators::box_mesh;
 
     fn cfg() -> SolverConfig {
@@ -1398,6 +1408,20 @@ mod tests {
             ic_noise: 1e-2,
             ..Default::default()
         }
+    }
+
+    /// CRC-64 of a decoded variable, the reference `span_crc` must match:
+    /// shape dims (LE) then payload bytes.
+    fn var_crc(v: &Variable) -> u64 {
+        let mut c = Crc64::new();
+        for &d in &v.shape {
+            c.update(&d.to_le_bytes());
+        }
+        match &v.data {
+            VarData::F64(data) => data.iter().for_each(|x| c.update(&x.to_le_bytes())),
+            VarData::Bytes(data) => c.update(data),
+        }
+        c.finish()
     }
 
     /// Build the `__crc64` integrity table for a step's variables the
@@ -2007,5 +2031,137 @@ mod tests {
             matches!(err, CheckpointError::NoUsableCheckpoint { tried: 2, .. }),
             "{err}"
         );
+    }
+
+    /// Every bit a restore sets: the lag depths, projection count, scalars
+    /// and step history, then each field in inventory order.
+    fn state_bits(sim: &Simulation<'_>) -> Vec<u64> {
+        let s = &sim.state;
+        let (basis, images) = sim.projection_state();
+        let mut bits: Vec<u64> = lag_depths(s).map(|d| d as u64).to_vec();
+        bits.extend([basis.len() as u64, s.istep as u64, s.time.to_bits()]);
+        bits.push(s.dt_hist.len() as u64);
+        bits.extend(s.dt_hist.iter().map(|x| x.to_bits()));
+        for (_, field) in local_field_list(s, basis, images) {
+            bits.push(field.len() as u64);
+            bits.extend(field.iter().map(|x| x.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn hostile_bytes_are_rejected_or_restore_the_clean_state() {
+        let mesh = box_mesh(1, 1, 1, [0., 1.], [0., 1.], [0., 1.], false, false);
+        let comm = SingleComm::new();
+        let dir = tmpdir("hostile");
+        let mut a = Simulation::new(cfg(), &mesh, &[0], vec![0], &comm);
+        a.init_rbc();
+        for _ in 0..3 {
+            a.step();
+        }
+        let clean_path = dir.join("clean.bpl");
+        write_checkpoint(&a, &clean_path).unwrap();
+        let clean = std::fs::read(&clean_path).unwrap();
+        let mut reference = Simulation::new(cfg(), &mesh, &[0], vec![0], &comm);
+        read_checkpoint(&mut reference, &clean_path).unwrap();
+        let restored = state_bits(&reference);
+
+        // Every case starts from this state, which shares no value with
+        // the checkpoint, so a restore that fails part-way shows.
+        let mut b = Simulation::new(cfg(), &mesh, &[0], vec![0], &comm);
+        b.init_rbc();
+        let start = b.state.clone();
+        let untouched = state_bits(&b);
+        assert!(untouched != restored);
+        let path = dir.join("hostile.bpl");
+        // `sealed`: the table was recomputed over the mutated bytes, so an
+        // `Ok` may restore the mutated values.
+        let mut restore = |bytes: &[u8], what: &str, sealed: bool| {
+            std::fs::write(&path, bytes).unwrap();
+            let result = read_checkpoint(&mut b, &path);
+            let after = state_bits(&b);
+            match &result {
+                Ok(()) => {
+                    assert!(
+                        sealed || after == restored,
+                        "{what}: restored a different state"
+                    );
+                    b.state = start.clone();
+                    b.reset_projection();
+                }
+                Err(e) => assert!(
+                    after == untouched,
+                    "{what}: rejected ({e}) but touched the state"
+                ),
+            }
+            result
+        };
+
+        // Truncated at a fixed stride: never a complete file.
+        for len in (0..clean.len()).step_by(61) {
+            assert!(restore(&clean[..len], &format!("truncated to {len}"), false).is_err());
+        }
+
+        // Seeded single-byte XOR flips anywhere in the file.
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut flip = || {
+            let r = next();
+            ((r % clean.len() as u64) as usize, ((r >> 56) as u8).max(1))
+        };
+        let mut rejected = 0;
+        for _ in 0..2000 {
+            let (at, mask) = flip();
+            let mut bytes = clean.clone();
+            bytes[at] ^= mask;
+            let what = format!("byte {at} ^ {mask:#04x}");
+            rejected += usize::from(restore(&bytes, &what, false).is_err());
+        }
+        assert!(rejected > 1900, "only {rejected} of 2000 flips rejected");
+
+        // Flips with the table recomputed over them, so they reach the
+        // checks past the checksum; only those that still parse count.
+        let mut reached = 0;
+        for _ in 0..500 {
+            let (at, mask) = flip();
+            let mut bytes = clean.clone();
+            bytes[at] ^= mask;
+            let Ok(steps) = rbx_io::parse_bpl(&bytes) else {
+                continue;
+            };
+            let (spans, table): (Vec<_>, Vec<_>) = steps[0]
+                .vars
+                .iter()
+                .map(|(_, span)| span.clone())
+                .partition(|span| &bytes[span.name.clone()] != CRC_VAR.as_bytes());
+            let rec = crc_table(&bytes, steps[0].step, steps[0].time, &spans);
+            let Some(table) = table.first().filter(|t| t.payload.len() == rec.len()) else {
+                continue;
+            };
+            bytes[table.payload.clone()].copy_from_slice(&rec);
+            let _ = restore(&bytes, &format!("sealed byte {at} ^ {mask:#04x}"), true);
+            reached += 1;
+        }
+        assert!(reached > 400, "only {reached} of 500 sealed flips parsed");
+
+        // A payload length past the address space is rejected by the
+        // parser's truncation check: nothing is sized from it.
+        let steps = rbx_io::parse_bpl(&clean).unwrap();
+        let (_, p) = steps[0].var_named(&clean, "p").unwrap();
+        let len_at = p.payload.start - 8;
+        let mut bytes = clean.clone();
+        bytes[len_at..p.payload.start].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = restore(&bytes, "payload_len = u64::MAX", false).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Io { ref source, .. } if source.kind() == std::io::ErrorKind::InvalidData),
+            "{err}"
+        );
+        assert!(err.to_string().contains("truncated"), "{err}");
+        restore(&clean, "clean", false).unwrap();
     }
 }

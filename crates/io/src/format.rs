@@ -14,7 +14,6 @@
 //!     payload_len u64, payload
 //! ```
 
-use bytes::Buf;
 use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
@@ -272,87 +271,183 @@ fn malformed(detail: impl std::fmt::Display) -> std::io::Error {
     )
 }
 
-/// Guard a fixed-size read against truncation.
-fn need(buf: &impl Buf, bytes: usize, what: &str) -> std::io::Result<()> {
-    if buf.remaining() < bytes {
-        return Err(malformed(format!(
-            "truncated: need {bytes} byte(s) for {what}, only {} left",
-            buf.remaining()
-        )));
-    }
-    Ok(())
+/// The same error with `context` in front of its message.
+fn within(context: impl std::fmt::Display, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{context}: {e}"))
 }
 
-fn decode_step(buf: &mut &[u8]) -> std::io::Result<StepData> {
-    need(buf, 1 + 8 + 8 + 4, "step header")?;
-    let marker = buf.get_u8();
+/// A variable's payload type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dtype {
+    /// Little-endian `f64`s.
+    F64,
+    /// Opaque bytes.
+    Bytes,
+}
+
+/// One step located in place in a borrowed BPL image: the step header,
+/// and each variable's payload type and [`VarSpan`] (offsets into the
+/// image). Nothing is copied or decoded; every name is valid UTF-8 and
+/// every `F64` payload a whole number of values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepSpans {
+    /// Step index.
+    pub step: u64,
+    /// Simulated time.
+    pub time: f64,
+    /// Variables in file order.
+    pub vars: Vec<(Dtype, VarSpan)>,
+}
+
+impl StepSpans {
+    /// The first variable named `name` in `image`, the bytes these spans
+    /// were parsed from.
+    pub fn var_named(&self, image: &[u8], name: &str) -> Option<&(Dtype, VarSpan)> {
+        self.vars
+            .iter()
+            .find(|(_, span)| image.get(span.name.clone()) == Some(name.as_bytes()))
+    }
+
+    /// Copy the step out of `image` into owned variables.
+    fn decode(&self, image: &[u8]) -> StepData {
+        let vars = self.vars.iter().map(|(dtype, span)| {
+            let name = String::from_utf8_lossy(&image[span.name.clone()]).into_owned();
+            let shape = image[span.shape.clone()]
+                .chunks_exact(8)
+                .map(|d| u64::from_le_bytes(word(d)))
+                .collect();
+            let payload = &image[span.payload.clone()];
+            match dtype {
+                Dtype::F64 => Variable::f64(name, shape, decode_f64s(payload).collect()),
+                Dtype::Bytes => Variable::bytes(name, shape, payload.to_vec()),
+            }
+        });
+        StepData {
+            step: self.step,
+            time: self.time,
+            vars: vars.collect(),
+        }
+    }
+}
+
+/// The little-endian `f64`s of `src`, whose length is a multiple of 8,
+/// decoded in order: the mirror of [`BplImage::fill_f64s`].
+pub fn decode_f64s(src: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    src.chunks_exact(8).map(|b| f64::from_le_bytes(word(b)))
+}
+
+/// One chunk of `chunks_exact(8)` as an array: a single 8-byte copy
+/// (inlined into other crates' decode loops, which it would otherwise
+/// slow by a call per value).
+#[inline]
+fn word(b: &[u8]) -> [u8; 8] {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(b);
+    w
+}
+
+/// A bounds-checked read position in a borrowed image: every read is a
+/// truncation check first.
+struct Cursor<'a> {
+    image: &'a [u8],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    /// Claim the next `len` bytes for `what`.
+    fn claim(&mut self, len: usize, what: &str) -> std::io::Result<Range<usize>> {
+        let left = self.image.len() - self.at;
+        if len > left {
+            return Err(malformed(format!(
+                "truncated: need {len} byte(s) for {what}, only {left} left"
+            )));
+        }
+        self.at += len;
+        Ok(self.at - len..self.at)
+    }
+
+    /// Read the next `N` bytes for `what`.
+    fn array<const N: usize>(&mut self, what: &str) -> std::io::Result<[u8; N]> {
+        let at = self.claim(N, what)?;
+        Ok(std::array::from_fn(|k| self.image[at.start + k]))
+    }
+}
+
+/// Locate the step record at the cursor.
+fn parse_step(cur: &mut Cursor<'_>) -> std::io::Result<StepSpans> {
+    let [marker] = cur.array("step header")?;
     if marker != STEP_MARKER {
         return Err(malformed(format!(
             "bad step marker {marker:#04x} (expected {STEP_MARKER:#04x})"
         )));
     }
-    let step = buf.get_u64_le();
-    let time = buf.get_f64_le();
-    let nvars = buf.get_u32_le();
+    let step = u64::from_le_bytes(cur.array("step header")?);
+    let time = f64::from_le_bytes(cur.array("step header")?);
+    let nvars = u32::from_le_bytes(cur.array("step header")?);
     let mut vars = Vec::new();
     for i in 0..nvars {
-        need(buf, 2, "variable name length")?;
-        let name_len = buf.get_u16_le() as usize;
-        need(buf, name_len, "variable name")?;
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes)
+        let name_len = u16::from_le_bytes(cur.array("variable name length")?);
+        let name = cur.claim(usize::from(name_len), "variable name")?;
+        let name_str = std::str::from_utf8(&cur.image[name.clone()])
             .map_err(|_| malformed(format!("variable {i} name is not UTF-8")))?;
-        need(buf, 2, "variable dtype/ndims")?;
-        let dtype = buf.get_u8();
-        let ndims = buf.get_u8() as usize;
-        need(buf, ndims * 8, "variable shape")?;
-        let mut shape = Vec::with_capacity(ndims);
-        for _ in 0..ndims {
-            shape.push(buf.get_u64_le());
-        }
-        need(buf, 8, "payload length")?;
-        let payload_len = buf.get_u64_le() as usize;
-        need(buf, payload_len, "variable payload")?;
-        let data = match dtype {
+        let [dtype, ndims] = cur.array("variable dtype/ndims")?;
+        let shape = cur.claim(8 * usize::from(ndims), "variable shape")?;
+        let len = u64::from_le_bytes(cur.array("payload length")?);
+        // A length past the address space cannot fit in what is left.
+        let payload = cur.claim(
+            usize::try_from(len).unwrap_or(usize::MAX),
+            "variable payload",
+        )?;
+        let dtype = match dtype {
+            DTYPE_F64 if len.is_multiple_of(8) => Dtype::F64,
             DTYPE_F64 => {
-                if !payload_len.is_multiple_of(8) {
-                    return Err(malformed(format!(
-                        "f64 variable {name:?} payload length {payload_len} not a multiple of 8"
-                    )));
-                }
-                let (payload, rest) = buf.split_at(payload_len);
-                *buf = rest;
-                let v = payload
-                    .chunks_exact(8)
-                    .map(|b| {
-                        let mut le = [0u8; 8];
-                        le.copy_from_slice(b);
-                        f64::from_le_bytes(le)
-                    })
-                    .collect();
-                VarData::F64(v)
+                return Err(malformed(format!(
+                    "f64 variable {name_str:?} payload length {len} not a multiple of 8"
+                )))
             }
-            DTYPE_BYTES => {
-                let mut v = vec![0u8; payload_len];
-                buf.copy_to_slice(&mut v);
-                VarData::Bytes(v)
-            }
+            DTYPE_BYTES => Dtype::Bytes,
             other => {
                 return Err(malformed(format!(
-                    "variable {name:?} has unknown dtype {other}"
+                    "variable {name_str:?} has unknown dtype {other}"
                 )))
             }
         };
-        vars.push(Variable { name, shape, data });
+        vars.push((
+            dtype,
+            VarSpan {
+                name,
+                shape,
+                payload,
+            },
+        ));
     }
-    Ok(StepData { step, time, vars })
+    Ok(StepSpans { step, time, vars })
+}
+
+/// Locate every step of a whole BPL file image in place. Any malformed
+/// content — bad magic, truncation, non-UTF-8 names, unknown dtypes — is
+/// a descriptive [`std::io::ErrorKind::InvalidData`] error, never a
+/// panic, and nothing is allocated for a payload.
+pub fn parse_bpl(image: &[u8]) -> std::io::Result<Vec<StepSpans>> {
+    if image.get(..MAGIC.len()) != Some(MAGIC) {
+        return Err(malformed("not a BPL file (bad magic)"));
+    }
+    let mut cur = Cursor {
+        image,
+        at: MAGIC.len(),
+    };
+    let mut steps = Vec::new();
+    while cur.at < image.len() {
+        let step =
+            parse_step(&mut cur).map_err(|e| within(format_args!("step {}", steps.len()), e))?;
+        steps.push(step);
+    }
+    Ok(steps)
 }
 
 /// Streaming file writer.
 pub struct BplWriter {
     file: std::io::BufWriter<std::fs::File>,
-    steps_written: usize,
 }
 
 impl BplWriter {
@@ -360,61 +455,17 @@ impl BplWriter {
     pub fn create(path: &Path) -> std::io::Result<Self> {
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
         file.write_all(MAGIC)?;
-        Ok(Self {
-            file,
-            steps_written: 0,
-        })
+        Ok(Self { file })
     }
 
     /// Append one step.
     pub fn write_step(&mut self, step: &StepData) -> std::io::Result<()> {
-        self.file.write_all(&encode_step(step))?;
-        self.steps_written += 1;
-        Ok(())
-    }
-
-    /// Steps written so far.
-    pub fn steps_written(&self) -> usize {
-        self.steps_written
+        self.file.write_all(&encode_step(step))
     }
 
     /// Flush and close.
     pub fn close(mut self) -> std::io::Result<()> {
         self.file.flush()
-    }
-}
-
-/// Whole-file reader.
-#[derive(Debug)]
-pub struct BplReader {
-    steps: Vec<StepData>,
-}
-
-impl BplReader {
-    /// Read and parse the whole file. Any malformed content — truncation,
-    /// bad magic, unknown dtypes — is a descriptive
-    /// [`std::io::ErrorKind::InvalidData`] error, never a panic.
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        let raw = std::fs::read(path)?;
-        if raw.len() < 4 || &raw[..4] != MAGIC {
-            return Err(malformed(format!(
-                "{}: not a BPL file (bad magic)",
-                path.display()
-            )));
-        }
-        let mut buf = &raw[4..];
-        let mut steps = Vec::new();
-        while buf.has_remaining() {
-            steps.push(decode_step(&mut buf).map_err(|e| {
-                malformed(format!("{} (step {}): {e}", path.display(), steps.len()))
-            })?);
-        }
-        Ok(Self { steps })
-    }
-
-    /// All parsed steps.
-    pub fn steps(&self) -> &[StepData] {
-        &self.steps
     }
 }
 
@@ -455,14 +506,26 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Convenience: read all steps from a file.
+/// Read and decode every step of a file. Malformed content is a
+/// descriptive [`std::io::ErrorKind::InvalidData`] error naming the file
+/// (see [`parse_bpl`]), never a panic.
 pub fn read_bpl(path: &Path) -> std::io::Result<Vec<StepData>> {
-    Ok(BplReader::open(path)?.steps)
+    let image = std::fs::read(path)?;
+    let steps = parse_bpl(&image).map_err(|e| within(path.display(), e))?;
+    Ok(steps.iter().map(|s| s.decode(&image)).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode the one step at the start of `buf` and advance past it.
+    fn decode_step(buf: &mut &[u8]) -> std::io::Result<StepData> {
+        let mut cur = Cursor { image: buf, at: 0 };
+        let step = parse_step(&mut cur)?.decode(buf);
+        *buf = &buf[cur.at..];
+        Ok(step)
+    }
 
     fn sample_step(i: u64) -> StepData {
         StepData {
@@ -486,7 +549,7 @@ mod tests {
         let mut buf = &bytes[..];
         let back = decode_step(&mut buf).unwrap();
         assert_eq!(back, s);
-        assert!(!buf.has_remaining());
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -559,7 +622,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.bpl");
         std::fs::write(&path, b"nope").unwrap();
-        let err = BplReader::open(&path).unwrap_err();
+        let err = read_bpl(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("not a BPL file"), "{err}");
     }
@@ -572,7 +635,7 @@ mod tests {
         write_bpl(&path, &[sample_step(1)]).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
-        let err = BplReader::open(&path).unwrap_err();
+        let err = read_bpl(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("truncated"), "{err}");
     }

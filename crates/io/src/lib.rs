@@ -7,8 +7,9 @@
 //! in-repo substitute with the same roles:
 //!
 //! * a **container format** ("BPL") with steps and named typed variables,
-//! * a **file engine** ([`BplWriter`]/[`BplReader`]) for synchronous
-//!   output,
+//! * a **file engine** ([`BplWriter`]/[`read_bpl`]) for synchronous
+//!   output, over one in-place parser ([`parse_bpl`]) that locates each
+//!   variable's bytes without decoding them,
 //! * an **async file engine** ([`AsyncBplWriter`]) that serializes and
 //!   writes on a background thread while the solver advances,
 //! * a **staging engine** ([`staging_channel`]) — a bounded in-memory
@@ -23,9 +24,9 @@ pub mod vtk;
 
 pub use engine::{staging_channel, AsyncBplWriter, StagingReader, StagingWriter};
 pub use format::{
-    read_bpl, write_bpl, write_file_atomic, BplImage, BplReader, BplWriter, StepData, VarData,
-    VarSpan, Variable,
+    decode_f64s, parse_bpl, read_bpl, write_bpl, write_file_atomic, BplImage, BplWriter, Dtype,
+    StepData, StepSpans, VarData, VarSpan, Variable,
 };
-pub use integrity::{crc64, crc64_f64s, Crc64};
+pub use integrity::{crc64, Crc64};
 pub use shipping::{bcast_bytes, decode_slab_body, encode_slab_body, gather_bytes_to_root};
 pub use vtk::write_vtk;
