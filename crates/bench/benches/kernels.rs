@@ -39,15 +39,13 @@ fn fixture(p: usize, nx: usize) -> Fixture {
     let mask = dirichlet_mask(&mesh, p, &my, &ALL, &gs, &comm);
     let mult = gs.multiplicity(&comm);
     let fdm = ElementFdm::new(&geom);
-    let coarse = CoarseGrid::build(&mesh, p, &part, &my, &[], &comm);
+    let coarse = CoarseGrid::build(&mesh, p, 1, &part, &my, &[], &comm);
     let schwarz = SchwarzMg::new(
         fdm,
         coarse,
         gs.clone(),
         &mult,
         vec![1.0; geom.total_nodes()],
-        1.0,
-        0.0,
         &rbx::device::WorkerPool::new(1),
     );
     let n = geom.total_nodes();

@@ -43,11 +43,13 @@ fn main() {
         assert!(sim.step().converged);
         if step % SAMPLE_EVERY == 0 {
             let snap = sim.state.u[2].clone();
-            writer.put(StepData {
-                step: step as u64,
-                time: sim.state.time,
-                vars: vec![Variable::f64("uz", vec![n as u64], snap.clone())],
-            });
+            writer
+                .put(StepData {
+                    step: step as u64,
+                    time: sim.state.time,
+                    vars: vec![Variable::f64("uz", vec![n as u64], snap.clone())],
+                })
+                .expect("POD consumer alive");
             kept.push(snap);
         }
     }

@@ -438,6 +438,25 @@ struct RankObserver<'r, 'c> {
 }
 
 impl RankObserver<'_, '_> {
+    /// End the in-situ POD stream and collect its result. A crashed POD
+    /// consumer degrades to a warning — the run's outputs are already on
+    /// disk and must not be lost to an analysis failure.
+    fn close_pod(&mut self) {
+        let Some((w, consumer)) = self.pod.take() else {
+            return;
+        };
+        w.close();
+        match consumer.join() {
+            Ok(p) => {
+                let sv = p.singular_values();
+                let total: f64 = sv.iter().map(|s| s * s).sum();
+                let lead = sv.first().map_or(0.0, |s| s * s / total);
+                self.pod_out = Some((p.count(), p.rank(), lead));
+            }
+            Err(e) => eprintln!("run_dns: warning: in-situ POD consumer failed: {e}"),
+        }
+    }
+
     /// Finish the current encoder: its tail goes to the sink, its counters
     /// into `encoded`.
     fn drain_encoder(&mut self) {
@@ -593,7 +612,7 @@ impl RunObserver for RankObserver<'_, '_> {
             }
         }
         if let Some((w, _)) = &self.pod {
-            w.put(StepData {
+            let snapshot = StepData {
                 step: step as u64,
                 time: sim.state.time,
                 vars: vec![Variable::f64(
@@ -601,7 +620,11 @@ impl RunObserver for RankObserver<'_, '_> {
                     vec![sim.n_local() as u64],
                     sim.state.u[2].clone(),
                 )],
-            });
+            };
+            if w.put(snapshot).is_err() {
+                // The consumer exited: stop feeding it and report why.
+                self.close_pod();
+            }
         }
     }
 
@@ -650,23 +673,7 @@ impl RunObserver for RankObserver<'_, '_> {
         } else {
             self.profiles.finalize(sim.comm);
         }
-        // A crashed POD consumer degrades to a warning — the run's outputs
-        // are already on disk and must not be lost to an analysis failure.
-        self.pod_out = self.pod.take().and_then(|(w, consumer)| {
-            w.close();
-            match consumer.join() {
-                Ok(p) => {
-                    let sv = p.singular_values();
-                    let total: f64 = sv.iter().map(|s| s * s).sum();
-                    let lead = sv.first().map_or(0.0, |s| s * s / total);
-                    Some((p.count(), p.rank(), lead))
-                }
-                Err(e) => {
-                    eprintln!("run_dns: warning: in-situ POD consumer failed: {e}");
-                    None
-                }
-            }
-        });
+        self.close_pod();
         // Post-run resolution check (spectral tail energy of the
         // temperature).
         let indicator = rbx::core::SpectralIndicator::new(self.args.order + 1);

@@ -24,7 +24,7 @@ pub enum CommErrorKind {
     Timeout,
     /// A payload arrived with the wrong type.
     TypeMismatch,
-    /// CRC-32 framing check failed: the payload was corrupted in flight.
+    /// CRC-64 framing check failed: the payload was corrupted in flight.
     Corrupt,
     /// The communication epoch was poisoned by some rank; the current
     /// collective was abandoned cleanly.
@@ -81,7 +81,7 @@ pub enum CommError {
         /// The payload kind that actually arrived.
         got: &'static str,
     },
-    /// CRC-32 framing detected payload corruption.
+    /// CRC-64 framing detected payload corruption.
     Corrupt {
         /// Peer rank the frame came from.
         src: usize,

@@ -2,7 +2,7 @@
 //! deadline/retry receives.
 //!
 //! [`HardenedComm`] is the production outer layer of the communicator
-//! stack. Every outgoing payload is sealed into a CRC-32 frame carrying a
+//! stack. Every outgoing payload is sealed into a CRC-64 frame carrying a
 //! per-(dest, tag) sequence number ([`crate::frame`]); every receive
 //! verifies the CRC, drops duplicated frames, and buffers out-of-order
 //! frames so callers always observe their stream in send order — the

@@ -13,7 +13,7 @@
 //! (one bounded wait, no retries, no epoch poisoning on silence).
 //!
 //! Flow control is a credit window over cumulative acks. Every slab body
-//! is sealed into a CRC-32 frame ([`crate::frame`]) carrying a
+//! is sealed into a CRC-64 frame ([`crate::frame`]) carrying a
 //! per-channel monotone sequence number; the receiver acknowledges the
 //! highest sequence it has processed with a tiny best-effort `U64`
 //! message. The sender counts in-flight slabs as those sent and not yet

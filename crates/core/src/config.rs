@@ -1,5 +1,6 @@
 //! Solver configuration.
 
+use crate::sim::{P_PROJECTION, TIME_ORDER};
 use rbx_la::SchwarzMode;
 use rbx_telemetry::json::Value;
 
@@ -32,15 +33,10 @@ pub struct SolverConfig {
     pub order: usize,
     /// Time-step size in free-fall units.
     pub dt: f64,
-    /// Target temporal order for BDF/EXT (≤ 3, ramps up from 1).
-    pub time_order: usize,
     /// Use 3/2-rule dealiasing for advection (paper: yes).
     pub dealias: bool,
     /// Pressure GMRES: absolute tolerance.
     pub p_tol: f64,
-    /// Size of the pressure solution-projection space (previous-solution
-    /// recycling, Fischer 1998); 0 disables it.
-    pub p_projection: usize,
     /// Polynomial degree of the Schwarz coarse level, clamped to
     /// `order − 1`. Default 2: the paper's linear elements (1) leave the
     /// coarse space too weak, and on the reference box degree 2 cuts the
@@ -70,10 +66,8 @@ impl Default for SolverConfig {
             pr: 1.0,
             order: 7,
             dt: 1e-3,
-            time_order: 3,
             dealias: true,
             p_tol: 1e-7,
-            p_projection: 8,
             coarse_order: 2,
             schwarz_mode: SchwarzMode::Serial,
             schwarz_enabled: true,
@@ -113,10 +107,10 @@ impl SolverConfig {
             ("pr", Value::num(self.pr)),
             ("order", Value::int(self.order as u64)),
             ("dt", Value::num(self.dt)),
-            ("time_order", Value::int(self.time_order as u64)),
+            ("time_order", Value::int(TIME_ORDER as u64)),
             ("dealias", Value::Bool(self.dealias)),
             ("p_tol", Value::num(self.p_tol)),
-            ("p_projection", Value::int(self.p_projection as u64)),
+            ("p_projection", Value::int(P_PROJECTION as u64)),
             ("coarse_order", Value::int(self.coarse_order as u64)),
             ("schwarz_mode", Value::str(schwarz_mode)),
             ("schwarz_enabled", Value::Bool(self.schwarz_enabled)),

@@ -29,7 +29,7 @@ use rbx_la::bc::{dirichlet_mask, set_on_tagged_faces};
 use rbx_la::helmholtz::HelmholtzOp;
 use rbx_la::jacobi::{assembled_diagonal, jacobi_apply};
 use rbx_la::krylov::{fgmres, pcg, ResidualHistory, SolveStats};
-use rbx_la::ops::{hadamard, ortho_project_mean_layout, DotProduct, ElemLayout};
+use rbx_la::ops::{hadamard, ortho_project_mean, DotProduct, ElemLayout};
 use rbx_la::{record_solve, CoarseGrid, ElementFdm, SchwarzMg, SolutionProjection, SolveHealth};
 use rbx_mesh::{BoundaryTag, GeomFactors, HexMesh};
 use rbx_telemetry::json::Value;
@@ -51,6 +51,18 @@ pub const TEMPERATURE_WALLS: [BoundaryTag; 2] = [BoundaryTag::HotWall, BoundaryT
 
 /// Iteration cap of the velocity and temperature CG solves.
 const V_MAXIT: usize = 200;
+
+/// Pressure FGMRES iteration cap and restart length.
+const P_MAXIT: usize = 200;
+const P_RESTART: usize = 30;
+
+/// Size of the pressure solution-projection space (previous-solution
+/// recycling, Fischer 1998), always on as in NekRS.
+pub const P_PROJECTION: usize = 8;
+
+/// Temporal order of the BDF/EXT scheme: BDF3/EXT3 (paper §6), reached
+/// after a 1 → 2 → 3 ramp over the first steps.
+pub const TIME_ORDER: usize = 3;
 
 /// Iteration counts and diagnostics from one time step.
 #[derive(Debug, Clone, Copy, Default)]
@@ -148,10 +160,6 @@ impl<'a> Simulation<'a> {
     ///
     /// `part` assigns every global element to a rank; `my_elems` are this
     /// rank's elements (consistent with `comm.rank()`).
-    ///
-    /// # Panics
-    ///
-    /// If `cfg.time_order` is not 1, 2 or 3 (the BDF/EXT tables stop at 3).
     pub fn new(
         cfg: SolverConfig,
         mesh: &'a HexMesh,
@@ -159,11 +167,6 @@ impl<'a> Simulation<'a> {
         my_elems: Vec<usize>,
         comm: &'a dyn Communicator,
     ) -> Self {
-        assert!(
-            (1..=3).contains(&cfg.time_order),
-            "SolverConfig::time_order must be 1, 2 or 3, got {}",
-            cfg.time_order
-        );
         let p = cfg.order;
         let sub = mesh.extract(&my_elems);
         let geom = GeomFactors::new(&sub, p);
@@ -225,23 +228,14 @@ impl<'a> Simulation<'a> {
         // The coarse degree is clamped below the fine one, so every order
         // the solver accepts runs with the default coarse space.
         let coarse_p = cfg.coarse_order.min(p - 1);
-        let coarse = CoarseGrid::build_with_order(mesh, p, coarse_p, part, &my_elems, &[], comm);
-        let schwarz = SchwarzMg::new(
-            fdm,
-            coarse,
-            gs.clone(),
-            &mult,
-            mask_p.clone(),
-            1.0,
-            0.0,
-            &pool,
-        );
+        let coarse = CoarseGrid::build(mesh, p, coarse_p, part, &my_elems, &[], comm);
+        let schwarz = SchwarzMg::new(fdm, coarse, gs.clone(), &mult, mask_p.clone(), &pool);
 
         let diag_a = assembled_diagonal(&geom, &gs, 1.0, 0.0, comm);
         let diag_b = assembled_diagonal(&geom, &gs, 0.0, 1.0, comm);
         let dealias = Dealias::new(&geom, cfg.dealias);
         let state = FlowState::new(geom.total_nodes());
-        let p_proj = SolutionProjection::new(geom.total_nodes(), cfg.p_projection);
+        let p_proj = SolutionProjection::new(geom.total_nodes(), P_PROJECTION);
 
         Self {
             cfg,
@@ -448,7 +442,7 @@ impl<'a> Simulation<'a> {
         let nu = self.cfg.viscosity();
         let alpha = self.cfg.diffusivity();
         let istep = self.state.istep + 1;
-        let k = effective_order(istep, self.cfg.time_order);
+        let k = effective_order(istep, TIME_ORDER);
         // Step-size history (current step first) for variable-step
         // coefficients; uniform histories reproduce the classic tables.
         let mut dts = vec![dt];
@@ -474,8 +468,8 @@ impl<'a> Simulation<'a> {
             let mut timers = std::mem::take(&mut self.timers);
             let out = timers.region(Phase::Other, comm, || {
                 let (f, ft) = self.compute_forcing();
-                self.state.push_forcing_lag(f, ft, self.cfg.time_order);
-                self.state.push_solution_lag(self.cfg.time_order);
+                self.state.push_forcing_lag(f, ft, TIME_ORDER);
+                self.state.push_solution_lag(TIME_ORDER);
 
                 let mut su = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
                 let mut st = vec![0.0; n];
@@ -584,7 +578,7 @@ impl<'a> Simulation<'a> {
         self.state.istep = istep;
         self.state.time += dt;
         self.state.dt_hist.insert(0, dt);
-        self.state.dt_hist.truncate(self.cfg.time_order);
+        self.state.dt_hist.truncate(TIME_ORDER);
         self.timers.complete_step();
         stats.wall_seconds = wall_start.elapsed().as_secs_f64();
         self.record_step_telemetry(&stats, &p_stats, &v_stats, &t_stats);
@@ -788,9 +782,6 @@ impl<'a> Simulation<'a> {
 
     // audit:allow(hot-alloc): field-sized scratch per call; a shared scratch arena is the planned fix (ROADMAP), and each allocation is amortized by the O(N) kernel work that follows
     fn pressure_solve(&mut self, su: &[Vec<f64>; 3], u_ext: &[Vec<f64>; 3], nu: f64) -> SolveStats {
-        /// Pressure FGMRES iteration cap and restart length.
-        const P_MAXIT: usize = 200;
-        const P_RESTART: usize = 30;
         let n = self.n_local();
         // S̃ = S − ν ∇×∇×u_ext (rotational correction). The curl
         // temporaries live in their own block, so they are freed before
@@ -830,7 +821,7 @@ impl<'a> Simulation<'a> {
         // ⟨rhs, 1⟩ = 0 in the *unique-dof* inner product, so the weights
         // are the inverse multiplicities (mass weighting here would break
         // solvability).
-        ortho_project_mean_layout(&mut rhs, self.dp.weights(), &self.elem_layout, self.comm);
+        ortho_project_mean(&mut rhs, self.dp.weights(), &self.elem_layout, self.comm);
 
         let op = HelmholtzOp {
             geom: &self.geom,
@@ -851,98 +842,66 @@ impl<'a> Simulation<'a> {
         let pool = &self.pool;
         let tel = &self.tel;
 
-        if self.cfg.p_projection > 0 {
-            // Previous-solution recycling: remove the best approximation in
-            // the stored A-orthonormal space, solve only for the remainder.
-            let mut x0 = vec![0.0; n];
-            self.p_proj.project_out(&mut rhs, &mut x0, dp, comm);
-            let mut dx = vec![0.0; n];
-            let stats = fgmres(
-                |x, y| {
-                    let _g = tel.span_abs("pool/helmholtz");
-                    op.apply_with(x, y, pool, comm);
-                },
-                |r, z| {
-                    if use_schwarz {
-                        schwarz.apply(r, z, mode, comm);
-                    } else {
-                        jacobi_apply(diag_a, mask_p, r, z);
-                        ortho_project_mean_layout(z, mass, layout, comm);
-                    }
-                },
-                |a, b| {
-                    let _g = tel.span_abs("pool/dot");
-                    dp.dot_with(a, b, pool, comm)
-                },
-                &rhs,
-                &mut dx,
-                self.cfg.p_tol,
-                0.0,
-                P_MAXIT,
-                P_RESTART,
+        // Previous-solution recycling: remove the best approximation in the
+        // stored A-orthonormal space, solve only for the remainder.
+        let mut x0 = vec![0.0; n];
+        self.p_proj.project_out(&mut rhs, &mut x0, dp, comm);
+        let mut dx = vec![0.0; n];
+        let stats = fgmres(
+            |x, y| {
+                let _g = tel.span_abs("pool/helmholtz");
+                op.apply_with(x, y, pool, comm);
+            },
+            |r, z| {
+                if use_schwarz {
+                    schwarz.apply(r, z, mode, comm);
+                } else {
+                    jacobi_apply(diag_a, mask_p, r, z);
+                    // Jacobi on pure Neumann: deflate constants.
+                    ortho_project_mean(z, mass, layout, comm);
+                }
+            },
+            |a, b| {
+                let _g = tel.span_abs("pool/dot");
+                dp.dot_with(a, b, pool, comm)
+            },
+            &rhs,
+            &mut dx,
+            self.cfg.p_tol,
+            0.0,
+            P_MAXIT,
+            P_RESTART,
+        );
+        if !stats.converged {
+            // Production-style diagnostic: a stalled pressure solve is the
+            // first thing to debug in a failing DNS.
+            eprintln!(
+                "[rbx] pressure GMRES {}: {} iters, residual {:.3e} \
+                 (initial {:.3e}, deflated rhs {:.3e}, projected guess {:.3e}, space {} vecs)",
+                stats.health,
+                stats.iterations,
+                stats.final_residual,
+                stats.initial_residual,
+                dp.norm(&rhs, comm),
+                dp.norm(&x0, comm),
+                self.p_proj.len()
             );
-            if !stats.converged {
-                // Production-style diagnostic: a stalled pressure solve is
-                // the first thing to debug in a failing DNS.
-                eprintln!(
-                    "[rbx] pressure GMRES {}: {} iters, residual {:.3e} \
-                     (initial {:.3e}, deflated rhs {:.3e}, projected guess {:.3e}, space {} vecs)",
-                    stats.health,
-                    stats.iterations,
-                    stats.final_residual,
-                    stats.initial_residual,
-                    dp.norm(&rhs, comm),
-                    dp.norm(&x0, comm),
-                    self.p_proj.len()
-                );
-            }
-            let p = &mut self.state.p;
-            for i in 0..n {
-                p[i] = x0[i] + dx[i];
-            }
-            ortho_project_mean_layout(p, mass, layout, comm);
-            // Absorb the *full* solution, not just the correction: when the
-            // space restarts (Fischer's policy clears it once full), the
-            // first stored direction must carry the dominant pressure
-            // content or the next solve cold-starts and can stall. Against
-            // a warm space the A-orthogonalization reduces this to the
-            // correction automatically.
-            let mut ap = vec![0.0; n];
-            op.apply_with(p, &mut ap, pool, comm);
-            let p_snapshot = self.state.p.clone();
-            self.p_proj.absorb(&p_snapshot, &ap, dp, comm);
-            stats
-        } else {
-            let p = &mut self.state.p;
-            ortho_project_mean_layout(p, mass, layout, comm);
-            let stats = fgmres(
-                |x, y| {
-                    let _g = tel.span_abs("pool/helmholtz");
-                    op.apply_with(x, y, pool, comm);
-                },
-                |r, z| {
-                    if use_schwarz {
-                        schwarz.apply(r, z, mode, comm);
-                    } else {
-                        jacobi_apply(diag_a, mask_p, r, z);
-                        // Jacobi on pure Neumann: deflate constants.
-                        ortho_project_mean_layout(z, mass, layout, comm);
-                    }
-                },
-                |a, b| {
-                    let _g = tel.span_abs("pool/dot");
-                    dp.dot_with(a, b, pool, comm)
-                },
-                &rhs,
-                p,
-                self.cfg.p_tol,
-                0.0,
-                P_MAXIT,
-                P_RESTART,
-            );
-            ortho_project_mean_layout(p, mass, layout, comm);
-            stats
         }
+        let p = &mut self.state.p;
+        for i in 0..n {
+            p[i] = x0[i] + dx[i];
+        }
+        ortho_project_mean(p, mass, layout, comm);
+        // Absorb the *full* solution, not just the correction: when the
+        // space restarts (Fischer's policy clears it once full), the first
+        // stored direction must carry the dominant pressure content or the
+        // next solve cold-starts and can stall. Against a warm space the
+        // A-orthogonalization reduces this to the correction automatically.
+        let mut ap = vec![0.0; n];
+        op.apply_with(p, &mut ap, pool, comm);
+        let p_snapshot = self.state.p.clone();
+        self.p_proj.absorb(&p_snapshot, &ap, dp, comm);
+        stats
     }
 
     // audit:allow(hot-alloc): field-sized scratch per call; a shared scratch arena is the planned fix (ROADMAP), and each allocation is amortized by the O(N) kernel work that follows
@@ -1542,13 +1501,13 @@ mod projection_tests {
     fn pressure_projection_reduces_iterations() {
         let mesh = box_mesh(2, 2, 2, [0., 1.], [0., 1.], [0., 1.], false, false);
         let comm = SingleComm::new();
-        let run = |p_projection: usize| -> usize {
+        // Without projection: the space is emptied before every step.
+        let run = |project: bool| -> usize {
             let cfg = SolverConfig {
                 ra: 1e4,
                 order: 4,
                 dt: 2e-3,
                 ic_noise: 1e-2,
-                p_projection,
                 ..Default::default()
             };
             let part = vec![0; mesh.num_elements()];
@@ -1557,14 +1516,17 @@ mod projection_tests {
             sim.init_rbc();
             let mut total = 0;
             for _ in 0..12 {
+                if !project {
+                    sim.reset_projection();
+                }
                 let st = sim.step();
                 assert!(st.converged, "{st:?}");
                 total += st.p_iters;
             }
             total
         };
-        let without = run(0);
-        let with = run(8);
+        let without = run(false);
+        let with = run(true);
         assert!(
             with < without,
             "projection did not reduce pressure iterations: {with} !< {without}"
@@ -1577,14 +1539,13 @@ mod projection_tests {
         // same tolerance).
         let mesh = box_mesh(2, 2, 1, [0., 1.], [0., 1.], [0., 1.], false, false);
         let comm = SingleComm::new();
-        let run = |p_projection: usize| -> Vec<f64> {
+        let run = |project: bool| -> Vec<f64> {
             let cfg = SolverConfig {
                 ra: 1e4,
                 order: 3,
                 dt: 2e-3,
                 ic_noise: 1e-2,
                 p_tol: 1e-10,
-                p_projection,
                 ..Default::default()
             };
             let part = vec![0; mesh.num_elements()];
@@ -1592,12 +1553,15 @@ mod projection_tests {
             let mut sim = Simulation::new(cfg, &mesh, &part, my, &comm);
             sim.init_rbc();
             for _ in 0..6 {
+                if !project {
+                    sim.reset_projection();
+                }
                 assert!(sim.step().converged);
             }
             sim.state.t.clone()
         };
-        let a = run(0);
-        let b = run(8);
+        let a = run(false);
+        let b = run(true);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-8, "{x} vs {y}");
         }

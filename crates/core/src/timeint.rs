@@ -197,22 +197,6 @@ mod tests {
         assert_eq!(effective_order(5, 2), 2);
     }
 
-    /// `bdf_coeffs` only debug-asserts (it runs every step), so order 4
-    /// is rejected where the solver is built — in every build profile.
-    #[test]
-    #[should_panic(expected = "SolverConfig::time_order must be 1, 2 or 3, got 4")]
-    fn order_4_rejected() {
-        let mesh =
-            rbx_mesh::generators::box_mesh(1, 1, 1, [0., 1.], [0., 1.], [0., 1.], false, false);
-        let comm = rbx_comm::SingleComm::new();
-        let cfg = crate::SolverConfig {
-            order: 2,
-            time_order: 4,
-            ..Default::default()
-        };
-        let _ = crate::Simulation::new(cfg, &mesh, &[0], vec![0], &comm);
-    }
-
     #[test]
     fn variable_bdf_reduces_to_uniform_table() {
         for order in 1..=3usize {

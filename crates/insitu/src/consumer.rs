@@ -8,9 +8,11 @@
 //! the producing solver keeps running.
 //!
 //! Failure is typed, not panicking: a spawn failure or a panicked
-//! consumer surfaces as [`InsituError`] at the `spawn`/`join` seams, and
-//! a producer that drops its sender simply ends the stream — the
-//! consumer thread exits cleanly with whatever it accumulated.
+//! consumer surfaces as [`InsituError`] at the `spawn`/`join` seams, a
+//! snapshot that is not a POD input (compressed bytes, or a length other
+//! than the weights') is skipped, and a producer that drops its sender
+//! simply ends the stream — the consumer thread exits cleanly with
+//! whatever it accumulated.
 
 use crate::error::{panic_detail, InsituError};
 use crate::streaming::StreamingPod;
@@ -40,10 +42,11 @@ impl PodConsumer {
                 while let Some(step) = reader.next_step() {
                     if let Some(var) = step.var(&var_name) {
                         match &var.data {
-                            VarData::F64(x) => pod.update(x),
-                            VarData::Bytes(_) => {
-                                // Compressed payloads are not POD inputs;
-                                // skip silently (producer decides what to
+                            VarData::F64(x) if x.len() == weights.len() => pod.update(x),
+                            _ => {
+                                // Compressed payloads and snapshots of
+                                // another length are not POD inputs; skip
+                                // silently (producer decides what to
                                 // stream raw).
                             }
                         }
@@ -99,14 +102,16 @@ mod tests {
         let consumer = PodConsumer::spawn(reader, "temperature", w.clone(), 6).unwrap();
         // Produce concurrently (back-pressure exercises the async path).
         for (t, x) in snaps.iter().enumerate() {
-            writer.put(StepData {
-                step: t as u64,
-                time: t as f64 * 0.1,
-                vars: vec![
-                    Variable::f64("temperature", vec![n as u64], x.clone()),
-                    Variable::f64("ignored", vec![1], vec![0.0]),
-                ],
-            });
+            writer
+                .put(StepData {
+                    step: t as u64,
+                    time: t as f64 * 0.1,
+                    vars: vec![
+                        Variable::f64("temperature", vec![n as u64], x.clone()),
+                        Variable::f64("ignored", vec![1], vec![0.0]),
+                    ],
+                })
+                .unwrap();
         }
         writer.close();
         let pod = consumer.join().unwrap();
@@ -126,16 +131,20 @@ mod tests {
     fn missing_variable_steps_are_skipped() {
         let (writer, reader) = staging_channel(2);
         let consumer = PodConsumer::spawn(reader, "wanted", vec![1.0; 4], 3).unwrap();
-        writer.put(StepData {
-            step: 0,
-            time: 0.0,
-            vars: vec![Variable::f64("other", vec![4], vec![1.0; 4])],
-        });
-        writer.put(StepData {
-            step: 1,
-            time: 0.1,
-            vars: vec![Variable::f64("wanted", vec![4], vec![1.0, 2.0, 3.0, 4.0])],
-        });
+        writer
+            .put(StepData {
+                step: 0,
+                time: 0.0,
+                vars: vec![Variable::f64("other", vec![4], vec![1.0; 4])],
+            })
+            .unwrap();
+        writer
+            .put(StepData {
+                step: 1,
+                time: 0.1,
+                vars: vec![Variable::f64("wanted", vec![4], vec![1.0, 2.0, 3.0, 4.0])],
+            })
+            .unwrap();
         writer.close();
         let pod = consumer.join().unwrap();
         assert_eq!(pod.count(), 1);
@@ -146,15 +155,48 @@ mod tests {
     fn dropped_sender_ends_the_consumer_cleanly() {
         let (writer, reader) = staging_channel(2);
         let consumer = PodConsumer::spawn(reader, "uz", vec![0.25; 4], 2).unwrap();
-        writer.put(StepData {
-            step: 0,
-            time: 0.0,
-            vars: vec![Variable::f64("uz", vec![4], vec![1.0; 4])],
-        });
+        writer
+            .put(StepData {
+                step: 0,
+                time: 0.0,
+                vars: vec![Variable::f64("uz", vec![4], vec![1.0; 4])],
+            })
+            .unwrap();
         // Drop without close(): the reader sees end-of-stream, the thread
         // must exit with its partial state instead of unwinding.
         drop(writer);
         let pod = consumer.join().unwrap();
         assert_eq!(pod.count(), 1);
+    }
+
+    #[test]
+    fn wrong_length_snapshot_is_skipped() {
+        let (writer, reader) = staging_channel(2);
+        let consumer = PodConsumer::spawn(reader, "uz", vec![1.0; 4], 3).unwrap();
+        for (step, len) in [(0, 5), (1, 4)] {
+            writer
+                .put(StepData {
+                    step,
+                    time: 0.0,
+                    vars: vec![Variable::f64("uz", vec![len as u64], vec![1.0; len])],
+                })
+                .unwrap();
+        }
+        writer.close();
+        let pod = consumer.join().unwrap();
+        assert_eq!(pod.count(), 1);
+    }
+
+    #[test]
+    fn put_after_the_consumer_exited_returns() {
+        // An exited consumer has dropped its reader.
+        let (writer, reader) = staging_channel(1);
+        drop(reader);
+        let step = StepData {
+            step: 3,
+            time: 0.0,
+            vars: vec![Variable::f64("uz", vec![4], vec![1.0; 4])],
+        };
+        assert_eq!(writer.put(step.clone()), Err(step));
     }
 }

@@ -16,10 +16,11 @@ pub struct StagingWriter {
 
 impl StagingWriter {
     /// Publish one step; blocks when the consumer is `capacity` steps
-    /// behind (back-pressure instead of unbounded buffering).
-    pub fn put(&self, step: StepData) {
-        // audit:allow(no-panic): a dropped reader means the in-situ consumer is gone — continuing would silently discard simulation output, so fail fast
-        self.tx.send(step).expect("staging reader dropped");
+    /// behind (back-pressure instead of unbounded buffering). A consumer
+    /// that has exited (its reader dropped) hands the step back as `Err`,
+    /// so the producer can stop feeding it.
+    pub fn put(&self, step: StepData) -> Result<(), StepData> {
+        self.tx.send(step).map_err(|e| e.0)
     }
 
     /// Close the stream (consumers see end-of-stream after draining).
@@ -57,11 +58,13 @@ impl Iterator for StagingReader {
 /// ```
 /// use rbx_io::{staging_channel, StepData, Variable};
 /// let (writer, reader) = staging_channel(2);
-/// writer.put(StepData {
-///     step: 1,
-///     time: 0.5,
-///     vars: vec![Variable::f64("t", vec![3], vec![1.0, 2.0, 3.0])],
-/// });
+/// writer
+///     .put(StepData {
+///         step: 1,
+///         time: 0.5,
+///         vars: vec![Variable::f64("t", vec![3], vec![1.0, 2.0, 3.0])],
+///     })
+///     .unwrap();
 /// writer.close();
 /// let steps: Vec<_> = reader.collect();
 /// assert_eq!(steps.len(), 1);
@@ -154,7 +157,7 @@ mod tests {
         let (tx, rx) = staging_channel(8);
         let producer = std::thread::spawn(move || {
             for i in 0..20 {
-                tx.put(step(i));
+                tx.put(step(i)).unwrap();
             }
             tx.close();
         });
@@ -174,7 +177,7 @@ mod tests {
         let produced2 = produced.clone();
         let producer = std::thread::spawn(move || {
             for i in 0..10 {
-                tx.put(step(i));
+                tx.put(step(i)).unwrap();
                 produced2.store(i + 1, Ordering::SeqCst);
             }
         });
@@ -190,7 +193,7 @@ mod tests {
     fn try_next_is_nonblocking() {
         let (tx, rx) = staging_channel(2);
         assert!(rx.try_next_step().is_none());
-        tx.put(step(1));
+        tx.put(step(1)).unwrap();
         assert_eq!(rx.try_next_step().unwrap().step, 1);
     }
 

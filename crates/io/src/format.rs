@@ -186,8 +186,7 @@ impl BplImage {
     pub fn f64s(&mut self, name: &str, shape: &[u64], data: &[f64]) -> VarSpan {
         let span = self.var_header(name, DTYPE_F64, shape, 8 * data.len());
         #[cfg(target_endian = "little")]
-        self.buf
-            .extend_from_slice(crate::integrity::f64_le_bytes(data));
+        self.buf.extend_from_slice(f64_le_bytes(data));
         #[cfg(not(target_endian = "little"))]
         for x in data {
             self.buf.extend_from_slice(&x.to_le_bytes());
@@ -213,7 +212,7 @@ impl BplImage {
             "fill past the payload"
         );
         #[cfg(target_endian = "little")]
-        dst.copy_from_slice(crate::integrity::f64_le_bytes(data));
+        dst.copy_from_slice(f64_le_bytes(data));
         #[cfg(not(target_endian = "little"))]
         for (d, x) in dst.chunks_exact_mut(8).zip(data) {
             d.copy_from_slice(&x.to_le_bytes());
@@ -515,9 +514,27 @@ pub fn read_bpl(path: &Path) -> std::io::Result<Vec<StepData>> {
     Ok(steps.iter().map(|s| s.decode(&image)).collect())
 }
 
+/// The little-endian bytes of `data`, borrowed: on a little-endian target
+/// an f64 slice already is its BPL encoding.
+#[cfg(target_endian = "little")]
+fn f64_le_bytes(data: &[f64]) -> &[u8] {
+    // SAFETY: f64 has no padding and no invalid bit patterns as bytes, u8
+    // has alignment 1, and the length is the slice's size in bytes; the
+    // borrow keeps `data` alive and unmodified.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data)) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(target_endian = "little")]
+    fn f64_helper_matches_byte_encoding() {
+        let v = [1.5f64, -0.25, std::f64::consts::PI, 0.0, -0.0, f64::NAN];
+        let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(f64_le_bytes(&v), &bytes[..]);
+    }
 
     /// Decode the one step at the start of `buf` and advance past it.
     fn decode_step(buf: &mut &[u8]) -> std::io::Result<StepData> {

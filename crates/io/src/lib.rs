@@ -18,7 +18,6 @@
 
 mod engine;
 mod format;
-pub mod integrity;
 pub mod shipping;
 pub mod vtk;
 
@@ -27,6 +26,5 @@ pub use format::{
     decode_f64s, parse_bpl, read_bpl, write_bpl, write_file_atomic, BplImage, BplWriter, Dtype,
     StepData, StepSpans, VarData, VarSpan, Variable,
 };
-pub use integrity::{crc64, Crc64};
 pub use shipping::{bcast_bytes, decode_slab_body, encode_slab_body, gather_bytes_to_root};
 pub use vtk::write_vtk;

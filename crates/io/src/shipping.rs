@@ -8,7 +8,7 @@
 //! peer turns an output flush into a recoverable fault, not a hung run.
 //!
 //! On the production hardened stack the payloads additionally inherit
-//! CRC-32 framing, so a corrupted blob is rejected before it reaches a
+//! CRC-64 framing, so a corrupted blob is rejected before it reaches a
 //! file.
 
 use rbx_comm::{CommError, Communicator, Payload};

@@ -217,33 +217,20 @@ fn assemble(geom: &GeomFactors, ids: &[usize], fixed: &[bool]) -> UpperCsc {
 }
 
 impl CoarseGrid {
-    /// Build the degree-1 coarse level (the paper's linear elements) for
-    /// this rank's elements.
+    /// Build the degree-`coarse_p` coarse level for this rank's elements
+    /// (1 is the paper's linear elements; its Eq. 3 is stated "for a
+    /// general k-level formulation", and a higher degree gives a richer
+    /// coarse space and a larger factor).
     ///
     /// `dirichlet_tags` lists the boundary tags that impose Dirichlet
     /// conditions on the *solved variable*; pass an empty slice for the
     /// pure-Neumann pressure Poisson problem (sets `neumann = true`).
-    pub fn build(
-        mesh: &HexMesh,
-        fine_p: usize,
-        part: &[usize],
-        my_elems: &[usize],
-        dirichlet_tags: &[BoundaryTag],
-        comm: &dyn Communicator,
-    ) -> Self {
-        Self::build_with_order(mesh, fine_p, 1, part, my_elems, dirichlet_tags, comm)
-    }
-
-    /// Like [`CoarseGrid::build`] but with a configurable coarse polynomial
-    /// degree (the paper's Eq. 3 is stated "for a general k-level
-    /// formulation"; a higher degree gives a richer coarse space and a
-    /// larger factor).
     ///
     /// # Panics
     /// Panics unless `1 ≤ coarse_p < fine_p`, and if the coarse matrix is
     /// not positive definite (a mesh in several disconnected pieces).
     #[allow(clippy::too_many_arguments)]
-    pub fn build_with_order(
+    pub fn build(
         mesh: &HexMesh,
         fine_p: usize,
         coarse_p: usize,
@@ -514,11 +501,12 @@ impl CoarseGrid {
 mod tests {
     use super::*;
     use crate::helmholtz::{HelmholtzOp, HelmholtzScratch};
-    use crate::ops::DotProduct;
+    use crate::ops::{DotProduct, ElemLayout};
     use rbx_comm::{run_on_ranks, CommError, CommTuning, Payload, SingleComm};
     use rbx_mesh::generators::box_mesh;
     use rbx_mesh::partition::{part_elements, partition_rcb};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
 
     const WALLS: [BoundaryTag; 3] = [
@@ -536,7 +524,7 @@ mod tests {
         let comm = SingleComm::new();
         let part = vec![0; mesh.num_elements()];
         let my: Vec<usize> = (0..mesh.num_elements()).collect();
-        let cg = CoarseGrid::build_with_order(mesh, p, pc, &part, &my, tags, &comm);
+        let cg = CoarseGrid::build(mesh, p, pc, &part, &my, tags, &comm);
         (cg, comm)
     }
 
@@ -551,14 +539,16 @@ mod tests {
         let (cg, comm) = single(mesh, 5, pc, tags);
         let geom = GeomFactors::new(mesh, pc);
         let mult = cg.gs.multiplicity(&comm);
-        let dp = DotProduct::new(&mult);
+        let nel = geom.nelv;
+        let layout = ElemLayout::new(geom.nodes_per_element(), (0..nel).collect(), nel);
+        let dp = DotProduct::with_layout(&mult, Arc::new(layout));
         let mut rhs: Vec<f64> = (0..cg.len())
             .map(|i| ((i * 31 % 19) as f64) - 9.0)
             .collect();
         cg.gs.apply(&mut rhs, rbx_gs::GsOp::Add, &comm);
         hadamard(&cg.mask, &mut rhs);
         if cg.neumann {
-            crate::ops::ortho_project_mean(&mut rhs, dp.weights(), &comm);
+            crate::ops::ortho_project_mean(&mut rhs, dp.weights(), dp.layout(), &comm);
         }
         let mut z = vec![0.0; cg.len()];
         cg.solve(&rhs, &mut z, &comm);
@@ -617,7 +607,10 @@ mod tests {
         let mut rc = vec![0.0; cg.len()];
         let mut scratch = TensorScratch::new();
         cg.restrict(&r, &mut rc, &mut scratch, &comm);
-        let left = DotProduct::new(&multc).dot(&rc, &zc, &comm);
+        // Degree-1 coarse elements carry 2³ nodes.
+        let nel = mesh.num_elements();
+        let layout = Arc::new(ElemLayout::new(8, (0..nel).collect(), nel));
+        let left = DotProduct::with_layout(&multc, layout).dot(&rc, &zc, &comm);
 
         // r is the weighted residual, so the plain local dot is the
         // consistent pairing on the fine side.
@@ -688,7 +681,7 @@ mod tests {
     ) -> Vec<f64> {
         let p = 4;
         let nf = (p + 1) * (p + 1) * (p + 1);
-        let cg = CoarseGrid::build_with_order(mesh, p, 2, part, my, &[], comm);
+        let cg = CoarseGrid::build(mesh, p, 2, part, my, &[], comm);
         let r: Vec<f64> = my
             .iter()
             .flat_map(|&ge| (0..nf).map(move |i| ((ge * nf + i) as f64 * 0.731).sin()))
@@ -790,15 +783,13 @@ mod tests {
             let geom = GeomFactors::new(&mesh.extract(my), p);
             let gs = std::sync::Arc::new(GatherScatter::build(&mesh, p, &part, my, comm));
             let mult = gs.multiplicity(comm);
-            let coarse = CoarseGrid::build_with_order(&mesh, p, 2, &part, my, &[], comm);
+            let coarse = CoarseGrid::build(&mesh, p, 2, &part, my, &[], comm);
             let schwarz = SchwarzMg::new(
                 ElementFdm::new(&geom),
                 coarse,
                 gs,
                 &mult,
                 vec![1.0; geom.total_nodes()],
-                1.0,
-                0.0,
                 &WorkerPool::new(1),
             );
             let r: Vec<f64> = (0..my.len() * nf).map(|i| (i as f64 * 0.3).cos()).collect();
@@ -828,7 +819,7 @@ mod multilevel_tests {
     use crate::bc::dirichlet_mask;
     use crate::helmholtz::{HelmholtzOp, HelmholtzScratch};
     use crate::krylov::fgmres;
-    use crate::ops::DotProduct;
+    use crate::ops::{DotProduct, ElemLayout};
     use crate::{ElementFdm, SchwarzMg, SchwarzMode};
     use rbx_comm::SingleComm;
     use rbx_device::WorkerPool;
@@ -854,15 +845,13 @@ mod multilevel_tests {
         let mask = dirichlet_mask(&mesh, p, &my, &ALL, &gs, &comm);
         let mult = gs.multiplicity(&comm);
         let fdm = ElementFdm::new(&geom);
-        let coarse = CoarseGrid::build_with_order(&mesh, p, coarse_p, &part, &my, &ALL, &comm);
+        let coarse = CoarseGrid::build(&mesh, p, coarse_p, &part, &my, &ALL, &comm);
         let schwarz = SchwarzMg::new(
             fdm,
             coarse,
             gs.clone(),
             &mult,
             mask.clone(),
-            1.0,
-            0.0,
             &WorkerPool::new(1),
         );
         let op = HelmholtzOp {
@@ -872,7 +861,9 @@ mod multilevel_tests {
             h1: 1.0,
             h2: 0.0,
         };
-        let dp = DotProduct::new(&mult);
+        let nel = mesh.num_elements();
+        let layout = Arc::new(ElemLayout::new((p + 1).pow(3), (0..nel).collect(), nel));
+        let dp = DotProduct::with_layout(&mult, layout);
         let n = geom.total_nodes();
         let mut x_true: Vec<f64> = (0..n)
             .map(|i| {
@@ -920,7 +911,7 @@ mod multilevel_tests {
         let comm = SingleComm::new();
         let part = vec![0; mesh.num_elements()];
         let my: Vec<usize> = (0..mesh.num_elements()).collect();
-        let cg = CoarseGrid::build_with_order(&mesh, p, 2, &part, &my, &[], &comm);
+        let cg = CoarseGrid::build(&mesh, p, 2, &part, &my, &[], &comm);
         let c = GeomFactors::new(&mesh, 2).coords;
         let fine_geom = GeomFactors::new(&mesh, p);
         let f = |x: f64, y: f64, z: f64| x * x - 2.0 * y * z + 3.0 * z * z;
@@ -945,6 +936,6 @@ mod multilevel_tests {
     fn coarse_order_must_be_below_fine() {
         let mesh = box_mesh(1, 1, 1, [0., 1.], [0., 1.], [0., 1.], false, false);
         let comm = SingleComm::new();
-        let _ = CoarseGrid::build_with_order(&mesh, 3, 3, &[0], &[0], &[], &comm);
+        let _ = CoarseGrid::build(&mesh, 3, 3, &[0], &[0], &[], &comm);
     }
 }

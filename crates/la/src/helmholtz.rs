@@ -159,10 +159,22 @@ impl<'a> HelmholtzOp<'a> {
 mod tests {
     use super::*;
     use crate::bc::dirichlet_mask;
-    use crate::ops::DotProduct;
+    use crate::ops::{DotProduct, ElemLayout};
     use rbx_comm::SingleComm;
     use rbx_mesh::generators::box_mesh;
     use rbx_mesh::{BoundaryTag, GeomFactors};
+    use std::sync::Arc;
+
+    /// The inner product over the whole one-rank mesh of `setup`.
+    fn whole_dp(geom: &GeomFactors, gs: &GatherScatter, comm: &SingleComm) -> DotProduct {
+        let nel = geom.nelv;
+        let layout = Arc::new(ElemLayout::new(
+            geom.nodes_per_element(),
+            (0..nel).collect(),
+            nel,
+        ));
+        DotProduct::with_layout(&gs.multiplicity(comm), layout)
+    }
 
     fn setup(nx: usize, p: usize) -> (rbx_mesh::HexMesh, GeomFactors, GatherScatter, SingleComm) {
         let mesh = box_mesh(nx, nx, nx, [0., 1.], [0., 1.], [0., 1.], false, false);
@@ -216,7 +228,7 @@ mod tests {
             h1: 1.0,
             h2: 0.5,
         };
-        let dp = DotProduct::new(&gs.multiplicity(&comm));
+        let dp = whole_dp(&geom, &gs, &comm);
         let n = geom.total_nodes();
         let mut scratch = HelmholtzScratch::default();
         // Continuous masked random-ish vectors.
@@ -261,7 +273,7 @@ mod tests {
         let mut au = vec![0.0; u.len()];
         let mut scratch = HelmholtzScratch::default();
         op.apply(&u, &mut au, &mut scratch, &comm);
-        let dp = DotProduct::new(&gs.multiplicity(&comm));
+        let dp = whole_dp(&geom, &gs, &comm);
         let energy = dp.dot(&au, &u, &comm);
         assert!((energy - 4.0 / 3.0).abs() < 1e-10, "energy {energy}");
     }
@@ -282,7 +294,7 @@ mod tests {
         let mut y = vec![0.0; u.len()];
         let mut scratch = HelmholtzScratch::default();
         op.apply(&u, &mut y, &mut scratch, &comm);
-        let dp = DotProduct::new(&gs.multiplicity(&comm));
+        let dp = whole_dp(&geom, &gs, &comm);
         let vol = dp.dot(&y, &u, &comm);
         assert!((vol - 1.0).abs() < 1e-12, "volume {vol}");
     }

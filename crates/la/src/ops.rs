@@ -118,41 +118,32 @@ pub fn hadamard(x: &[f64], y: &mut [f64]) {
     simd::hadamard(x, y);
 }
 
-/// Globally consistent inner product over duplicated-node storage.
+/// Globally consistent inner product over duplicated-node storage. Every
+/// reduction is canonical: per-element partials folded in global-element
+/// order (see [`ElemLayout`]), so the bits are independent of the thread
+/// and rank counts.
 pub struct DotProduct {
     /// Inverse multiplicity per local node.
     mult_inv: Vec<f64>,
-    /// Optional element layout. When set, [`DotProduct::dot`] and
-    /// [`DotProduct::dot_with`] reduce canonically (per-element partials
-    /// folded in global-element order), making the bits independent of the
-    /// thread and rank counts; when unset, `dot` is a flat local sum plus a
-    /// scalar allreduce.
-    layout: Option<Arc<ElemLayout>>,
+    /// Element layout the reductions fold over.
+    layout: Arc<ElemLayout>,
 }
 
 impl DotProduct {
     /// Build from node multiplicities (from
-    /// [`rbx_gs::GatherScatter::multiplicity`]).
-    pub fn new(mult: &[f64]) -> Self {
-        Self {
-            mult_inv: mult.iter().map(|&m| 1.0 / m).collect(),
-            layout: None,
-        }
-    }
-
-    /// Build with an element layout for canonical (rank-count-invariant)
-    /// reductions.
+    /// [`rbx_gs::GatherScatter::multiplicity`]) and the element layout of
+    /// the same nodes.
     pub fn with_layout(mult: &[f64], layout: Arc<ElemLayout>) -> Self {
         debug_assert_eq!(mult.len(), layout.n_local());
         Self {
             mult_inv: mult.iter().map(|&m| 1.0 / m).collect(),
-            layout: Some(layout),
+            layout,
         }
     }
 
-    /// The element layout, if canonical reductions are enabled.
-    pub fn layout(&self) -> Option<&Arc<ElemLayout>> {
-        self.layout.as_ref()
+    /// The element layout the reductions fold over.
+    pub fn layout(&self) -> &ElemLayout {
+        &self.layout
     }
 
     /// Local length.
@@ -165,26 +156,19 @@ impl DotProduct {
         self.mult_inv.is_empty()
     }
 
-    /// Global `⟨a, b⟩ = Σ_unique a·b`, reduced across ranks. With an
-    /// [`ElemLayout`] attached the reduction is canonical: the result bits
-    /// are identical for every partitioning of the same global mesh.
+    /// Global `⟨a, b⟩ = Σ_unique a·b`, reduced across ranks canonically:
+    /// the result bits are identical for every partitioning of the same
+    /// global mesh.
     pub fn dot(&self, a: &[f64], b: &[f64], comm: &dyn Communicator) -> f64 {
         debug_assert_eq!(a.len(), self.mult_inv.len());
         debug_assert_eq!(b.len(), self.mult_inv.len());
-        match &self.layout {
-            Some(l) => {
-                // audit:allow(hot-alloc): canonical-reduction scatter buffer is sized by the global element count and owned per call; hoisting it into &self would need interior mutability on a handle shared across the Schwarz overlap threads
-                let mut partial = vec![0.0; l.nelem_global];
-                for (le, &ge) in l.gids.iter().enumerate() {
-                    partial[ge] = self.elem_dot(l.n_per, le, a, b);
-                }
-                l.fold_sums(&mut partial, 1, comm)[0]
-            }
-            None => {
-                let local = simd::dot3(a, b, &self.mult_inv);
-                rbx_comm::allreduce_scalar(comm, local)
-            }
+        let l = &self.layout;
+        // audit:allow(hot-alloc): canonical-reduction scatter buffer is sized by the global element count and owned per call; hoisting it into &self would need interior mutability on a handle shared across the Schwarz overlap threads
+        let mut partial = vec![0.0; l.nelem_global];
+        for (le, &ge) in l.gids.iter().enumerate() {
+            partial[ge] = self.elem_dot(l.n_per, le, a, b);
         }
+        l.fold_sums(&mut partial, 1, comm)[0]
     }
 
     /// Global L² norm.
@@ -192,11 +176,10 @@ impl DotProduct {
         self.dot(a, a, comm).sqrt()
     }
 
-    /// Pooled global inner product. With an [`ElemLayout`] attached, the
-    /// per-element partials are computed on the pool and folded by
-    /// [`ElemLayout::fold_sums`] — the same values in the same order as
-    /// [`DotProduct::dot`], so the result bits equal `dot`'s for every
-    /// thread count and every rank count. Without a layout it is `dot`.
+    /// Pooled global inner product: the per-element partials are computed
+    /// on the pool and folded by [`ElemLayout::fold_sums`] — the same
+    /// values in the same order as [`DotProduct::dot`], so the result bits
+    /// equal `dot`'s for every thread count and every rank count.
     pub fn dot_with(
         &self,
         a: &[f64],
@@ -206,9 +189,7 @@ impl DotProduct {
     ) -> f64 {
         debug_assert_eq!(a.len(), self.mult_inv.len());
         debug_assert_eq!(b.len(), self.mult_inv.len());
-        let Some(l) = &self.layout else {
-            return self.dot(a, b, comm);
-        };
+        let l = &self.layout;
         let (np, nel) = (l.n_per, l.gids.len());
         // audit:allow(hot-alloc): canonical-reduction scatter buffer plus the local partials, one per dot; see DotProduct::dot
         let mut buf = vec![0.0; l.nelem_global + nel];
@@ -253,31 +234,11 @@ impl DotProduct {
 
 /// Subtract the weighted mean of `x` so that `Σ B·x = 0`; used to keep
 /// pure-Neumann (pressure) iterates orthogonal to the constant null space.
-/// `bw` are the diagonal-mass weights times inverse multiplicity.
-pub fn ortho_project_mean(x: &mut [f64], bw: &[f64], comm: &dyn Communicator) {
-    debug_assert_eq!(x.len(), bw.len());
-    let mut sums = [0.0f64; 2];
-    for (xi, wi) in x.iter().zip(bw) {
-        sums[0] += xi * wi;
-        sums[1] += wi;
-    }
-    comm.allreduce_sum(&mut sums);
-    let mean = sums[0] / sums[1];
-    for xi in x.iter_mut() {
-        *xi -= mean;
-    }
-}
-
-/// Canonical (rank-count-invariant) variant of [`ortho_project_mean`]:
-/// both sums reduce per-element in global-element order, so the subtracted
+/// `bw` are the diagonal-mass weights times inverse multiplicity. Both
+/// sums reduce per element in global-element order, so the subtracted
 /// mean — and therefore the projected field — has identical bits for every
 /// partitioning of the same global mesh.
-pub fn ortho_project_mean_layout(
-    x: &mut [f64],
-    bw: &[f64],
-    layout: &ElemLayout,
-    comm: &dyn Communicator,
-) {
+pub fn ortho_project_mean(x: &mut [f64], bw: &[f64], layout: &ElemLayout, comm: &dyn Communicator) {
     debug_assert_eq!(x.len(), bw.len());
     debug_assert_eq!(x.len(), layout.n_local());
     let e = layout.nelem_global;
@@ -306,6 +267,11 @@ mod tests {
     use super::*;
     use rbx_comm::SingleComm;
 
+    /// One rank holding all `nelem` elements of `n_per` nodes each.
+    fn whole(n_per: usize, nelem: usize) -> Arc<ElemLayout> {
+        Arc::new(ElemLayout::new(n_per, (0..nelem).collect(), nelem))
+    }
+
     #[test]
     fn axpy_and_xpby() {
         let x = vec![1.0, 2.0, 3.0];
@@ -320,7 +286,7 @@ mod tests {
     fn dot_weights_shared_nodes() {
         // Two duplicated nodes with mult 2 count once.
         let mult = vec![1.0, 2.0, 2.0];
-        let dp = DotProduct::new(&mult);
+        let dp = DotProduct::with_layout(&mult, whole(1, 3));
         let comm = SingleComm::new();
         let a = vec![3.0, 4.0, 4.0];
         // ⟨a,a⟩ = 9 + 16/2 + 16/2 = 25.
@@ -334,7 +300,7 @@ mod tests {
         let comm = SingleComm::new();
         let bw = vec![1.0, 2.0, 1.0];
         let mut x = vec![1.0, 1.0, 5.0];
-        ortho_project_mean(&mut x, &bw, &comm);
+        ortho_project_mean(&mut x, &bw, &whole(1, 3), &comm);
         let weighted: f64 = x.iter().zip(&bw).map(|(a, b)| a * b).sum();
         assert!(weighted.abs() < 1e-13);
     }
@@ -354,9 +320,8 @@ mod tests {
         let comm = SingleComm::new();
         let n = 5417;
         let mult = vec![1.0; n];
-        let dp = DotProduct::new(&mult);
+        let dp = DotProduct::with_layout(&mult, whole(1, n));
         let (a, b) = dot_operands(n);
-        // Without a layout `dot_with` is the flat `dot`.
         let serial = dp.dot(&a, &b, &comm);
         for threads in [1usize, 4, 7] {
             let pooled = dp.dot_with(&a, &b, &WorkerPool::new(threads), &comm);
@@ -473,16 +438,14 @@ mod tests {
         let nelem = 5;
         let n = n_per * nelem;
         let mult = vec![1.0; n];
-        let layout = Arc::new(ElemLayout::new(n_per, (0..nelem).collect(), nelem));
-        let dp_legacy = DotProduct::new(&mult);
-        let dp_canon = DotProduct::with_layout(&mult, layout);
+        let dp_canon = DotProduct::with_layout(&mult, whole(n_per, nelem));
         let a: Vec<f64> = (0..n)
             .map(|i| ((i * 29 % 101) as f64) * 1e-2 - 0.5)
             .collect();
         let b: Vec<f64> = (0..n)
             .map(|i| ((i * 43 % 97) as f64) * 1e-2 - 0.4)
             .collect();
-        let legacy = dp_legacy.dot(&a, &b, &comm);
+        let legacy: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         let canon = dp_canon.dot(&a, &b, &comm);
         assert!((legacy - canon).abs() <= 1e-12 * legacy.abs().max(1.0));
     }
@@ -496,7 +459,7 @@ mod tests {
         let layout = ElemLayout::new(n_per, (0..nelem).collect(), nelem);
         let bw: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
         let mut x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        ortho_project_mean_layout(&mut x, &bw, &layout, &comm);
+        ortho_project_mean(&mut x, &bw, &layout, &comm);
         let weighted: f64 = x.iter().zip(&bw).map(|(a, b)| a * b).sum();
         assert!(weighted.abs() < 1e-12);
     }

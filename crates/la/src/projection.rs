@@ -84,7 +84,6 @@ impl SolutionProjection {
     /// `x0 = Σ ⟨b, x_i⟩ x_i` (A-orthonormal basis ⇒ coefficients are plain
     /// dual pairings), `b ← b − Σ ⟨b, x_i⟩ A x_i`. Returns the fraction of
     /// `‖b‖` removed.
-    // audit:allow(hot-alloc): coefficient/coarse-space sized buffers, bounded well below field size
     pub fn project_out(
         &self,
         b: &mut [f64],
@@ -102,27 +101,9 @@ impl SolutionProjection {
         if b0 == 0.0 {
             return 0.0;
         }
-        // Batch the coefficients into one allreduce; with a layout on the
-        // inner product the batch reduces canonically (rank-count-
+        // Batch the coefficients into one canonical allreduce (rank-count-
         // invariant bits — elastic-restart contract).
-        let alphas: Vec<f64> = match dp.layout() {
-            Some(l) => batched_dots_canonical(&self.basis, b, dp.weights(), l, comm),
-            None => {
-                let mut a: Vec<f64> = self
-                    .basis
-                    .iter()
-                    .map(|xi| {
-                        b.iter()
-                            .zip(xi)
-                            .zip(dp.weights())
-                            .map(|((bv, xv), w)| bv * xv * w)
-                            .sum::<f64>()
-                    })
-                    .collect();
-                comm.allreduce_sum(&mut a);
-                a
-            }
-        };
+        let alphas = batched_dots_canonical(&self.basis, b, dp.weights(), dp.layout(), comm);
         for (i, &alpha) in alphas.iter().enumerate() {
             for k in 0..self.n {
                 x0[k] += alpha * self.basis[i][k];
@@ -168,24 +149,7 @@ impl SolutionProjection {
             if self.basis.is_empty() {
                 break;
             }
-            let betas: Vec<f64> = match dp.layout() {
-                Some(l) => batched_dots_canonical(&self.basis, &ax, dp.weights(), l, comm),
-                None => {
-                    let mut bts: Vec<f64> = self
-                        .basis
-                        .iter()
-                        .map(|xi| {
-                            ax.iter()
-                                .zip(xi)
-                                .zip(dp.weights())
-                                .map(|((av, xv), w)| av * xv * w)
-                                .sum::<f64>()
-                        })
-                        .collect();
-                    comm.allreduce_sum(&mut bts);
-                    bts
-                }
-            };
+            let betas = batched_dots_canonical(&self.basis, &ax, dp.weights(), dp.layout(), comm);
             for (i, &beta) in betas.iter().enumerate() {
                 for k in 0..self.n {
                     x[k] -= beta * self.basis[i][k];
@@ -252,6 +216,13 @@ mod tests {
     use super::*;
     use crate::krylov::pcg;
     use rbx_comm::SingleComm;
+    use std::sync::Arc;
+
+    /// Unit-weight inner product over `n` one-node elements on one rank.
+    fn unit_dp(n: usize) -> DotProduct {
+        let layout = Arc::new(ElemLayout::new(1, (0..n).collect(), n));
+        DotProduct::with_layout(&vec![1.0; n], layout)
+    }
 
     /// Dense SPD operator for testing: tridiag(−1, 4, −1).
     fn apply(x: &[f64], y: &mut [f64]) {
@@ -300,7 +271,7 @@ mod tests {
     fn projection_cuts_iterations_for_slowly_varying_rhs() {
         let n = 120;
         let comm = SingleComm::new();
-        let dp = DotProduct::new(&vec![1.0; n]);
+        let dp = unit_dp(n);
         let mut proj = SolutionProjection::new(n, 8);
         // Slowly drifting rhs sequence (like pressure rhs over time steps).
         let rhs_at = |t: f64| -> Vec<f64> {
@@ -340,7 +311,7 @@ mod tests {
     fn projection_exact_for_repeated_rhs() {
         let n = 50;
         let comm = SingleComm::new();
-        let dp = DotProduct::new(&vec![1.0; n]);
+        let dp = unit_dp(n);
         let mut proj = SolutionProjection::new(n, 4);
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
         let (_, first) = solve_with_projection(&mut proj, &b, &dp, &comm);
@@ -358,7 +329,7 @@ mod tests {
     fn restart_when_full_keeps_solving() {
         let n = 40;
         let comm = SingleComm::new();
-        let dp = DotProduct::new(&vec![1.0; n]);
+        let dp = unit_dp(n);
         let mut proj = SolutionProjection::new(n, 2); // tiny space forces restarts
         for step in 0..6 {
             let b: Vec<f64> = (0..n).map(|i| ((i + step) as f64 * 0.3).sin()).collect();
@@ -380,7 +351,7 @@ mod tests {
     fn empty_space_is_noop() {
         let n = 10;
         let comm = SingleComm::new();
-        let dp = DotProduct::new(&vec![1.0; n]);
+        let dp = unit_dp(n);
         let proj = SolutionProjection::new(n, 4);
         let mut b = vec![1.0; n];
         let mut x0 = vec![9.0; n];
@@ -394,7 +365,7 @@ mod tests {
     fn zero_capacity_absorbs_nothing() {
         let n = 10;
         let comm = SingleComm::new();
-        let dp = DotProduct::new(&vec![1.0; n]);
+        let dp = unit_dp(n);
         let mut proj = SolutionProjection::new(n, 0);
         let dx = vec![1.0; n];
         let mut adx = vec![0.0; n];

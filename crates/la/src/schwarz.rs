@@ -44,10 +44,11 @@ pub enum SchwarzMode {
     Overlapped,
 }
 
-/// The assembled two-level preconditioner for a Helmholtz problem with
-/// coefficients `(h1, h2)`. The fine sweep always runs on the
-/// preconditioner's worker pool (one thread unless told otherwise); both
-/// modes give the same bits for every thread count.
+/// The assembled two-level preconditioner for the Poisson problem
+/// (`h1 = 1, h2 = 0`: the pressure operator, its only use). The fine
+/// sweep always runs on the preconditioner's worker pool (one thread
+/// unless told otherwise); both modes give the same bits for every thread
+/// count.
 pub struct SchwarzMg {
     /// Element-local fast-diagonalization solver (fine level).
     pub fdm: ElementFdm,
@@ -60,10 +61,6 @@ pub struct SchwarzMg {
     wt: Vec<f64>,
     /// Fine-level Dirichlet mask.
     mask: Vec<f64>,
-    /// Stiffness coefficient of the preconditioned operator.
-    pub h1: f64,
-    /// Mass coefficient of the preconditioned operator.
-    pub h2: f64,
     /// Observability handle (disabled by default).
     tel: Telemetry,
     /// Worker pool for the fine-level FDM sweep and, in overlapped mode,
@@ -80,7 +77,6 @@ impl SchwarzMg {
     /// * `gs` — the fine-level gather-scatter;
     /// * `mult` — fine-node multiplicities;
     /// * `mask` — fine-level Dirichlet mask;
-    /// * `(h1, h2)` — coefficients of the operator being preconditioned;
     /// * `pool` — where the fine sweep runs (`WorkerPool::new(1)` for one
     ///   thread; the bits do not depend on the thread count).
     #[allow(clippy::too_many_arguments)]
@@ -90,8 +86,6 @@ impl SchwarzMg {
         gs: Arc<GatherScatter>,
         mult: &[f64],
         mask: Vec<f64>,
-        h1: f64,
-        h2: f64,
         pool: &WorkerPool,
     ) -> Self {
         let wt: Vec<f64> = mult.iter().map(|&m| 1.0 / m).collect();
@@ -101,8 +95,6 @@ impl SchwarzMg {
             gs,
             wt,
             mask,
-            h1,
-            h2,
             tel: Telemetry::disabled(),
             pool: pool.clone(),
         }
@@ -156,8 +148,7 @@ impl SchwarzMg {
         let zf = &mut z_fine;
         let mut fine_task = move || {
             let _g = tel.span_abs("pool/fdm");
-            self.fdm
-                .apply_add_with(rw_ref, zf, self.h1, self.h2, &self.pool);
+            self.fdm.apply_add_with(rw_ref, zf, 1.0, 0.0, &self.pool);
         };
         match mode {
             SchwarzMode::Serial => {
@@ -194,7 +185,7 @@ mod tests {
     use crate::helmholtz::{HelmholtzOp, HelmholtzScratch};
     use crate::jacobi::{assembled_diagonal, jacobi_apply};
     use crate::krylov::{fgmres, pcg};
-    use crate::ops::DotProduct;
+    use crate::ops::{DotProduct, ElemLayout};
     use rbx_comm::{run_on_ranks, SingleComm};
     use rbx_mesh::generators::box_mesh;
     use rbx_mesh::partition::{part_elements, partition_rcb};
@@ -214,6 +205,16 @@ mod tests {
         schwarz: SchwarzMg,
     }
 
+    impl Setup {
+        /// The inner product over the whole one-rank mesh.
+        fn dp(&self) -> DotProduct {
+            let nel = self.geom.nelv;
+            let n_per = self.geom.nodes_per_element();
+            let layout = Arc::new(ElemLayout::new(n_per, (0..nel).collect(), nel));
+            DotProduct::with_layout(&self.mult, layout)
+        }
+    }
+
     fn build(mesh: &HexMesh, p: usize, dirichlet: bool, comm: &dyn Communicator) -> Setup {
         let part = vec![0; mesh.num_elements()];
         let my: Vec<usize> = (0..mesh.num_elements()).collect();
@@ -227,15 +228,13 @@ mod tests {
         let mult = gs.multiplicity(comm);
         let fdm = ElementFdm::new(&geom);
         let tags: &[BoundaryTag] = if dirichlet { &ALL_WALLS } else { &[] };
-        let coarse = CoarseGrid::build(mesh, p, &part, &my, tags, comm);
+        let coarse = CoarseGrid::build(mesh, p, 1, &part, &my, tags, comm);
         let schwarz = SchwarzMg::new(
             fdm,
             coarse,
             gs.clone(),
             &mult,
             mask.clone(),
-            1.0,
-            0.0,
             &WorkerPool::new(1),
         );
         Setup {
@@ -312,7 +311,7 @@ mod tests {
         let mesh = box_mesh(2, 2, 2, [0., 1.], [0., 1.], [0., 1.], false, false);
         let comm = SingleComm::new();
         let s = build(&mesh, p, true, &comm);
-        let dp = DotProduct::new(&s.mult);
+        let dp = s.dp();
         let n = s.geom.total_nodes();
         let mut r: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         s.gs.apply(&mut r, GsOp::Add, &comm);
@@ -338,7 +337,7 @@ mod tests {
             h1: 1.0,
             h2: 0.0,
         };
-        let dp = DotProduct::new(&s.mult);
+        let dp = s.dp();
         let diag = assembled_diagonal(&s.geom, &s.gs, 1.0, 0.0, &comm);
         let n = s.geom.total_nodes();
 
@@ -414,7 +413,7 @@ mod tests {
             h1: 1.0,
             h2: 0.0,
         };
-        let dp = DotProduct::new(&s.mult);
+        let dp = s.dp();
         let n = s.geom.total_nodes();
         let bw: Vec<f64> = s
             .geom
@@ -429,7 +428,7 @@ mod tests {
                 (std::f64::consts::PI * x).cos()
             })
             .collect();
-        crate::ops::ortho_project_mean(&mut x_true, &bw, &comm);
+        crate::ops::ortho_project_mean(&mut x_true, &bw, dp.layout(), &comm);
         let mut b = vec![0.0; n];
         let mut scratch = HelmholtzScratch::default();
         op.apply(&x_true, &mut b, &mut scratch, &comm);
@@ -448,7 +447,7 @@ mod tests {
             30,
         );
         assert!(stats.converged, "{stats:?}");
-        crate::ops::ortho_project_mean(&mut x, &bw, &comm);
+        crate::ops::ortho_project_mean(&mut x, &bw, dp.layout(), &comm);
         for (a, t) in x.iter().zip(&x_true) {
             assert!((a - t).abs() < 1e-5, "{a} vs {t}");
         }
@@ -482,9 +481,9 @@ mod tests {
             let mask = dirichlet_mask(mesh_ref, p, my, &ALL_WALLS, &gs, comm);
             let mult = gs.multiplicity(comm);
             let fdm = ElementFdm::new(&geom);
-            let coarse = CoarseGrid::build(mesh_ref, p, part_ref, my, &ALL_WALLS, comm);
+            let coarse = CoarseGrid::build(mesh_ref, p, 1, part_ref, my, &ALL_WALLS, comm);
             let pool = WorkerPool::new(1);
-            let schwarz = SchwarzMg::new(fdm, coarse, gs.clone(), &mult, mask, 1.0, 0.0, &pool);
+            let schwarz = SchwarzMg::new(fdm, coarse, gs.clone(), &mult, mask, &pool);
             let r: Vec<f64> = my
                 .iter()
                 .flat_map(|&ge| r_global[ge * n_per..(ge + 1) * n_per].to_vec())

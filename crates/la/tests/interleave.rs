@@ -56,7 +56,7 @@ fn every_interleaving_of_overlapped_schwarz_is_bitwise_identical() {
     let mult = gs.multiplicity(&comm);
     let wt: Vec<f64> = mult.iter().map(|&m| 1.0 / m).collect();
     let fdm = ElementFdm::new(&geom);
-    let coarse = CoarseGrid::build(&mesh, p, &part, &my, &ALL_WALLS, &comm);
+    let coarse = CoarseGrid::build(&mesh, p, 1, &part, &my, &ALL_WALLS, &comm);
     let n = geom.total_nodes();
     let nc = coarse.len();
 
@@ -70,12 +70,10 @@ fn every_interleaving_of_overlapped_schwarz_is_bitwise_identical() {
     // Reference: both real execution modes of the assembled preconditioner.
     let schwarz = SchwarzMg::new(
         ElementFdm::new(&geom),
-        CoarseGrid::build(&mesh, p, &part, &my, &ALL_WALLS, &comm),
+        CoarseGrid::build(&mesh, p, 1, &part, &my, &ALL_WALLS, &comm),
         gs.clone(),
         &mult,
         mask.clone(),
-        1.0,
-        0.0,
         &rbx_device::WorkerPool::new(1),
     );
     let mut z_serial = vec![0.0; n];

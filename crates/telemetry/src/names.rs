@@ -249,7 +249,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "rbx_comm_corrupt_detected_total",
         kind: MetricKind::Counter,
-        help: "frames rejected by the CRC-32 framing check",
+        help: "frames rejected by the CRC-64 framing check",
     },
     MetricDef {
         name: "rbx_comm_duplicates_total",

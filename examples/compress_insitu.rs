@@ -71,15 +71,17 @@ fn main() {
         assert!(stats.converged);
         if step % 20 == 0 {
             // Stream the raw snapshot to the POD consumer…
-            writer.put(StepData {
-                step: step as u64,
-                time: sim.state.time,
-                vars: vec![Variable::f64(
-                    "temperature",
-                    vec![n as u64],
-                    sim.state.t.clone(),
-                )],
-            });
+            writer
+                .put(StepData {
+                    step: step as u64,
+                    time: sim.state.time,
+                    vars: vec![Variable::f64(
+                        "temperature",
+                        vec![n as u64],
+                        sim.state.t.clone(),
+                    )],
+                })
+                .expect("POD consumer alive");
             // …and hand the vertical velocity to the async encoder.
             if encoder.try_submit(step as u64, sim.state.time, "uz", &sim.state.u[2]) {
                 in_flight.insert(step as u64, sim.state.u[2].clone());

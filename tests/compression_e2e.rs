@@ -8,43 +8,60 @@ use rbx::compress::{
     compress_field, decompress_field, weighted_l2_error, Codec, CompressionConfig,
 };
 use rbx::core::{Simulation, SolverConfig};
+use rbx::mesh::GeomFactors;
+use std::sync::OnceLock;
 
-/// A developed-ish RBC temperature field from a short run.
-fn developed_fields() -> (Simulation<'static>, ModalBasis) {
-    // Leak the case so the Simulation's borrows live for 'static — fine in
-    // a test binary.
-    let case = Box::leak(Box::new(rbx::core::rbc_box_case(2.0, 3, 3, false, 1)));
-    let comm = Box::leak(Box::new(SingleComm::new()));
-    let cfg = SolverConfig {
-        ra: 1e5,
-        order: 6,
-        dt: 2e-3,
-        ic_noise: 0.05,
-        ..Default::default()
-    };
-    let order = cfg.order;
-    let mut sim = Simulation::new(cfg, &case.mesh, &case.part, case.elems[0].clone(), comm);
-    sim.init_rbc();
-    for _ in 0..60 {
-        assert!(sim.step().converged);
-    }
-    (sim, ModalBasis::new(order + 1))
+/// The solver output the tests compress, owned (no solver borrows).
+struct Developed {
+    t: Vec<f64>,
+    uz: Vec<f64>,
+    time: f64,
+    geom: GeomFactors,
+    basis: ModalBasis,
+}
+
+/// A developed-ish RBC state from a short run, computed once per test
+/// binary: the 60-step run dominates the tests' cost.
+fn developed_fields() -> &'static Developed {
+    static DEVELOPED: OnceLock<Developed> = OnceLock::new();
+    DEVELOPED.get_or_init(|| {
+        let case = rbx::core::rbc_box_case(2.0, 3, 3, false, 1);
+        let comm = SingleComm::new();
+        let cfg = SolverConfig {
+            ra: 1e5,
+            order: 6,
+            dt: 2e-3,
+            ic_noise: 0.05,
+            ..Default::default()
+        };
+        let order = cfg.order;
+        let mut sim = Simulation::new(cfg, &case.mesh, &case.part, case.elems[0].clone(), &comm);
+        sim.init_rbc();
+        for _ in 0..60 {
+            assert!(sim.step().converged);
+        }
+        Developed {
+            t: sim.state.t.clone(),
+            uz: sim.state.u[2].clone(),
+            time: sim.state.time,
+            geom: sim.geom.clone(),
+            basis: ModalBasis::new(order + 1),
+        }
+    })
 }
 
 #[test]
 fn error_bounds_hold_on_solver_fields() {
-    let (sim, basis) = developed_fields();
-    let comm = SingleComm::new();
-    let _ = &comm;
+    let d = developed_fields();
     for eps in [0.001, 0.01, 0.05] {
         let cfg = CompressionConfig {
             error_bound: eps,
             quant_bits: None,
             codec: Codec::Range,
         };
-        let c = compress_field(&sim.state.t, &sim.geom, &basis, &cfg);
-        let recon = decompress_field(&c, &basis);
-        let err = weighted_l2_error(&sim.state.t, &recon, &sim.geom.mass);
+        let c = compress_field(&d.t, &d.geom, &d.basis, &cfg);
+        let recon = decompress_field(&c, &d.basis);
+        let err = weighted_l2_error(&d.t, &recon, &d.geom.mass);
         assert!(
             err <= 1.5 * eps + 1e-12,
             "ε = {eps}: measured error {err:.4e}"
@@ -59,15 +76,15 @@ fn paper_operating_point_reduction() {
     // The paper's Fig. 5 point: strong reduction at 2.5 % error. Our
     // laptop-Ra fields are smoother than Ra = 10¹¹ turbulence, so the
     // achievable reduction is at least as large.
-    let (sim, basis) = developed_fields();
+    let d = developed_fields();
     let cfg = CompressionConfig {
         error_bound: 0.025,
         quant_bits: Some(16),
         codec: Codec::Range,
     };
-    let c = compress_field(&sim.state.u[2], &sim.geom, &basis, &cfg);
-    let recon = decompress_field(&c, &basis);
-    let err = weighted_l2_error(&sim.state.u[2], &recon, &sim.geom.mass);
+    let c = compress_field(&d.uz, &d.geom, &d.basis, &cfg);
+    let recon = decompress_field(&c, &d.basis);
+    let err = weighted_l2_error(&d.uz, &recon, &d.geom.mass);
     assert!(
         c.reduction_percent() > 90.0,
         "reduction only {:.1} %",
@@ -79,7 +96,7 @@ fn paper_operating_point_reduction() {
 #[test]
 fn codecs_agree_on_reconstruction() {
     // The lossless stage must not change the reconstruction at all.
-    let (sim, basis) = developed_fields();
+    let d = developed_fields();
     let mut reference: Option<Vec<f64>> = None;
     for codec in [Codec::Raw, Codec::Rle, Codec::Range] {
         let cfg = CompressionConfig {
@@ -87,8 +104,8 @@ fn codecs_agree_on_reconstruction() {
             quant_bits: Some(16),
             codec,
         };
-        let c = compress_field(&sim.state.t, &sim.geom, &basis, &cfg);
-        let recon = decompress_field(&c, &basis);
+        let c = compress_field(&d.t, &d.geom, &d.basis, &cfg);
+        let recon = decompress_field(&c, &d.basis);
         match &reference {
             None => reference = Some(recon),
             Some(r) => {
@@ -102,7 +119,7 @@ fn codecs_agree_on_reconstruction() {
 
 #[test]
 fn entropy_codecs_beat_raw() {
-    let (sim, basis) = developed_fields();
+    let d = developed_fields();
     let mut sizes = std::collections::HashMap::new();
     for codec in [Codec::Raw, Codec::Rle, Codec::Range] {
         let cfg = CompressionConfig {
@@ -110,7 +127,7 @@ fn entropy_codecs_beat_raw() {
             quant_bits: Some(16),
             codec,
         };
-        let c = compress_field(&sim.state.t, &sim.geom, &basis, &cfg);
+        let c = compress_field(&d.t, &d.geom, &d.basis, &cfg);
         sizes.insert(format!("{codec:?}"), c.data.len());
     }
     let raw = sizes["Raw"];
@@ -126,9 +143,9 @@ fn entropy_codecs_beat_raw() {
 fn compressed_payload_survives_io_roundtrip() {
     // Compression output stored through the BPL container and recovered.
     use rbx::io::{read_bpl, write_bpl, StepData, Variable};
-    let (sim, basis) = developed_fields();
+    let d = developed_fields();
     let cfg = CompressionConfig::default();
-    let c = compress_field(&sim.state.t, &sim.geom, &basis, &cfg);
+    let c = compress_field(&d.t, &d.geom, &d.basis, &cfg);
     let dir = std::env::temp_dir().join("rbx_compress_e2e");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("field.bpl");
@@ -136,7 +153,7 @@ fn compressed_payload_survives_io_roundtrip() {
         &path,
         &[StepData {
             step: 1,
-            time: sim.state.time,
+            time: d.time,
             vars: vec![Variable::bytes(
                 "t_compressed",
                 vec![c.data.len() as u64],
@@ -157,7 +174,7 @@ fn compressed_payload_survives_io_roundtrip() {
         codec: c.codec,
         kept_fraction: c.kept_fraction,
     };
-    let a = decompress_field(&c, &basis);
-    let b = decompress_field(&c2, &basis);
+    let a = decompress_field(&c, &d.basis);
+    let b = decompress_field(&c2, &d.basis);
     assert_eq!(a, b);
 }

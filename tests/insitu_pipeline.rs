@@ -33,11 +33,13 @@ fn insitu_pod_matches_offline_on_solver_data() {
         assert!(sim.step().converged);
         if step % 10 == 0 {
             let snap = sim.state.u[2].clone();
-            writer.put(StepData {
-                step,
-                time: sim.state.time,
-                vars: vec![Variable::f64("uz", vec![n as u64], snap.clone())],
-            });
+            writer
+                .put(StepData {
+                    step,
+                    time: sim.state.time,
+                    vars: vec![Variable::f64("uz", vec![n as u64], snap.clone())],
+                })
+                .unwrap();
             kept.push(snap);
         }
     }

@@ -7,16 +7,24 @@ use rbx::la::bc::dirichlet_mask;
 use rbx::la::helmholtz::{HelmholtzOp, HelmholtzScratch};
 use rbx::la::jacobi::{assembled_diagonal, jacobi_apply};
 use rbx::la::krylov::pcg;
-use rbx::la::ops::{hadamard, DotProduct};
+use rbx::la::ops::{hadamard, DotProduct, ElemLayout};
 use rbx::mesh::generators::box_mesh;
 use rbx::mesh::{BoundaryTag, GeomFactors};
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 const ALL: [BoundaryTag; 3] = [
     BoundaryTag::Wall,
     BoundaryTag::HotWall,
     BoundaryTag::ColdWall,
 ];
+
+/// The inner product over a whole mesh held by one rank.
+fn whole_mesh_dp(mult: &[f64], geom: &GeomFactors) -> DotProduct {
+    let nel = geom.nelv;
+    let layout = ElemLayout::new(geom.nodes_per_element(), (0..nel).collect(), nel);
+    DotProduct::with_layout(mult, Arc::new(layout))
+}
 
 /// Solve −∇²u = 3π²·sin(πx)sin(πy)sin(πz) with homogeneous Dirichlet BCs
 /// and return the max nodal error.
@@ -29,7 +37,7 @@ fn poisson_error(order: usize) -> f64 {
     let gs = GatherScatter::build(&mesh, order, &part, &my, &comm);
     let mask = dirichlet_mask(&mesh, order, &my, &ALL, &gs, &comm);
     let mult = gs.multiplicity(&comm);
-    let dp = DotProduct::new(&mult);
+    let dp = whole_mesh_dp(&mult, &geom);
     let op = HelmholtzOp {
         geom: &geom,
         gs: &gs,
@@ -98,7 +106,7 @@ fn helmholtz_manufactured_solution() {
     let gs = GatherScatter::build(&mesh, order, &part, &my, &comm);
     let mask = dirichlet_mask(&mesh, order, &my, &ALL, &gs, &comm);
     let mult = gs.multiplicity(&comm);
-    let dp = DotProduct::new(&mult);
+    let dp = whole_mesh_dp(&mult, &geom);
     // H = λB + A: h1 = 1 (stiffness), h2 = λ (mass).
     let op = HelmholtzOp {
         geom: &geom,
@@ -165,7 +173,7 @@ fn poisson_on_curved_cylinder_mesh() {
     let gs = GatherScatter::build(&mesh, order, &part, &my, &comm);
     let mask = dirichlet_mask(&mesh, order, &my, &ALL, &gs, &comm);
     let mult = gs.multiplicity(&comm);
-    let dp = DotProduct::new(&mult);
+    let dp = whole_mesh_dp(&mult, &geom);
     let op = HelmholtzOp {
         geom: &geom,
         gs: &gs,
