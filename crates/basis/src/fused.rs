@@ -21,11 +21,10 @@
 
 use crate::dense::DMat;
 use crate::simd::{self, SimdLevel};
+use crate::tensor::DerivMatrix;
 
 /// Reusable buffers for [`helmholtz_element`]: three element-sized flux
-/// fields, three plane-sized gradient slabs, and the cached transpose of
-/// the reference derivative matrix (a pure function of the node count, so
-/// it is safe to key the cache on `n` alone).
+/// fields and three plane-sized gradient slabs.
 #[derive(Debug, Default)]
 pub struct FusedScratch {
     wr: Vec<f64>,
@@ -34,8 +33,6 @@ pub struct FusedScratch {
     pr: Vec<f64>,
     ps: Vec<f64>,
     pt: Vec<f64>,
-    dt: Vec<f64>,
-    dt_n: usize,
 }
 
 impl FusedScratch {
@@ -44,7 +41,7 @@ impl FusedScratch {
         Self::default()
     }
 
-    fn prepare(&mut self, d: &DMat, n: usize) {
+    fn prepare(&mut self, n: usize) {
         let nn = n * n * n;
         let plane = n * n;
         self.wr.resize(nn, 0.0);
@@ -53,17 +50,6 @@ impl FusedScratch {
         self.pr.resize(plane, 0.0);
         self.ps.resize(plane, 0.0);
         self.pt.resize(plane, 0.0);
-        if self.dt_n != n || self.dt.len() != n * n {
-            self.dt.clear();
-            self.dt.resize(n * n, 0.0);
-            let dd = d.data();
-            for r in 0..n {
-                for c in 0..n {
-                    self.dt[c * n + r] = dd[r * n + c];
-                }
-            }
-            self.dt_n = n;
-        }
     }
 }
 
@@ -310,14 +296,14 @@ unsafe fn helm_dyn_avx2(
 
 /// Fused single-element Helmholtz apply `y = h₁·(DᵀGD)u + h₂·B u`.
 ///
-/// `d` is the square reference derivative matrix (its transpose is cached
-/// in the scratch), `g` the six symmetric geometric-factor slices and
+/// `d` is the reference derivative matrix with its transpose, `g` the six
+/// symmetric geometric-factor slices and
 /// `mass` the diagonal mass for *this element* (length `n³` each). The
 /// kernel level and the degree dispatch are both deterministic, so the
 /// output bits are a pure function of the inputs.
 #[allow(clippy::too_many_arguments)]
 pub fn helmholtz_element(
-    d: &DMat,
+    d: &DerivMatrix,
     g: &[&[f64]; 6],
     mass: &[f64],
     h1: f64,
@@ -326,33 +312,29 @@ pub fn helmholtz_element(
     y: &mut [f64],
     s: &mut FusedScratch,
 ) {
-    let n = d.rows();
-    debug_assert_eq!(d.cols(), n);
-    s.prepare(d, n);
-    let dd = d.data();
-    let dt = std::mem::take(&mut s.dt);
+    let (n, dd, dt) = (d.n(), d.matrix().data(), d.transposed().data());
+    s.prepare(n);
     match (simd::level(), n) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma is only selected after feature detection.
         (SimdLevel::Avx2Fma, 4 | 6 | 8 | 10 | 12) => unsafe {
-            helm_dispatch_n!(n, helm_fixed_avx2, dd, &dt, g, mass, h1, h2, u, y, s)
+            helm_dispatch_n!(n, helm_fixed_avx2, dd, dt, g, mass, h1, h2, u, y, s)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        (SimdLevel::Avx2Fma, _) => unsafe { helm_dyn_avx2(n, dd, &dt, g, mass, h1, h2, u, y, s) },
+        (SimdLevel::Avx2Fma, _) => unsafe { helm_dyn_avx2(n, dd, dt, g, mass, h1, h2, u, y, s) },
         (_, 4 | 6 | 8 | 10 | 12) => {
-            helm_dispatch_n!(n, helm_fixed, dd, &dt, g, mass, h1, h2, u, y, s)
+            helm_dispatch_n!(n, helm_fixed, dd, dt, g, mass, h1, h2, u, y, s)
         }
-        (_, _) => helm_dyn(n, dd, &dt, g, mass, h1, h2, u, y, s),
+        (_, _) => helm_dyn(n, dd, dt, g, mass, h1, h2, u, y, s),
     }
-    s.dt = dt;
 }
 
 /// Portable-path twin of [`helmholtz_element`] (bitwise identical by the
 /// lane contract); exposed for the SIMD-vs-scalar identity tests.
 #[allow(clippy::too_many_arguments)]
 pub fn helmholtz_element_scalar(
-    d: &DMat,
+    d: &DerivMatrix,
     g: &[&[f64]; 6],
     mass: &[f64],
     h1: f64,
@@ -361,12 +343,20 @@ pub fn helmholtz_element_scalar(
     y: &mut [f64],
     s: &mut FusedScratch,
 ) {
-    let n = d.rows();
-    s.prepare(d, n);
-    let dd = d.data();
-    let dt = std::mem::take(&mut s.dt);
-    helm_dyn(n, dd, &dt, g, mass, h1, h2, u, y, s);
-    s.dt = dt;
+    let n = d.n();
+    s.prepare(n);
+    helm_dyn(
+        n,
+        d.matrix().data(),
+        d.transposed().data(),
+        g,
+        mass,
+        h1,
+        h2,
+        u,
+        y,
+        s,
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -611,7 +601,7 @@ mod tests {
     /// Reference six-pass Helmholtz element apply (the pre-fusion kernel).
     #[allow(clippy::too_many_arguments)]
     fn helm_reference(
-        d: &DMat,
+        d: &DerivMatrix,
         g: &[&[f64]; 6],
         mass: &[f64],
         h1: f64,
@@ -620,9 +610,7 @@ mod tests {
         y: &mut [f64],
         n: usize,
     ) {
-        use crate::tensor::{
-            deriv_x, deriv_x_t_add, deriv_y, deriv_y_t_add, deriv_z, deriv_z_t_add,
-        };
+        use crate::tensor::Axis;
         let nn = n * n * n;
         let mut ur = vec![0.0; nn];
         let mut us = vec![0.0; nn];
@@ -630,18 +618,18 @@ mod tests {
         let mut wr = vec![0.0; nn];
         let mut ws = vec![0.0; nn];
         let mut wt = vec![0.0; nn];
-        deriv_x(d, u, &mut ur, n);
-        deriv_y(d, u, &mut us, n);
-        deriv_z(d, u, &mut ut, n);
+        d.apply(Axis::X, u, &mut ur);
+        d.apply(Axis::Y, u, &mut us);
+        d.apply(Axis::Z, u, &mut ut);
         for i in 0..nn {
             wr[i] = g[0][i] * ur[i] + g[1][i] * us[i] + g[2][i] * ut[i];
             ws[i] = g[1][i] * ur[i] + g[3][i] * us[i] + g[4][i] * ut[i];
             wt[i] = g[2][i] * ur[i] + g[4][i] * us[i] + g[5][i] * ut[i];
         }
         y.fill(0.0);
-        deriv_x_t_add(d, &wr, y, n);
-        deriv_y_t_add(d, &ws, y, n);
-        deriv_z_t_add(d, &wt, y, n);
+        d.apply_t_add(Axis::X, &wr, y);
+        d.apply_t_add(Axis::Y, &ws, y);
+        d.apply_t_add(Axis::Z, &wt, y);
         for i in 0..nn {
             y[i] = h1 * y[i] + h2 * mass[i] * u[i];
         }
@@ -670,7 +658,7 @@ mod tests {
         // the six-pass reference; agreement must hold to a tight relative
         // bound (the kernels are the same polynomial expression).
         for n in [4usize, 5, 6, 8, 10, 12] {
-            let d = deriv_matrix(&gll(n).points);
+            let d = DerivMatrix::new(deriv_matrix(&gll(n).points));
             let nn = n * n * n;
             let (g, mass) = synthetic_factors(nn);
             let gr: [&[f64]; 6] = [&g[0], &g[1], &g[2], &g[3], &g[4], &g[5]];
@@ -690,7 +678,7 @@ mod tests {
     #[test]
     fn fused_dispatched_matches_scalar_bitwise() {
         for n in [4usize, 6, 8, 10, 12, 7] {
-            let d = deriv_matrix(&gll(n).points);
+            let d = DerivMatrix::new(deriv_matrix(&gll(n).points));
             let nn = n * n * n;
             let (g, mass) = synthetic_factors(nn);
             let gr: [&[f64]; 6] = [&g[0], &g[1], &g[2], &g[3], &g[4], &g[5]];
@@ -709,7 +697,7 @@ mod tests {
     #[test]
     fn fused_handles_degenerate_coefficients() {
         let n = 6;
-        let d = deriv_matrix(&gll(n).points);
+        let d = DerivMatrix::new(deriv_matrix(&gll(n).points));
         let nn = n * n * n;
         let (g, mass) = synthetic_factors(nn);
         let gr: [&[f64]; 6] = [&g[0], &g[1], &g[2], &g[3], &g[4], &g[5]];

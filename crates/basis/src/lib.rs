@@ -13,7 +13,6 @@
 //! (mesh metrics, matrix-free operators, preconditioners, compression)
 //! build on it.
 
-pub mod autotune;
 pub mod dense;
 pub mod fused;
 pub mod lagrange;
@@ -23,15 +22,13 @@ pub mod quadrature;
 pub mod simd;
 pub mod tensor;
 
-pub use autotune::{autotune_deriv, TuneResult};
 pub use dense::{gen_sym_eig, sym_eig, DMat, LuFactors, SingularMatrix};
 pub use lagrange::{barycentric_weights, cardinal_row, deriv_matrix, interp_matrix};
 pub use legendre::{legendre, legendre_all, legendre_deriv, legendre_norm_sq};
 pub use modal::ModalBasis;
 pub use quadrature::{gauss, gll, Quadrature};
 pub use tensor::{
-    deriv_x, deriv_x_t_add, deriv_y, deriv_y_t_add, deriv_z, deriv_z_t_add, grad_ref, interp3,
-    tensor_apply3, tensor_apply3_naive, tensor_apply3_scalar, TensorScratch,
+    tensor_apply3, tensor_apply3_naive, tensor_apply3_scalar, Axis, DerivMatrix, TensorScratch,
 };
 
 /// Number of nodes in one direction for polynomial degree `p` (`p + 1`).

@@ -321,6 +321,19 @@ fn wcombine3_body(
     }
 }
 
+#[inline(always)]
+fn masked_div_body(diag: &[f64], mask: &[f64], r: &[f64], z: &mut [f64]) {
+    debug_assert_eq!(diag.len(), z.len());
+    debug_assert_eq!(mask.len(), z.len());
+    debug_assert_eq!(r.len(), z.len());
+    // Divide every lane, then select: division is exactly rounded at any
+    // width, and the select keeps the loop free of branches.
+    for (((zi, &ri), &di), &mi) in z.iter_mut().zip(r).zip(diag).zip(mask) {
+        let q = ri / di;
+        *zi = if mi != 0.0 { q } else { 0.0 };
+    }
+}
+
 dispatch_kernel!(
     /// Pointwise `y ← a·x + y` with fused rounding per element.
     axpy, axpy_scalar, axpy_avx2, axpy_body, (a: f64, x: &[f64], y: &mut [f64])
@@ -334,6 +347,13 @@ dispatch_kernel!(
 dispatch_kernel!(
     /// Pointwise product `y ← x ∘ y` (single rounding per element already).
     hadamard, hadamard_scalar, hadamard_avx2, hadamard_body, (x: &[f64], y: &mut [f64])
+);
+
+dispatch_kernel!(
+    /// Pointwise masked divide `z ← r / diag` where `mask ≠ 0`, `0`
+    /// elsewhere — the Jacobi preconditioner.
+    masked_div, masked_div_scalar, masked_div_avx2, masked_div_body,
+    (diag: &[f64], mask: &[f64], r: &[f64], z: &mut [f64])
 );
 
 dispatch_kernel!(

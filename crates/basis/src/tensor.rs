@@ -4,8 +4,9 @@
 //! along each coordinate direction ("sum factorization"), turning an
 //! O(n⁶) dense apply into O(n⁴) work per element. These kernels are the
 //! hot path of the whole solver: the Helmholtz/Laplacian apply, dealiasing
-//! interpolation, multigrid restriction/prolongation and the modal
-//! compression transform all reduce to calls in this module.
+//! interpolation, multigrid restriction/prolongation, the modal
+//! compression transform and the element derivatives all reduce to calls
+//! in this module.
 //!
 //! Element data layout: `idx = i + nx·(j + ny·k)` — the x index is fastest,
 //! matching the inner loops below so that the innermost accesses are
@@ -201,7 +202,7 @@ fn apply3_body(
         .zip(t1.chunks_exact_mut(mx))
         .take(ny * nz)
     {
-        blocks(dst, uin, axt, false);
+        blocks(dst, uin, axt, false, false);
     }
 
     // Pass 2 — contract y: t2[a,b,k] = Σ_j Ay[b,j] t1[a,j,k].
@@ -211,7 +212,7 @@ fn apply3_body(
         .take(nz)
     {
         for (brow, dst) in ay.chunks_exact(ny).zip(t2k.chunks_exact_mut(mx)).take(my) {
-            blocks(dst, brow, t1k, true);
+            blocks(dst, brow, t1k, true, false);
         }
     }
 
@@ -222,48 +223,59 @@ fn apply3_body(
         .zip(out.chunks_exact_mut(plane))
         .take(mz)
     {
-        blocks(dst, crow, t2, true);
+        blocks(dst, crow, t2, true, false);
     }
 }
 
-/// `dst[a] = +0.0 + Σ_t c_t · src[t·len + a]` for every `a < len =
-/// dst.len()`, terms in ascending `t`, one separately rounded multiply
-/// and add each; `skip_zero` drops exactly-zero coefficients. Outputs go
-/// in blocks of compile-time width — [`BLOCK`], then one each of 8, 4
-/// and 2 if they fit, then a single output — so the running sums stay in
+/// `dst[a] = init + Σ_t c_t · src[t·len + a]` for every `a < len =
+/// dst.len()`, where `init` is `+0.0`, or `dst[a]` itself when `add` is
+/// set; terms in ascending `t`, one separately rounded multiply and add
+/// each; `skip_zero` drops exactly-zero coefficients. Outputs go in
+/// blocks of compile-time width — [`BLOCK`], then one each of 8, 4 and 2
+/// if they fit, then a single output — so the running sums stay in
 /// registers; blocking only regroups outputs and leaves each output's
 /// chain unchanged. IEEE multiplication commutes, so `c·s` here has the
 /// bits of the `Ax[a,i]·u[i]` order pass 1 states.
 #[inline(always)]
-fn blocks(dst: &mut [f64], coefs: &[f64], src: &[f64], skip_zero: bool) {
+fn blocks(dst: &mut [f64], coefs: &[f64], src: &[f64], skip_zero: bool, add: bool) {
     let len = dst.len();
     let mut a0 = 0;
     while a0 + BLOCK <= len {
-        block::<BLOCK>(a0, dst, coefs, src, skip_zero);
+        block::<BLOCK>(a0, dst, coefs, src, skip_zero, add);
         a0 += BLOCK;
     }
     if a0 + 2 * LANES <= len {
-        block::<{ 2 * LANES }>(a0, dst, coefs, src, skip_zero);
+        block::<{ 2 * LANES }>(a0, dst, coefs, src, skip_zero, add);
         a0 += 2 * LANES;
     }
     if a0 + LANES <= len {
-        block::<LANES>(a0, dst, coefs, src, skip_zero);
+        block::<LANES>(a0, dst, coefs, src, skip_zero, add);
         a0 += LANES;
     }
     if a0 + 2 <= len {
-        block::<2>(a0, dst, coefs, src, skip_zero);
+        block::<2>(a0, dst, coefs, src, skip_zero, add);
         a0 += 2;
     }
     if a0 < len {
-        block::<1>(a0, dst, coefs, src, skip_zero);
+        block::<1>(a0, dst, coefs, src, skip_zero, add);
     }
 }
 
 /// The `W` outputs of [`blocks`] starting at `a0`.
 #[inline(always)]
-fn block<const W: usize>(a0: usize, dst: &mut [f64], coefs: &[f64], src: &[f64], skip_zero: bool) {
+fn block<const W: usize>(
+    a0: usize,
+    dst: &mut [f64],
+    coefs: &[f64],
+    src: &[f64],
+    skip_zero: bool,
+    add: bool,
+) {
     let len = dst.len();
     let mut acc = [0.0f64; W];
+    if add {
+        acc.copy_from_slice(&dst[a0..a0 + W]);
+    }
     for (t, &c) in coefs.iter().enumerate() {
         if skip_zero && c == 0.0 {
             continue;
@@ -276,248 +288,187 @@ fn block<const W: usize>(a0: usize, dst: &mut [f64], coefs: &[f64], src: &[f64],
     dst[a0..a0 + W].copy_from_slice(&acc);
 }
 
-/// Reference-space partial derivative in x: `out[i,j,k] = Σ_m D[i,m] u[m,j,k]`.
+/// A reference-space direction of an element: `X` runs along the
+/// fastest-varying index `i` of `idx = i + n·(j + n·k)`, `Z` along `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// The `i` (r) direction.
+    X,
+    /// The `j` (s) direction.
+    Y,
+    /// The `k` (t) direction.
+    Z,
+}
+
+/// A square `n × n` 1-D collocation derivative matrix `D` kept with its
+/// transpose, the two layouts the element derivatives read.
 ///
-/// `d` is the square `n×n` collocation derivative matrix. Common node
-/// counts (4, 6, 8, 12 — polynomial degrees 3, 5, 7, 11) dispatch to
-/// const-generic specializations whose compile-time loop bounds let the
-/// compiler unroll and vectorize the inner contraction (the CPU analogue
-/// of the paper's auto-tuned device kernels; see `rbx_basis::autotune`).
-pub fn deriv_x(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
-    match n {
-        4 => deriv_x_fixed::<4>(d, u, out),
-        6 => deriv_x_fixed::<6>(d, u, out),
-        8 => deriv_x_fixed::<8>(d, u, out),
-        10 => deriv_x_fixed::<10>(d, u, out),
-        12 => deriv_x_fixed::<12>(d, u, out),
-        _ => deriv_x_generic(d, u, out, n),
-    }
+/// Every derivative is one pass of the contraction body of
+/// [`tensor_apply3`] and keeps its bit contract (DESIGN.md §15): each
+/// output is `+0.0` — or, for the transposed adds, the output's current
+/// value — plus separately rounded products in ascending contraction
+/// index. The AVX2 twin, instantiated for `n` = 4, 6, 8, 10 and 12, and
+/// the portable body every other `n` and host runs give the same bits.
+#[derive(Debug, Clone)]
+pub struct DerivMatrix {
+    d: DMat,
+    dt: DMat,
 }
 
-/// Generic (runtime-`n`) x-derivative kernel; the baseline the auto-tuner
-/// compares against.
-pub fn deriv_x_generic(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
-    debug_assert_eq!(d.rows(), n);
-    debug_assert_eq!(d.cols(), n);
-    debug_assert_eq!(u.len(), n * n * n);
-    debug_assert_eq!(out.len(), n * n * n);
-    for col in 0..n * n {
-        let uin = &u[col * n..(col + 1) * n];
-        let dst = &mut out[col * n..(col + 1) * n];
-        for i in 0..n {
-            let drow = d.row(i);
-            let mut acc = 0.0;
-            for (dm, &uv) in drow.iter().zip(uin.iter()) {
-                acc += dm * uv;
-            }
-            dst[i] = acc;
+impl DerivMatrix {
+    /// Wrap `d`, the derivative matrix on `d.rows()` nodes.
+    ///
+    /// # Panics
+    ///
+    /// If `d` is not square.
+    pub fn new(d: DMat) -> Self {
+        assert_eq!(d.rows(), d.cols(), "a derivative matrix is square");
+        Self {
+            dt: d.transpose(),
+            d,
         }
     }
-}
 
-/// Const-specialized x-derivative: compile-time `N` lets the optimizer
-/// fully unroll the `N×N` contraction per pencil.
-fn deriv_x_fixed<const N: usize>(d: &DMat, u: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(d.rows(), N);
-    debug_assert_eq!(u.len(), N * N * N);
-    debug_assert_eq!(out.len(), N * N * N);
-    // Infallible fixed-size views: `as_chunks` cannot fail, and the
-    // debug asserts above pin the exact lengths the dispatchers pass.
-    let (drows, _) = d.data().as_chunks::<N>();
-    let (upencils, _) = u.as_chunks::<N>();
-    let (opencils, _) = out.as_chunks_mut::<N>();
-    for (uin, dst) in upencils.iter().zip(opencils.iter_mut()) {
-        for (drow, o) in drows.iter().zip(dst.iter_mut()) {
-            let mut acc = 0.0;
-            for m in 0..N {
-                acc += drow[m] * uin[m];
-            }
-            *o = acc;
+    /// The matrix `D`, row-major: `D[i, m] = ℓ'_m(x_i)`.
+    pub fn matrix(&self) -> &DMat {
+        &self.d
+    }
+
+    /// Its transpose `Dᵀ`.
+    pub(crate) fn transposed(&self) -> &DMat {
+        &self.dt
+    }
+
+    /// The node count `n`.
+    pub(crate) fn n(&self) -> usize {
+        self.d.rows()
+    }
+
+    /// Reference-space derivative of one element's `n³` values `u` along
+    /// `axis`: `out[i,j,k] = Σ_m D[i,m] u[m,j,k]` for [`Axis::X`],
+    /// `Σ_m D[j,m] u[i,m,k]` for `Y` and `Σ_m D[k,m] u[i,j,m]` for `Z`.
+    ///
+    /// # Panics
+    ///
+    /// If `u` or `out` is shorter than `n³`.
+    pub fn apply(&self, axis: Axis, u: &[f64], out: &mut [f64]) {
+        self.dispatch(axis, false, u, out);
+    }
+
+    /// Accumulate the transposed derivative of `w` along `axis` onto
+    /// `out`: `out[i,j,k] += Σ_m D[m,i] w[m,j,k]` for [`Axis::X`],
+    /// `Σ_m D[m,j] w[i,m,k]` for `Y` and `Σ_m D[m,k] w[i,j,m]` for `Z`.
+    ///
+    /// # Panics
+    ///
+    /// If `w` or `out` is shorter than `n³`.
+    pub fn apply_t_add(&self, axis: Axis, w: &[f64], out: &mut [f64]) {
+        self.dispatch(axis, true, w, out);
+    }
+
+    /// Portable twin of [`DerivMatrix::apply`]: the runtime-bounded body
+    /// at the baseline instruction set, exposed so tests can assert that
+    /// the dispatched path reproduces it bit for bit.
+    pub fn apply_scalar(&self, axis: Axis, u: &[f64], out: &mut [f64]) {
+        deriv_body(
+            self.d.rows(),
+            axis,
+            false,
+            self.d.data(),
+            self.dt.data(),
+            u,
+            out,
+        );
+    }
+
+    /// Portable twin of [`DerivMatrix::apply_t_add`].
+    pub fn apply_t_add_scalar(&self, axis: Axis, w: &[f64], out: &mut [f64]) {
+        deriv_body(
+            self.d.rows(),
+            axis,
+            true,
+            self.d.data(),
+            self.dt.data(),
+            w,
+            out,
+        );
+    }
+
+    fn dispatch(&self, axis: Axis, add: bool, u: &[f64], out: &mut [f64]) {
+        let (n, d, dt) = (self.n(), self.d.data(), self.dt.data());
+        macro_rules! by_n {
+            ($($n:literal),*) => {
+                match (simd::level(), n) {
+                    $(
+                        #[cfg(target_arch = "x86_64")]
+                        // SAFETY: Avx2Fma is only selected after feature
+                        // detection confirmed avx2, the one feature the
+                        // twin enables.
+                        (SimdLevel::Avx2Fma, $n) => unsafe {
+                            deriv_fixed_avx2::<$n>(axis, add, d, dt, u, out)
+                        },
+                    )*
+                    _ => deriv_body(n, axis, add, d, dt, u, out),
+                }
+            };
         }
+        // The element sizes of the paper's degree ladder, as in
+        // `fused::helmholtz_element`; other sizes run the portable body.
+        by_n!(4, 6, 8, 10, 12);
     }
 }
 
-/// Reference-space partial derivative in y: `out[i,j,k] = Σ_m D[j,m] u[i,m,k]`.
+/// Compile-time `N` instantiation of [`deriv_body`] for AVX2: separate
+/// multiplies and adds in 256-bit vectors, the bits of the portable body.
 ///
-/// Common node counts dispatch to const-generic specializations (see
-/// [`deriv_x`]).
-pub fn deriv_y(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
-    match n {
-        4 => deriv_y_fixed::<4>(d, u, out),
-        6 => deriv_y_fixed::<6>(d, u, out),
-        8 => deriv_y_fixed::<8>(d, u, out),
-        10 => deriv_y_fixed::<10>(d, u, out),
-        12 => deriv_y_fixed::<12>(d, u, out),
-        _ => deriv_y_generic(d, u, out, n),
-    }
-}
-
-/// Generic (runtime-`n`) y-derivative kernel.
-pub fn deriv_y_generic(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
-    debug_assert_eq!(u.len(), n * n * n);
-    let plane = n * n;
-    for k in 0..n {
-        let uk = &u[k * plane..(k + 1) * plane];
-        let ok = &mut out[k * plane..(k + 1) * plane];
-        for j in 0..n {
-            let drow = d.row(j);
-            let dst = &mut ok[j * n..(j + 1) * n];
-            dst.fill(0.0);
-            for (m, &dm) in drow.iter().enumerate() {
-                if dm == 0.0 {
-                    continue;
-                }
-                let src = &uk[m * n..(m + 1) * n];
-                for (o, &s) in dst.iter_mut().zip(src) {
-                    *o += dm * s;
-                }
-            }
-        }
-    }
-}
-
-/// Const-specialized y-derivative.
-fn deriv_y_fixed<const N: usize>(d: &DMat, u: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(u.len(), N * N * N);
-    // Infallible fixed-size views (see `deriv_x_fixed`).
-    let (drows, _) = d.data().as_chunks::<N>();
-    let plane = N * N;
-    for k in 0..N {
-        let (upencils, _) = u[k * plane..(k + 1) * plane].as_chunks::<N>();
-        let (opencils, _) = out[k * plane..(k + 1) * plane].as_chunks_mut::<N>();
-        for (drow, dst) in drows.iter().zip(opencils.iter_mut()) {
-            dst.fill(0.0);
-            for (&dm, src) in drow.iter().zip(upencils.iter()) {
-                for i in 0..N {
-                    dst[i] += dm * src[i];
-                }
-            }
-        }
-    }
-}
-
-/// Reference-space partial derivative in z: `out[i,j,k] = Σ_m D[k,m] u[i,j,m]`.
+/// # Safety
 ///
-/// Common node counts dispatch to const-generic specializations (see
-/// [`deriv_x`]).
-pub fn deriv_z(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
-    match n {
-        4 => deriv_z_fixed::<4>(d, u, out),
-        6 => deriv_z_fixed::<6>(d, u, out),
-        8 => deriv_z_fixed::<8>(d, u, out),
-        10 => deriv_z_fixed::<10>(d, u, out),
-        12 => deriv_z_fixed::<12>(d, u, out),
-        _ => deriv_z_generic(d, u, out, n),
-    }
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers must have verified avx2 support; the only caller is
+// `DerivMatrix::dispatch`, which checks via `simd::level()`.
+unsafe fn deriv_fixed_avx2<const N: usize>(
+    axis: Axis,
+    add: bool,
+    d: &[f64],
+    dt: &[f64],
+    u: &[f64],
+    out: &mut [f64],
+) {
+    deriv_body(N, axis, add, d, dt, u, out);
 }
 
-/// Generic (runtime-`n`) z-derivative kernel.
-pub fn deriv_z_generic(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
-    debug_assert_eq!(u.len(), n * n * n);
+/// One derivative of an `n³` element as the matching pass of
+/// [`apply3_body`]: `X` is pass 1 with `Dᵀ` (with `D` itself for the
+/// transposed add) as the source rows, `Y` and `Z` are passes 2 and 3
+/// with the rows of `D` (of `Dᵀ` for the transposed add) as
+/// coefficients. No zero skip: `0·∞` stays NaN.
+#[inline(always)]
+fn deriv_body(n: usize, axis: Axis, add: bool, d: &[f64], dt: &[f64], u: &[f64], out: &mut [f64]) {
     let plane = n * n;
-    for k in 0..n {
-        let drow = d.row(k);
-        let dst = &mut out[k * plane..(k + 1) * plane];
-        dst.fill(0.0);
-        for (m, &dm) in drow.iter().enumerate() {
-            if dm == 0.0 {
-                continue;
-            }
-            let src = &u[m * plane..(m + 1) * plane];
-            for (o, &s) in dst.iter_mut().zip(src) {
-                *o += dm * s;
+    let u = &u[..plane * n];
+    let out = &mut out[..plane * n];
+    let (coef_rows, src_rows) = if add { (dt, d) } else { (d, dt) };
+    match axis {
+        Axis::X => {
+            for (uin, dst) in u.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+                blocks(dst, uin, src_rows, false, add);
             }
         }
-    }
-}
-
-/// Const-specialized z-derivative.
-fn deriv_z_fixed<const N: usize>(d: &DMat, u: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(u.len(), N * N * N);
-    // Infallible fixed-size views (see `deriv_x_fixed`).
-    let (drows, _) = d.data().as_chunks::<N>();
-    let plane = N * N;
-    for (k, drow) in drows.iter().enumerate() {
-        let dst = &mut out[k * plane..(k + 1) * plane];
-        dst.fill(0.0);
-        for m in 0..N {
-            let dm = drow[m];
-            let src = &u[m * plane..(m + 1) * plane];
-            for (o, &s) in dst.iter_mut().zip(src.iter()) {
-                *o += dm * s;
-            }
-        }
-    }
-}
-
-/// Accumulate the transpose derivative in x: `out[i,j,k] += Σ_m D[m,i] w[m,j,k]`.
-pub fn deriv_x_t_add(d: &DMat, w: &[f64], out: &mut [f64], n: usize) {
-    for col in 0..n * n {
-        let win = &w[col * n..(col + 1) * n];
-        let dst = &mut out[col * n..(col + 1) * n];
-        for (m, &wv) in win.iter().enumerate() {
-            if wv == 0.0 {
-                continue;
-            }
-            let drow = d.row(m);
-            for (o, &dm) in dst.iter_mut().zip(drow.iter()) {
-                *o += dm * wv;
-            }
-        }
-    }
-}
-
-/// Accumulate the transpose derivative in y: `out[i,j,k] += Σ_m D[m,j] w[i,m,k]`.
-pub fn deriv_y_t_add(d: &DMat, w: &[f64], out: &mut [f64], n: usize) {
-    let plane = n * n;
-    for k in 0..n {
-        let wk = &w[k * plane..(k + 1) * plane];
-        let ok = &mut out[k * plane..(k + 1) * plane];
-        for m in 0..n {
-            let src = &wk[m * n..(m + 1) * n];
-            let drow = d.row(m);
-            for (j, &dm) in drow.iter().enumerate() {
-                if dm == 0.0 {
-                    continue;
-                }
-                let dst = &mut ok[j * n..(j + 1) * n];
-                for (o, &s) in dst.iter_mut().zip(src) {
-                    *o += dm * s;
+        Axis::Y => {
+            for (uk, ok) in u.chunks_exact(plane).zip(out.chunks_exact_mut(plane)) {
+                for (row, dst) in coef_rows.chunks_exact(n).zip(ok.chunks_exact_mut(n)) {
+                    blocks(dst, row, uk, false, add);
                 }
             }
         }
-    }
-}
-
-/// Accumulate the transpose derivative in z: `out[i,j,k] += Σ_m D[m,k] w[i,j,m]`.
-pub fn deriv_z_t_add(d: &DMat, w: &[f64], out: &mut [f64], n: usize) {
-    let plane = n * n;
-    for m in 0..n {
-        let src = &w[m * plane..(m + 1) * plane];
-        let drow = d.row(m);
-        for (k, &dm) in drow.iter().enumerate() {
-            if dm == 0.0 {
-                continue;
-            }
-            let dst = &mut out[k * plane..(k + 1) * plane];
-            for (o, &s) in dst.iter_mut().zip(src) {
-                *o += dm * s;
+        Axis::Z => {
+            for (row, dst) in coef_rows.chunks_exact(n).zip(out.chunks_exact_mut(plane)) {
+                blocks(dst, row, u, false, add);
             }
         }
     }
-}
-
-/// Compute all three reference-space derivatives of `u` in one call.
-pub fn grad_ref(d: &DMat, u: &[f64], ur: &mut [f64], us: &mut [f64], ut: &mut [f64], n: usize) {
-    deriv_x(d, u, ur, n);
-    deriv_y(d, u, us, n);
-    deriv_z(d, u, ut, n);
-}
-
-/// Interpolate an `(n,n,n)` element slab to `(m,m,m)` with the same 1-D
-/// interpolation matrix in every direction (`j` is `m×n`).
-pub fn interp3(j: &DMat, u: &[f64], out: &mut [f64], scratch: &mut TensorScratch) {
-    tensor_apply3(j, j, j, u, out, scratch);
 }
 
 /// Naive dense tensor-product apply, used only to validate the fast path.
@@ -613,7 +564,7 @@ mod tests {
     fn derivs_exact_on_trilinear_monomials() {
         let n = 6;
         let pts = gll(n).points;
-        let d = deriv_matrix(&pts);
+        let d = DerivMatrix::new(deriv_matrix(&pts));
         // u = x² y³ + z ⇒ ∂u/∂x = 2xy³, ∂u/∂y = 3x²y², ∂u/∂z = 1.
         let mut u = vec![0.0; n * n * n];
         for k in 0..n {
@@ -627,7 +578,9 @@ mod tests {
         let mut ur = vec![0.0; n * n * n];
         let mut us = vec![0.0; n * n * n];
         let mut ut = vec![0.0; n * n * n];
-        grad_ref(&d, &u, &mut ur, &mut us, &mut ut, n);
+        d.apply(Axis::X, &u, &mut ur);
+        d.apply(Axis::Y, &u, &mut us);
+        d.apply(Axis::Z, &u, &mut ut);
         for k in 0..n {
             for j in 0..n {
                 for i in 0..n {
@@ -646,28 +599,19 @@ mod tests {
         // ⟨D_x u, w⟩ == ⟨u, D_xᵀ w⟩ for all three directions.
         let n = 5;
         let pts = gll(n).points;
-        let d = deriv_matrix(&pts);
+        let d = DerivMatrix::new(deriv_matrix(&pts));
         let u = rand_vec(n * n * n, 11);
         let w = rand_vec(n * n * n, 13);
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
 
         let mut du = vec![0.0; n * n * n];
         let mut dtw = vec![0.0; n * n * n];
-
-        deriv_x(&d, &u, &mut du, n);
-        dtw.fill(0.0);
-        deriv_x_t_add(&d, &w, &mut dtw, n);
-        assert_close(dot(&du, &w), dot(&u, &dtw), 1e-10);
-
-        deriv_y(&d, &u, &mut du, n);
-        dtw.fill(0.0);
-        deriv_y_t_add(&d, &w, &mut dtw, n);
-        assert_close(dot(&du, &w), dot(&u, &dtw), 1e-10);
-
-        deriv_z(&d, &u, &mut du, n);
-        dtw.fill(0.0);
-        deriv_z_t_add(&d, &w, &mut dtw, n);
-        assert_close(dot(&du, &w), dot(&u, &dtw), 1e-10);
+        for axis in [Axis::X, Axis::Y, Axis::Z] {
+            d.apply(axis, &u, &mut du);
+            dtw.fill(0.0);
+            d.apply_t_add(axis, &w, &mut dtw);
+            assert_close(dot(&du, &w), dot(&u, &dtw), 1e-10);
+        }
     }
 
     #[test]
@@ -691,9 +635,9 @@ mod tests {
         }
         let mut scratch = TensorScratch::new();
         let mut fine_u = vec![0.0; m * m * m];
-        interp3(&up, &u, &mut fine_u, &mut scratch);
+        tensor_apply3(&up, &up, &up, &u, &mut fine_u, &mut scratch);
         let mut back = vec![0.0; n * n * n];
-        interp3(&down, &fine_u, &mut back, &mut scratch);
+        tensor_apply3(&down, &down, &down, &fine_u, &mut back, &mut scratch);
         for (a, b) in back.iter().zip(&u) {
             assert_close(*a, *b, 1e-10);
         }
@@ -741,54 +685,218 @@ mod tests {
 }
 
 #[cfg(test)]
-mod dispatch_tests {
+mod deriv_tests {
     use super::*;
     use crate::lagrange::deriv_matrix;
     use crate::quadrature::gll;
 
-    #[test]
-    fn specialized_kernels_match_generic_bitwise() {
-        for n in [4usize, 6, 8, 10, 12, 5, 7] {
-            let d = deriv_matrix(&gll(n).points);
-            let u: Vec<f64> = (0..n * n * n)
-                .map(|i| ((i * 29 % 97) as f64) * 0.07 - 3.0)
-                .collect();
-            let mut a = vec![0.0; n * n * n];
-            let mut b = vec![0.0; n * n * n];
-            deriv_x(&d, &u, &mut a, n);
-            deriv_x_generic(&d, &u, &mut b, n);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n = {n}");
+    fn rand_vec(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+            })
+            .collect()
+    }
+
+    // The element derivatives as they were computed before they became
+    // passes of the contraction body, kept literally as the reference
+    // for their chains: `+0.0` (the output's value, for the transposed
+    // adds) plus separately rounded products in ascending `m`. The
+    // const-N bodies of N = 4, 6, …, 12 computed the same chains without
+    // the zero skips.
+
+    fn ref_x(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
+        for col in 0..n * n {
+            let uin = &u[col * n..(col + 1) * n];
+            let dst = &mut out[col * n..(col + 1) * n];
+            for i in 0..n {
+                let mut acc = 0.0;
+                for (dm, &uv) in d.row(i).iter().zip(uin) {
+                    acc += dm * uv;
+                }
+                dst[i] = acc;
             }
         }
     }
-}
 
-#[cfg(test)]
-mod yz_dispatch_tests {
-    use super::*;
-    use crate::lagrange::deriv_matrix;
-    use crate::quadrature::gll;
-
-    #[test]
-    fn yz_specializations_match_generic_bitwise() {
-        for n in [4usize, 6, 8, 10, 12, 5, 9] {
-            let d = deriv_matrix(&gll(n).points);
-            let u: Vec<f64> = (0..n * n * n)
-                .map(|i| ((i * 17 % 89) as f64) * 0.11 - 4.0)
-                .collect();
-            let mut a = vec![0.0; n * n * n];
-            let mut b = vec![0.0; n * n * n];
-            deriv_y(&d, &u, &mut a, n);
-            deriv_y_generic(&d, &u, &mut b, n);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "deriv_y n = {n}");
-            }
-            deriv_z(&d, &u, &mut a, n);
-            deriv_z_generic(&d, &u, &mut b, n);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "deriv_z n = {n}");
+    fn ref_y(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
+        let plane = n * n;
+        for k in 0..n {
+            let uk = &u[k * plane..(k + 1) * plane];
+            let ok = &mut out[k * plane..(k + 1) * plane];
+            for j in 0..n {
+                let dst = &mut ok[j * n..(j + 1) * n];
+                dst.fill(0.0);
+                for (m, &dm) in d.row(j).iter().enumerate() {
+                    if dm == 0.0 {
+                        continue;
+                    }
+                    for (o, &s) in dst.iter_mut().zip(&uk[m * n..(m + 1) * n]) {
+                        *o += dm * s;
+                    }
+                }
             }
         }
+    }
+
+    fn ref_z(d: &DMat, u: &[f64], out: &mut [f64], n: usize) {
+        let plane = n * n;
+        for k in 0..n {
+            let dst = &mut out[k * plane..(k + 1) * plane];
+            dst.fill(0.0);
+            for (m, &dm) in d.row(k).iter().enumerate() {
+                if dm == 0.0 {
+                    continue;
+                }
+                for (o, &s) in dst.iter_mut().zip(&u[m * plane..(m + 1) * plane]) {
+                    *o += dm * s;
+                }
+            }
+        }
+    }
+
+    fn ref_x_t_add(d: &DMat, w: &[f64], out: &mut [f64], n: usize) {
+        for col in 0..n * n {
+            let win = &w[col * n..(col + 1) * n];
+            let dst = &mut out[col * n..(col + 1) * n];
+            for (m, &wv) in win.iter().enumerate() {
+                if wv == 0.0 {
+                    continue;
+                }
+                for (o, &dm) in dst.iter_mut().zip(d.row(m)) {
+                    *o += dm * wv;
+                }
+            }
+        }
+    }
+
+    fn ref_y_t_add(d: &DMat, w: &[f64], out: &mut [f64], n: usize) {
+        let plane = n * n;
+        for k in 0..n {
+            let wk = &w[k * plane..(k + 1) * plane];
+            let ok = &mut out[k * plane..(k + 1) * plane];
+            for m in 0..n {
+                let src = &wk[m * n..(m + 1) * n];
+                for (j, &dm) in d.row(m).iter().enumerate() {
+                    if dm == 0.0 {
+                        continue;
+                    }
+                    for (o, &s) in ok[j * n..(j + 1) * n].iter_mut().zip(src) {
+                        *o += dm * s;
+                    }
+                }
+            }
+        }
+    }
+
+    fn ref_z_t_add(d: &DMat, w: &[f64], out: &mut [f64], n: usize) {
+        let plane = n * n;
+        for m in 0..n {
+            let src = &w[m * plane..(m + 1) * plane];
+            for (k, &dm) in d.row(m).iter().enumerate() {
+                if dm == 0.0 {
+                    continue;
+                }
+                for (o, &s) in out[k * plane..(k + 1) * plane].iter_mut().zip(src) {
+                    *o += dm * s;
+                }
+            }
+        }
+    }
+
+    type RefKernel = fn(&DMat, &[f64], &mut [f64], usize);
+
+    fn assert_bits(label: &str, a: &[f64], b: &[f64]) {
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{label} index {i}: {x:e} vs {y:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn derivatives_keep_the_reference_chains_bitwise() {
+        let forward: [(Axis, RefKernel); 3] =
+            [(Axis::X, ref_x), (Axis::Y, ref_y), (Axis::Z, ref_z)];
+        let transposed: [(Axis, RefKernel); 3] = [
+            (Axis::X, ref_x_t_add),
+            (Axis::Y, ref_y_t_add),
+            (Axis::Z, ref_z_t_add),
+        ];
+        for n in 3..=12 {
+            let nn = n * n * n;
+            // The GLL matrix has exact zeros on its interior diagonal; the
+            // second matrix adds signed zeros off the diagonal.
+            let gll_d = deriv_matrix(&gll(n).points);
+            let zero_laden = DMat::from_fn(n, n, |i, j| match (i + 2 * j) % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((i * 5 + j) as f64 * 0.61).cos(),
+            });
+            for (which, dense) in [("gll", gll_d), ("zero-laden", zero_laden)] {
+                let d = DerivMatrix::new(dense.clone());
+                let u = rand_vec(nn, n as u64);
+                let init = rand_vec(nn, 100 + n as u64);
+                for (axis, reference) in forward {
+                    let mut want = vec![0.0; nn];
+                    reference(&dense, &u, &mut want, n);
+                    let mut got = vec![0.0; nn];
+                    d.apply(axis, &u, &mut got);
+                    assert_bits(&format!("{which} {axis:?} n={n}"), &want, &got);
+                    d.apply_scalar(axis, &u, &mut got);
+                    assert_bits(&format!("{which} {axis:?} scalar n={n}"), &want, &got);
+                }
+                for (axis, reference) in transposed {
+                    let mut want = init.clone();
+                    reference(&dense, &u, &mut want, n);
+                    let mut got = init.clone();
+                    d.apply_t_add(axis, &u, &mut got);
+                    assert_bits(&format!("{which} {axis:?}ᵀ n={n}"), &want, &got);
+                    let mut got = init.clone();
+                    d.apply_t_add_scalar(axis, &u, &mut got);
+                    assert_bits(&format!("{which} {axis:?}ᵀ scalar n={n}"), &want, &got);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derivatives_multiply_zero_coefficients() {
+        // With a zero diagonal an infinite value meets a zero coefficient
+        // in its own output: 0·∞ must make that output NaN, forward and
+        // transposed, on every axis.
+        let n = 6;
+        let d = DerivMatrix::new(DMat::from_fn(n, n, |i, j| {
+            if i == j {
+                0.0
+            } else {
+                (i as f64 - j as f64).recip()
+            }
+        }));
+        let node = 2 + n * (2 + n * 2);
+        let mut u = rand_vec(n * n * n, 9);
+        u[node] = f64::INFINITY;
+        for axis in [Axis::X, Axis::Y, Axis::Z] {
+            let mut out = vec![0.0; n * n * n];
+            d.apply(axis, &u, &mut out);
+            assert!(out[node].is_nan(), "{axis:?}: {}", out[node]);
+            out.fill(0.0);
+            d.apply_t_add(axis, &u, &mut out);
+            assert!(out[node].is_nan(), "{axis:?} transposed: {}", out[node]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn short_derivative_input_panics() {
+        let d = DerivMatrix::new(deriv_matrix(&gll(6).points));
+        let mut out = vec![0.0; 6 * 6 * 6];
+        d.apply(Axis::Y, &rand_vec(6 * 6 * 6 - 1, 3), &mut out);
     }
 }

@@ -9,7 +9,7 @@
 //! L²-projected back through the diagonal coarse mass.
 
 use rbx_basis::simd;
-use rbx_basis::tensor::{deriv_x, deriv_y, deriv_z, tensor_apply3, TensorScratch};
+use rbx_basis::tensor::{tensor_apply3, Axis, TensorScratch};
 use rbx_basis::{dealias_nodes, gll, interp_matrix, DMat};
 use rbx_device::{loop_chunk, RangePtr, WorkerPool};
 use rbx_mesh::GeomFactors;
@@ -37,7 +37,8 @@ pub struct DiffScratch {
 struct PoolDiffScratch {
     ds: DiffScratch,
     ts: TensorScratch,
-    /// One element's physical gradient (advection only).
+    /// One element's physical gradient (advection; the curl keeps one
+    /// component at a time in the first).
     grad: [Vec<f64>; 3],
     fine_a: [Vec<f64>; 3],
     fine_g: Vec<f64>,
@@ -93,14 +94,15 @@ pub(crate) fn elem_grad_component(
 
 /// The three reference derivatives of one element's values into `s`.
 fn ref_derivs(geom: &GeomFactors, ue: &[f64], s: &mut DiffScratch) {
-    let n = geom.nx1;
-    let nn = n * n * n;
-    s.ur.resize(nn, 0.0);
-    s.us.resize(nn, 0.0);
-    s.ut.resize(nn, 0.0);
-    deriv_x(&geom.d, ue, &mut s.ur, n);
-    deriv_y(&geom.d, ue, &mut s.us, n);
-    deriv_z(&geom.d, ue, &mut s.ut, n);
+    let nn = geom.nodes_per_element();
+    for (axis, out) in [
+        (Axis::X, &mut s.ur),
+        (Axis::Y, &mut s.us),
+        (Axis::Z, &mut s.ut),
+    ] {
+        out.resize(nn, 0.0);
+        geom.d.apply(axis, ue, out);
+    }
 }
 
 /// Physical component `c` from the reference derivatives in `s`.
@@ -154,39 +156,56 @@ pub fn phys_grad_with(
     });
 }
 
-/// Pointwise curl `ω = ∇ × u` of a vector field.
-// audit:allow(hot-alloc): field-sized scratch per call; a shared scratch arena is the planned fix (ROADMAP), and each allocation is amortized by the O(N) kernel work that follows
+/// Pointwise curl `ω = ∇ × u` of a vector field, in one pooled pass over
+/// the elements: per element, the gradient components each curl
+/// component needs, combined as `ωx = ∂uz/∂y − ∂uy/∂z`,
+/// `ωy = −∂uz/∂x + ∂ux/∂z` and `ωz = ∂uy/∂x − ∂ux/∂y`.
 pub fn curl(geom: &GeomFactors, u: [&[f64]; 3], w: [&mut [f64]; 3], pool: &WorkerPool) {
-    let ntot = geom.total_nodes();
-    let mut g = [vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]];
-    let [wx, wy, wz] = w;
-    // ∇u_z → contributes to wx (+∂uz/∂y) and wy (−∂uz/∂x)
-    {
-        let [gx, gy, _gz] = &mut g;
-        phys_grad_with(geom, u[2], gx, gy, &mut vec![0.0; ntot], pool);
-        for i in 0..ntot {
-            wx[i] = gy[i];
-            wy[i] = -gx[i];
-        }
-    }
-    // ∇u_y → wx −= ∂uy/∂z ; wz += ∂uy/∂x
-    {
-        let [gx, _gy, gz] = &mut g;
-        phys_grad_with(geom, u[1], gx, &mut vec![0.0; ntot], gz, pool);
-        for i in 0..ntot {
-            wx[i] -= gz[i];
-        }
-        wz.copy_from_slice(gx);
-    }
-    // ∇u_x → wy += ∂ux/∂z ; wz −= ∂ux/∂y
-    {
-        let [_gx, gy, gz] = &mut g;
-        phys_grad_with(geom, u[0], &mut vec![0.0; ntot], gy, gz, pool);
-        for i in 0..ntot {
-            wy[i] += gz[i];
-            wz[i] -= gy[i];
-        }
-    }
+    let nn = geom.nodes_per_element();
+    let nelv = geom.nelv;
+    let wp = w.map(RangePtr::new);
+    let chunk = loop_chunk(nelv, pool.threads());
+    pool.for_each_range_min(nelv, chunk, GRAD_ELEMS, |e0, e1| {
+        POOL_SCRATCH.with(|cell| {
+            let PoolDiffScratch { ds, grad, .. } = &mut *cell.borrow_mut();
+            let g = &mut grad[0];
+            g.resize(nn, 0.0);
+            for e in e0..e1 {
+                let (base, end) = (e * nn, (e + 1) * nn);
+                let [ux, uy, uz] = u.map(|c| &c[base..end]);
+                let [wx, wy, wz] = &wp;
+                // SAFETY: element ranges of distinct chunks are disjoint.
+                let (wx, wy, wz) = unsafe {
+                    (
+                        wx.range_mut(base, end),
+                        wy.range_mut(base, end),
+                        wz.range_mut(base, end),
+                    )
+                };
+                ref_derivs(geom, uz, ds);
+                combine_component(geom, base, 1, wx, ds);
+                combine_component(geom, base, 0, g, ds);
+                for (o, &v) in wy.iter_mut().zip(g.iter()) {
+                    *o = -v;
+                }
+                ref_derivs(geom, uy, ds);
+                combine_component(geom, base, 2, g, ds);
+                for (o, &v) in wx.iter_mut().zip(g.iter()) {
+                    *o -= v;
+                }
+                combine_component(geom, base, 0, wz, ds);
+                ref_derivs(geom, ux, ds);
+                combine_component(geom, base, 2, g, ds);
+                for (o, &v) in wy.iter_mut().zip(g.iter()) {
+                    *o += v;
+                }
+                combine_component(geom, base, 1, g, ds);
+                for (o, &v) in wz.iter_mut().zip(g.iter()) {
+                    *o -= v;
+                }
+            }
+        });
+    });
 }
 
 /// Weak divergence ("cdtp"): `out_i = (∇φ_i, v)` element-locally:
@@ -201,56 +220,9 @@ pub fn weak_divergence(
     out: &mut [f64],
     scratch: &mut DiffScratch,
 ) {
-    use rbx_basis::tensor::{deriv_x_t_add, deriv_y_t_add, deriv_z_t_add};
-    let n = geom.nx1;
-    let nn = n * n * n;
-    scratch.ur.resize(nn, 0.0);
-    scratch.us.resize(nn, 0.0);
-    scratch.ut.resize(nn, 0.0);
-    for e in 0..geom.nelv {
-        let base = e * nn;
-        let dr = &geom.dr;
-        let bj = &geom.mass[base..base + nn];
-        let (vx, vy, vz) = (
-            &v[0][base..base + nn],
-            &v[1][base..base + nn],
-            &v[2][base..base + nn],
-        );
-        simd::wcombine3(
-            &mut scratch.ur[..nn],
-            bj,
-            &dr[0][base..base + nn],
-            vx,
-            &dr[1][base..base + nn],
-            vy,
-            &dr[2][base..base + nn],
-            vz,
-        );
-        simd::wcombine3(
-            &mut scratch.us[..nn],
-            bj,
-            &dr[3][base..base + nn],
-            vx,
-            &dr[4][base..base + nn],
-            vy,
-            &dr[5][base..base + nn],
-            vz,
-        );
-        simd::wcombine3(
-            &mut scratch.ut[..nn],
-            bj,
-            &dr[6][base..base + nn],
-            vx,
-            &dr[7][base..base + nn],
-            vy,
-            &dr[8][base..base + nn],
-            vz,
-        );
-        let oe = &mut out[base..base + nn];
-        oe.fill(0.0);
-        deriv_x_t_add(&geom.d, &scratch.ur, oe, n);
-        deriv_y_t_add(&geom.d, &scratch.us, oe, n);
-        deriv_z_t_add(&geom.d, &scratch.ut, oe, n);
+    let nn = geom.nodes_per_element();
+    for base in (0..geom.total_nodes()).step_by(nn) {
+        elem_weak_divergence(geom, base, v, &mut out[base..base + nn], scratch);
     }
 }
 
@@ -262,66 +234,53 @@ pub fn weak_divergence_with(
     out: &mut [f64],
     pool: &WorkerPool,
 ) {
-    use rbx_basis::tensor::{deriv_x_t_add, deriv_y_t_add, deriv_z_t_add};
-    let n = geom.nx1;
-    let nn = n * n * n;
+    let nn = geom.nodes_per_element();
     let nelv = geom.nelv;
     let op = RangePtr::new(out);
     let chunk = loop_chunk(nelv, pool.threads());
     pool.for_each_range_min(nelv, chunk, GRAD_ELEMS, |e0, e1| {
         POOL_SCRATCH.with(|cell| {
             let s = &mut cell.borrow_mut().ds;
-            s.ur.resize(nn, 0.0);
-            s.us.resize(nn, 0.0);
-            s.ut.resize(nn, 0.0);
             for e in e0..e1 {
                 let base = e * nn;
-                let dr = &geom.dr;
-                let bj = &geom.mass[base..base + nn];
-                let (vx, vy, vz) = (
-                    &v[0][base..base + nn],
-                    &v[1][base..base + nn],
-                    &v[2][base..base + nn],
-                );
-                simd::wcombine3(
-                    &mut s.ur[..nn],
-                    bj,
-                    &dr[0][base..base + nn],
-                    vx,
-                    &dr[1][base..base + nn],
-                    vy,
-                    &dr[2][base..base + nn],
-                    vz,
-                );
-                simd::wcombine3(
-                    &mut s.us[..nn],
-                    bj,
-                    &dr[3][base..base + nn],
-                    vx,
-                    &dr[4][base..base + nn],
-                    vy,
-                    &dr[5][base..base + nn],
-                    vz,
-                );
-                simd::wcombine3(
-                    &mut s.ut[..nn],
-                    bj,
-                    &dr[6][base..base + nn],
-                    vx,
-                    &dr[7][base..base + nn],
-                    vy,
-                    &dr[8][base..base + nn],
-                    vz,
-                );
                 // SAFETY: element ranges of distinct chunks are disjoint.
                 let oe = unsafe { op.range_mut(base, base + nn) };
-                oe.fill(0.0);
-                deriv_x_t_add(&geom.d, &s.ur, oe, n);
-                deriv_y_t_add(&geom.d, &s.us, oe, n);
-                deriv_z_t_add(&geom.d, &s.ut, oe, n);
+                elem_weak_divergence(geom, base, v, oe, s);
             }
         });
     });
+}
+
+/// [`weak_divergence`] of the element whose nodes start at `base`, into
+/// that element's output `oe`.
+fn elem_weak_divergence(
+    geom: &GeomFactors,
+    base: usize,
+    v: [&[f64]; 3],
+    oe: &mut [f64],
+    s: &mut DiffScratch,
+) {
+    let end = base + oe.len();
+    let dr = &geom.dr;
+    let bj = &geom.mass[base..end];
+    let [vx, vy, vz] = v.map(|c| &c[base..end]);
+    for (c, wc) in [&mut s.ur, &mut s.us, &mut s.ut].into_iter().enumerate() {
+        wc.resize(oe.len(), 0.0);
+        simd::wcombine3(
+            wc,
+            bj,
+            &dr[3 * c][base..end],
+            vx,
+            &dr[3 * c + 1][base..end],
+            vy,
+            &dr[3 * c + 2][base..end],
+            vz,
+        );
+    }
+    oe.fill(0.0);
+    for (axis, wc) in [(Axis::X, &s.ur), (Axis::Y, &s.us), (Axis::Z, &s.ut)] {
+        geom.d.apply_t_add(axis, wc, oe);
+    }
 }
 
 /// Pointwise divergence `∇·v` (collocation), for diagnostics.
@@ -646,6 +605,66 @@ mod tests {
             assert_close(wx[i], 0.0, 1e-11);
             assert_close(wy[i], 0.0, 1e-11);
             assert_close(wz[i], 2.0, 1e-11);
+        }
+    }
+
+    #[test]
+    fn curl_is_bitwise_the_gradient_composition() {
+        // The reference composes three full physical gradients, as the
+        // curl did before it became one element pass.
+        let meshes = [
+            box_mesh(3, 2, 2, [0., 1.], [0., 1.], [0., 1.], false, false),
+            cylinder_mesh(CylinderParams {
+                n_z: 2,
+                ..CylinderParams::default()
+            }),
+        ];
+        for mesh in &meshes {
+            let geom = GeomFactors::new(mesh, 5);
+            let ntot = geom.total_nodes();
+            let u: Vec<Vec<f64>> = (0..3)
+                .map(|c| {
+                    (0..ntot)
+                        .map(|i| ((i * (31 + 7 * c) % 89) as f64) * 0.03 - 1.1)
+                        .collect()
+                })
+                .collect();
+            let mut s = DiffScratch::default();
+            let g: Vec<[Vec<f64>; 3]> = u
+                .iter()
+                .map(|uc| {
+                    let mut g = [vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]];
+                    let [gx, gy, gz] = &mut g;
+                    phys_grad(&geom, uc, gx, gy, gz, &mut s);
+                    g
+                })
+                .collect();
+            let (mut wx, mut wy, mut wz) = (vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]);
+            for i in 0..ntot {
+                wx[i] = g[2][1][i];
+                wy[i] = -g[2][0][i];
+                wx[i] -= g[1][2][i];
+                wz[i] = g[1][0][i];
+                wy[i] += g[0][2][i];
+                wz[i] -= g[0][1][i];
+            }
+            for threads in [1usize, 3] {
+                let pool = WorkerPool::new(threads);
+                let mut w = [vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]];
+                let [ox, oy, oz] = &mut w;
+                curl(&geom, [&u[0], &u[1], &u[2]], [ox, oy, oz], &pool);
+                for (c, (want, got)) in [&wx, &wy, &wz].into_iter().zip(&w).enumerate() {
+                    let same = want
+                        .iter()
+                        .zip(got)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(
+                        same,
+                        "curl component {c}, threads={threads}, nelv={}",
+                        geom.nelv
+                    );
+                }
+            }
         }
     }
 

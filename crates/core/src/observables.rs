@@ -51,8 +51,14 @@ impl<'a> Observables<'a> {
         pr: f64,
         comm: &dyn Communicator,
     ) -> f64 {
-        let prod: Vec<f64> = uz.iter().zip(t).map(|(a, b)| a * b).collect();
-        let mean = self.integrate(&prod, comm) / self.volume(comm);
+        // `integrate` of the pointwise product `uz·t`, without building it.
+        let local: f64 = uz
+            .iter()
+            .zip(t)
+            .zip(&self.geom.mass)
+            .map(|((a, b), m)| a * b * m)
+            .sum();
+        let mean = allreduce_scalar(comm, local) / self.volume(comm);
         1.0 + (ra * pr).sqrt() * mean
     }
 
@@ -444,5 +450,26 @@ mod tests {
         // ⟨u_z T⟩ = 0.02 → Nu = 1 + √(Ra) · 0.02 with Pr = 1.
         let nu = obs.nusselt_volume(&uz, &t, 1e4, 1.0, &comm);
         assert!((nu - 3.0).abs() < 1e-10, "{nu}");
+    }
+
+    #[test]
+    fn nusselt_volume_is_bitwise_the_integrated_product() {
+        // The formula as it read with the product field built first.
+        let (mesh, geom, my) = setup(4);
+        let comm = SingleComm::new();
+        let obs = Observables::new(&geom, &mesh, &my);
+        let uz: Vec<f64> = (0..geom.total_nodes())
+            .map(|i| ((i * 37 % 101) as f64 * 0.173).sin())
+            .collect();
+        let t: Vec<f64> = geom.coords[2]
+            .iter()
+            .map(|&z| 0.5 - z + 0.01 * z.cos())
+            .collect();
+        let (ra, pr): (f64, f64) = (2.3e7, 0.7);
+        let prod: Vec<f64> = uz.iter().zip(&t).map(|(a, b)| a * b).collect();
+        let mean = obs.integrate(&prod, &comm) / obs.volume(&comm);
+        let want = 1.0 + (ra * pr).sqrt() * mean;
+        let got = obs.nusselt_volume(&uz, &t, ra, pr, &comm);
+        assert_eq!(want.to_bits(), got.to_bits(), "{want:e} vs {got:e}");
     }
 }

@@ -103,7 +103,7 @@ fn element_stiffness(
 ) {
     let n = geom.nx1;
     let nn = n * n * n;
-    let d = &geom.d;
+    let d = geom.d.matrix();
     for q in 0..nn {
         let (qx, qy, qz) = (q % n, (q / n) % n, q / (n * n));
         let at = e * nn + q;

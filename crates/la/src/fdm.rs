@@ -65,7 +65,7 @@ impl ElementFdm {
     /// each direction.
     pub fn new(geom: &GeomFactors) -> Self {
         let n = geom.nx1;
-        let d = &geom.d;
+        let d = geom.d.matrix();
         let mut khat = DMat::zeros(n, n);
         for a in 0..n {
             for b in 0..n {

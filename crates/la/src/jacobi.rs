@@ -7,6 +7,7 @@
 //! temperature Helmholtz solves (and inside its coarse-grid PCG, which
 //! this code replaces with an exact solve).
 
+use rbx_basis::simd;
 use rbx_comm::Communicator;
 use rbx_gs::{GatherScatter, GsOp};
 use rbx_mesh::GeomFactors;
@@ -25,7 +26,7 @@ pub fn assembled_diagonal(
 ) -> Vec<f64> {
     let n = geom.nx1;
     let nn = n * n * n;
-    let d = &geom.d;
+    let d = geom.d.matrix();
     let mut diag = vec![0.0; geom.total_nodes()];
     // Precompute columns of squared derivative entries.
     let mut dsq = vec![0.0; n * n]; // dsq[m + n*i] = D[m,i]²
@@ -64,11 +65,7 @@ pub fn assembled_diagonal(
 /// Apply the Jacobi preconditioner `z = diag⁻¹ r`, masked so constrained
 /// nodes stay zero.
 pub fn jacobi_apply(diag: &[f64], mask: &[f64], r: &[f64], z: &mut [f64]) {
-    debug_assert_eq!(diag.len(), r.len());
-    debug_assert_eq!(z.len(), r.len());
-    for i in 0..r.len() {
-        z[i] = if mask[i] != 0.0 { r[i] / diag[i] } else { 0.0 };
-    }
+    simd::masked_div(diag, mask, r, z);
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use crate::topology::vertex_lattice;
 use crate::{Curve, HexMesh};
-use rbx_basis::{deriv_matrix, deriv_x, deriv_y, deriv_z, gll, DMat};
+use rbx_basis::{deriv_matrix, gll, Axis, DerivMatrix};
 
 /// Physical coordinates of all `(p+1)³` GLL nodes of element `e`.
 ///
@@ -160,8 +160,9 @@ pub struct GeomFactors {
     pub points: Vec<f64>,
     /// GLL weights on the reference interval.
     pub weights: Vec<f64>,
-    /// 1-D collocation derivative matrix.
-    pub d: DMat,
+    /// 1-D collocation derivative matrix (with its transpose), which
+    /// applies the element derivatives.
+    pub d: DerivMatrix,
     /// Physical node coordinates `[x, y, z]`.
     pub coords: [Vec<f64>; 3],
     /// Jacobian determinant at each node.
@@ -186,7 +187,7 @@ impl GeomFactors {
     /// degenerate geometry).
     pub fn new(mesh: &HexMesh, p: usize) -> Self {
         let q = gll(p + 1);
-        let d = deriv_matrix(&q.points);
+        let d = DerivMatrix::new(deriv_matrix(&q.points));
         let n = p + 1;
         let nn = n * n * n;
         let nelv = mesh.num_elements();
@@ -215,15 +216,11 @@ impl GeomFactors {
             let xs = &coords[0][e * nn..(e + 1) * nn];
             let ys = &coords[1][e * nn..(e + 1) * nn];
             let zs = &coords[2][e * nn..(e + 1) * nn];
-            deriv_x(&d, xs, &mut dx[0], n);
-            deriv_y(&d, xs, &mut dx[1], n);
-            deriv_z(&d, xs, &mut dx[2], n);
-            deriv_x(&d, ys, &mut dy[0], n);
-            deriv_y(&d, ys, &mut dy[1], n);
-            deriv_z(&d, ys, &mut dy[2], n);
-            deriv_x(&d, zs, &mut dz[0], n);
-            deriv_y(&d, zs, &mut dz[1], n);
-            deriv_z(&d, zs, &mut dz[2], n);
+            for (c, dc) in [(xs, &mut dx), (ys, &mut dy), (zs, &mut dz)] {
+                for (axis, out) in [Axis::X, Axis::Y, Axis::Z].into_iter().zip(dc.iter_mut()) {
+                    d.apply(axis, c, out);
+                }
+            }
 
             for idx in 0..nn {
                 let (i, jj, k) = (idx % n, (idx / n) % n, idx / (n * n));
@@ -328,21 +325,14 @@ impl GeomFactors {
             let c = &self.coords[dim][base..base + nn];
             // Face-local direction "a" and "b" map to reference directions
             // depending on the face (see `face_to_volume`).
-            match f {
-                0 | 1 => {
-                    deriv_y(&self.d, c, &mut dxa, n);
-                    deriv_z(&self.d, c, &mut dxb, n);
-                }
-                2 | 3 => {
-                    deriv_x(&self.d, c, &mut dxa, n);
-                    deriv_z(&self.d, c, &mut dxb, n);
-                }
-                4 | 5 => {
-                    deriv_x(&self.d, c, &mut dxa, n);
-                    deriv_y(&self.d, c, &mut dxb, n);
-                }
+            let (axis_a, axis_b) = match f {
+                0 | 1 => (Axis::Y, Axis::Z),
+                2 | 3 => (Axis::X, Axis::Z),
+                4 | 5 => (Axis::X, Axis::Y),
                 _ => panic!("face index {f} out of range"),
-            }
+            };
+            self.d.apply(axis_a, c, &mut dxa);
+            self.d.apply(axis_b, c, &mut dxb);
             for a in 0..n {
                 for b in 0..n {
                     let (i, j, k) = face_to_volume(f, a, b, self.p);

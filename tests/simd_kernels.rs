@@ -14,7 +14,7 @@ use rbx::basis::fused::{
     helmholtz_element, helmholtz_element_scalar, tensor3, tensor3_scalar, FusedScratch,
     Tensor3Scratch,
 };
-use rbx::basis::tensor::{tensor_apply3, tensor_apply3_scalar, TensorScratch};
+use rbx::basis::tensor::{tensor_apply3, tensor_apply3_scalar, Axis, DerivMatrix, TensorScratch};
 use rbx::basis::{deriv_matrix, gll, DMat};
 use rbx::comm::SingleComm;
 use rbx::device::WorkerPool;
@@ -154,7 +154,7 @@ fn dot_bits_stable_across_thread_counts() {
 #[test]
 fn dispatched_matches_scalar_to_zero_ulp() {
     for n in [6usize, 8, 10, 12, 7] {
-        let d = deriv_matrix(&gll(n).points);
+        let d = DerivMatrix::new(deriv_matrix(&gll(n).points));
         let nn = n * n * n;
         let g: Vec<Vec<f64>> = (0..6)
             .map(|i| {
@@ -292,6 +292,59 @@ fn tensor_apply3_nonfinite_inputs_and_zero_coefficients_match_portable() {
     );
 }
 
+type BitCheck = fn(&str, &[f64], &[f64]);
+
+/// The element derivatives keep the contraction contract: the dispatched
+/// path (AVX2 at N = 4, 6, 8, 10, 12) must reproduce the portable body at
+/// every N, forward and transposed-add, on finite data with the GLL
+/// matrix and with a zero-laden one (signed zeros included), and on data
+/// with NaN and ±Inf, where the NaN positions must agree.
+#[test]
+fn derivatives_dispatched_match_portable_at_every_n() {
+    let mut saw_nan = false;
+    for n in 3..=12 {
+        let nn = n * n * n;
+        let zero_laden = DMat::from_fn(n, n, |i, j| match (i + 2 * j) % 5 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((i * 5 + j) as f64 * 0.61).cos(),
+        });
+        let finite = rand_vec(nn, n as u64);
+        let mut nonfinite = rand_vec(nn, 50 + n as u64);
+        nonfinite[0] = f64::NAN;
+        nonfinite[nn / 3] = f64::INFINITY;
+        nonfinite[nn / 2] = f64::NEG_INFINITY;
+        nonfinite[nn - 1] = -0.0;
+        let init = rand_vec(nn, 90 + n as u64);
+        for dense in [deriv_matrix(&gll(n).points), zero_laden] {
+            let d = DerivMatrix::new(dense);
+            for axis in [Axis::X, Axis::Y, Axis::Z] {
+                // Finite data must match to the bit; NaNs only in position.
+                let cases: [(&[f64], &str, BitCheck); 2] = [
+                    (&finite, "finite", assert_bits),
+                    (&nonfinite, "non-finite", assert_bits_or_nan),
+                ];
+                for (data, label, check) in cases {
+                    let tag = format!("{label} {axis:?} n={n}");
+                    let (mut a, mut b) = (vec![0.0; nn], vec![0.0; nn]);
+                    d.apply(axis, data, &mut a);
+                    d.apply_scalar(axis, data, &mut b);
+                    check(&tag, &a, &b);
+                    saw_nan |= a.iter().any(|v| v.is_nan());
+                    let (mut a, mut b) = (init.clone(), init.clone());
+                    d.apply_t_add(axis, data, &mut a);
+                    d.apply_t_add_scalar(axis, data, &mut b);
+                    check(&format!("{tag} transposed"), &a, &b);
+                }
+            }
+        }
+    }
+    assert!(
+        saw_nan,
+        "no NaN reached any output: the test lost its teeth"
+    );
+}
+
 /// SIMD pointwise kernels vs their scalar twins on awkward (non-multiple
 /// of the lane width) lengths.
 #[test]
@@ -321,6 +374,19 @@ fn pointwise_kernels_match_scalar_twins() {
         let w1 = simd::dot3(&a, &b, &w);
         let w2 = simd::dot3_scalar(&a, &b, &w);
         assert_eq!(w1.to_bits(), w2.to_bits(), "dot3 len={len}");
+
+        // The Jacobi preconditioner: every third node masked out.
+        let diag: Vec<f64> = w.iter().map(|v| 2.0 + v).collect();
+        let mask: Vec<f64> = (0..len).map(|i| f64::from(i % 3 != 1)).collect();
+        let mut z1 = vec![9.0; len];
+        let mut z2 = vec![9.0; len];
+        simd::masked_div(&diag, &mask, &a, &mut z1);
+        simd::masked_div_scalar(&diag, &mask, &a, &mut z2);
+        assert_bits(&format!("masked_div len={len}"), &z1, &z2);
+        for (i, &zi) in z1.iter().enumerate() {
+            let want = if mask[i] != 0.0 { a[i] / diag[i] } else { 0.0 };
+            assert_eq!(zi.to_bits(), want.to_bits(), "masked_div len={len} i={i}");
+        }
     }
 }
 
