@@ -2,15 +2,15 @@
 //!
 //! The sum-factorized Helmholtz apply used to be six separate sweeps over
 //! each element (three derivatives, a metric combine, three transpose
-//! accumulations); this module fuses them into two register/cache-blocked
-//! passes — grad → geometric factors in one sweep, gradᵀ → mass term in
-//! the second — with every inner loop contiguous over the fastest (x)
-//! index and expressed through the [`crate::simd`] lane contract (fused
-//! multiply-add, pinned accumulation order). The production node counts
-//! N = 4, 6, 8, 10, 12 instantiate const-generic bodies whose compile-time
-//! bounds let the optimizer fully unroll and vectorize; other counts run
-//! the identical body with runtime bounds, so every degree takes the fused
-//! path and the bits never depend on which instantiation executed.
+//! accumulations); this module fuses them into two passes — grad →
+//! geometric factors in one sweep, gradᵀ → mass term in the second. Every
+//! contraction, here and in [`tensor3`], is a call of the register-blocked
+//! body [`crate::tensor`] shares with the other contractions, with fused
+//! multiply-adds in a pinned order per output (DESIGN.md §15). On AVX2
+//! hosts the production node counts N = 4, 6, 8, 10, 12 run twins with a
+//! compile-time N and other counts a twin with runtime bounds; the
+//! portable path is the runtime-bounded body. All run the same body, so
+//! the bits never depend on which instantiation executed.
 //!
 //! Determinism: for a fixed process the kernel level
 //! ([`crate::simd::level`]) is constant, every loop nest below has a fixed
@@ -21,7 +21,8 @@
 
 use crate::dense::DMat;
 use crate::simd::{self, SimdLevel};
-use crate::tensor::DerivMatrix;
+use crate::tensor::{rows, DerivMatrix, Init};
+use std::hint::black_box;
 
 /// Reusable buffers for [`helmholtz_element`]: three element-sized flux
 /// fields and three plane-sized gradient slabs.
@@ -56,8 +57,10 @@ impl FusedScratch {
 /// The fused two-pass Helmholtz element body. `d`/`dt` are the row-major
 /// `n×n` derivative matrix and its transpose; `g` holds the six symmetric
 /// geometric factors and `mass` the diagonal mass, all element-local
-/// slices of length `n³`. Always inlined into the const-`N` and dynamic
-/// instantiations below so the bounds const-propagate.
+/// slices of length `n³`. Always inlined into the twins below, so a
+/// compile-time `n` const-propagates. Every contraction is a call of the
+/// blocked body [`rows`] with fused multiply-adds; only the metric
+/// combine and the mass term are pointwise loops here.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn helm_body(
@@ -95,44 +98,15 @@ fn helm_body(
 
     // Pass 1 — one sweep over u: reference gradient per z-plane, metric
     // combine (with h1 folded in) into the flux fields wr/ws/wt.
-    for k in 0..n {
-        let uk = &u[k * plane..(k + 1) * plane];
-        // ∂/∂t: pt[idx] = Σ_m D[k,m] · u[m-plane, idx] — broadcast D
-        // entry, contiguous accumulate over the whole plane.
-        pt[..plane].fill(0.0);
-        for m in 0..n {
-            let c = d[k * n + m];
-            let um = &u[m * plane..(m + 1) * plane];
-            for i in 0..plane {
-                pt[i] = c.mul_add(um[i], pt[i]);
-            }
-        }
+    let (d, dt) = (&d[..plane], &dt[..plane]);
+    for (k, uk) in u[..nn].chunks_exact(plane).enumerate() {
+        // ∂/∂t: pt[idx] = Σ_m D[k,m] · u[m-plane, idx].
+        let drow = &d[k * n..(k + 1) * n];
+        rows::<true>(plane, n, &mut pt[..plane], drow, u, Init::Zero, false);
         // ∂/∂s: ps[j·n + i] = Σ_m D[j,m] · u[k-plane, m·n + i].
-        ps[..plane].fill(0.0);
-        for j in 0..n {
-            let pj = &mut ps[j * n..(j + 1) * n];
-            for m in 0..n {
-                let c = d[j * n + m];
-                let um = &uk[m * n..(m + 1) * n];
-                for i in 0..n {
-                    pj[i] = c.mul_add(um[i], pj[i]);
-                }
-            }
-        }
-        // ∂/∂r: pr[j·n + i] = Σ_m u[k-plane, j·n + m] · Dᵀ[m,i] —
-        // broadcast the pencil value, accumulate along Dᵀ rows.
-        pr[..plane].fill(0.0);
-        for j in 0..n {
-            let pj = &mut pr[j * n..(j + 1) * n];
-            let uj = &uk[j * n..(j + 1) * n];
-            for m in 0..n {
-                let c = uj[m];
-                let dtr = &dt[m * n..(m + 1) * n];
-                for i in 0..n {
-                    pj[i] = c.mul_add(dtr[i], pj[i]);
-                }
-            }
-        }
+        rows::<true>(n, n, &mut ps[..plane], d, uk, Init::Zero, false);
+        // ∂/∂r: pr[j·n + i] = Σ_m u[k-plane, j·n + m] · Dᵀ[m,i].
+        rows::<true>(n, n, &mut pr[..plane], uk, dt, Init::Zero, false);
         // Metric combine, h1 folded in: w_i = h1 · Σ_j G_ij (D_j u).
         let o = k * plane;
         for idx in 0..plane {
@@ -144,84 +118,34 @@ fn helm_body(
         }
     }
 
-    // Pass 2 — one sweep over the flux fields: y = Σ_i D_iᵀ w_i, then the
-    // mass term fused into the same plane write-out.
-    for k in 0..n {
-        let acc = &mut pr[..plane];
-        acc.fill(0.0);
-        // D_rᵀ: acc[j·n + i] += Σ_m wr[k-plane, j·n + m] · D[m,i].
-        let wrk = &wr[k * plane..(k + 1) * plane];
-        for j in 0..n {
-            let aj = &mut acc[j * n..(j + 1) * n];
-            let wj = &wrk[j * n..(j + 1) * n];
-            for m in 0..n {
-                let c = wj[m];
-                let dr = &d[m * n..(m + 1) * n];
-                for i in 0..n {
-                    aj[i] = c.mul_add(dr[i], aj[i]);
-                }
-            }
-        }
-        // D_sᵀ: acc[j·n + i] += Σ_m D[m,j] · ws[k-plane, m·n + i].
-        let wsk = &ws[k * plane..(k + 1) * plane];
-        for m in 0..n {
-            let wm = &wsk[m * n..(m + 1) * n];
-            for j in 0..n {
-                let c = d[m * n + j];
-                let aj = &mut acc[j * n..(j + 1) * n];
-                for i in 0..n {
-                    aj[i] = c.mul_add(wm[i], aj[i]);
-                }
-            }
-        }
-        // D_tᵀ: acc[idx] += Σ_m D[m,k] · wt[m-plane, idx].
-        for m in 0..n {
-            let c = d[m * n + k];
-            let wm = &wt[m * plane..(m + 1) * plane];
-            for i in 0..plane {
-                acc[i] = c.mul_add(wm[i], acc[i]);
-            }
-        }
-        // Write-out with the mass term fused: y = acc + (h2·B)·u.
+    // Pass 2 — one sweep over the flux fields, accumulated in place in
+    // y: y = Σ_i D_iᵀ w_i, then the mass term fused into the same plane.
+    for (k, yk) in y[..nn].chunks_exact_mut(plane).enumerate() {
         let o = k * plane;
+        // D_rᵀ: y[j·n + i] = Σ_m wr[k-plane, j·n + m] · D[m,i].
+        rows::<true>(n, n, yk, &wr[o..o + plane], d, Init::Zero, false);
+        // D_sᵀ: y[j·n + i] += Σ_m D[m,j] · ws[k-plane, m·n + i].
+        rows::<true>(n, n, yk, dt, &ws[o..o + plane], Init::Dst, false);
+        // D_tᵀ: y[idx] += Σ_m D[m,k] · wt[m-plane, idx].
+        let dtrow = &dt[k * n..(k + 1) * n];
+        rows::<true>(plane, n, yk, dtrow, &wt[..nn], Init::Dst, false);
+        // The mass term: y = acc + (h2·B)·u.
         if h2 != 0.0 {
-            for idx in 0..plane {
+            for (idx, yv) in yk.iter_mut().enumerate() {
                 let gi = o + idx;
-                y[gi] = (h2 * mass[gi]).mul_add(u[gi], acc[idx]);
+                *yv = (h2 * mass[gi]).mul_add(u[gi], *yv);
             }
-        } else {
-            y[o..o + plane].copy_from_slice(acc);
         }
     }
 }
 
-/// Const-`N` instantiation: the bound const-propagates through the
-/// always-inlined body, unrolling the `N`-length inner loops.
-/// `inline(always)` is load-bearing: the body must land *inside* the
-/// `target_feature` twin for `mul_add` to lower to hardware `vfmadd`
-/// rather than a soft-fma libcall.
+/// [`helm_body`] on the buffers of `s`. `inline(always)` is
+/// load-bearing: the body must land *inside* each `target_feature` twin
+/// for `mul_add` to lower to hardware `vfmadd` rather than a soft-fma
+/// libcall.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn helm_fixed<const N: usize>(
-    d: &[f64],
-    dt: &[f64],
-    g: &[&[f64]; 6],
-    mass: &[f64],
-    h1: f64,
-    h2: f64,
-    u: &[f64],
-    y: &mut [f64],
-    s: &mut FusedScratch,
-) {
-    helm_body(
-        N, d, dt, g, mass, h1, h2, u, y, &mut s.wr, &mut s.ws, &mut s.wt, &mut s.pr, &mut s.ps,
-        &mut s.pt,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn helm_dyn(
+fn helm_on(
     n: usize,
     d: &[f64],
     dt: &[f64],
@@ -252,9 +176,14 @@ macro_rules! helm_dispatch_n {
     };
 }
 
-/// AVX2+FMA twin of the fixed body — the same code compiled with the
-/// vector features enabled, so `mul_add` lowers to `vfmadd` (bitwise
-/// identical to the portable lowering by IEEE-754 fused semantics).
+/// AVX2+FMA twin at a compile-time node count: the bound const-propagates
+/// through the always-inlined body and `mul_add` lowers to `vfmadd`
+/// (bitwise identical to the portable lowering by IEEE-754 fused
+/// semantics).
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
@@ -271,9 +200,14 @@ unsafe fn helm_fixed_avx2<const N: usize>(
     y: &mut [f64],
     s: &mut FusedScratch,
 ) {
-    helm_fixed::<N>(d, dt, g, mass, h1, h2, u, y, s);
+    helm_on(N, d, dt, g, mass, h1, h2, u, y, s);
 }
 
+/// AVX2+FMA twin at a run-time node count.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
@@ -291,7 +225,7 @@ unsafe fn helm_dyn_avx2(
     y: &mut [f64],
     s: &mut FusedScratch,
 ) {
-    helm_dyn(n, d, dt, g, mass, h1, h2, u, y, s);
+    helm_on(n, d, dt, g, mass, h1, h2, u, y, s);
 }
 
 /// Fused single-element Helmholtz apply `y = h₁·(DᵀGD)u + h₂·B u`.
@@ -323,10 +257,7 @@ pub fn helmholtz_element(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         (SimdLevel::Avx2Fma, _) => unsafe { helm_dyn_avx2(n, dd, dt, g, mass, h1, h2, u, y, s) },
-        (_, 4 | 6 | 8 | 10 | 12) => {
-            helm_dispatch_n!(n, helm_fixed, dd, dt, g, mass, h1, h2, u, y, s)
-        }
-        (_, _) => helm_dyn(n, dd, dt, g, mass, h1, h2, u, y, s),
+        _ => helm_on(n, dd, dt, g, mass, h1, h2, u, y, s),
     }
 }
 
@@ -345,7 +276,7 @@ pub fn helmholtz_element_scalar(
 ) {
     let n = d.n();
     s.prepare(n);
-    helm_dyn(
+    helm_on(
         n,
         d.matrix().data(),
         d.transposed().data(),
@@ -363,13 +294,11 @@ pub fn helmholtz_element_scalar(
 // Fused square tensor apply (the FDM sweep's contraction).
 // ---------------------------------------------------------------------------
 
-/// Scratch for [`tensor3`] (two intermediate slabs plus the transposed
-/// first matrix, so pass 1 runs broadcast-FMA like passes 2 and 3).
+/// Scratch for [`tensor3`]: the two intermediate slabs.
 #[derive(Debug, Default)]
 pub struct Tensor3Scratch {
     t1: Vec<f64>,
     t2: Vec<f64>,
-    at: Vec<f64>,
 }
 
 impl Tensor3Scratch {
@@ -377,16 +306,33 @@ impl Tensor3Scratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    fn prepare(&mut self, n: usize) {
+        let nn = n * n * n;
+        self.t1.resize(nn, 0.0);
+        self.t2.resize(nn, 0.0);
+    }
 }
 
-/// Square tensor-product body `(A3 ⊗ A2 ⊗ A1)·u`, all matrices `n×n`.
-/// All three passes are broadcast fused accumulations with no zero-skip
-/// branches; pass 1 contracts against the pre-transposed `a1t` so its
-/// inner loop is contiguous too.
+/// Square tensor-product body `(A3 ⊗ A2 ⊗ A1)·u`, all matrices `n×n`,
+/// `a1t` the transpose of `A1` so pass 1 reads contiguous rows too. Each
+/// output starts at the plain product of its first term — a bit-identical
+/// peel of `fma(c·x + 0)` except that a `−0.0` product stays `−0.0` —
+/// and adds the rest with one `mul_add` each; no zero skip.
+///
+/// `m` is the contraction length, equal to `n` but a run-time value even
+/// where `n` is a constant, and the sources are passed unsliced so their
+/// lengths do not bound it either: with a compile-time term count the
+/// optimizer unrolls each block's term loop and then vectorizes the bare
+/// loop around the blocks across blocks, gathering coefficients — at
+/// N = 8 twice the time of the rolled term loop, whose running sums stay
+/// in registers. (In [`helm_body`] the passes sit inside plane loops with
+/// other work, and full unrolling is what serves them.)
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tensor3_body(
     n: usize,
+    m: usize,
     a1t: &[f64],
     a2: &[f64],
     a3: &[f64],
@@ -397,80 +343,23 @@ fn tensor3_body(
 ) {
     let plane = n * n;
     let nn = plane * n;
-    debug_assert!(u.len() >= nn && out.len() >= nn);
-    // The first accumulation term of each pass is a plain multiply — a
-    // bit-identical peel of `fma(c·x + 0)`, saving the zero-fill sweep.
-    //
-    // Pass 1 — contract x: t1[col·n + a] = Σ_i A1[a,i] u[col·n + i],
-    // accumulated as broadcast-FMA along the rows of A1ᵀ.
-    for col in 0..plane {
-        let uin = &u[col * n..(col + 1) * n];
-        let dst = &mut t1[col * n..(col + 1) * n];
-        let c0 = uin[0];
-        let row0 = &a1t[..n];
-        for a in 0..n {
-            dst[a] = c0 * row0[a];
-        }
-        for (i, &c) in uin.iter().enumerate().skip(1) {
-            let row = &a1t[i * n..(i + 1) * n];
-            for a in 0..n {
-                dst[a] = c.mul_add(row[a], dst[a]);
-            }
-        }
-    }
+    // Pass 1 — contract x: t1[col·n + a] = Σ_i A1[a,i] u[col·n + i].
+    rows::<true>(n, m, &mut t1[..nn], u, a1t, Init::Product, false);
     // Pass 2 — contract y: t2[k-slab, b·n + i] = Σ_j A2[b,j] t1[k-slab, j·n + i].
-    for k in 0..n {
-        let t1k = &t1[k * plane..(k + 1) * plane];
-        let t2k = &mut t2[k * plane..(k + 1) * plane];
-        for b in 0..n {
-            let dst = &mut t2k[b * n..(b + 1) * n];
-            let c0 = a2[b * n];
-            let src0 = &t1k[..n];
-            for i in 0..n {
-                dst[i] = c0 * src0[i];
-            }
-            for j in 1..n {
-                let c = a2[b * n + j];
-                let src = &t1k[j * n..(j + 1) * n];
-                for i in 0..n {
-                    dst[i] = c.mul_add(src[i], dst[i]);
-                }
-            }
-        }
+    for (k, t2k) in t2[..nn].chunks_exact_mut(plane).enumerate() {
+        rows::<true>(n, m, t2k, a2, &t1[k * plane..], Init::Product, false);
     }
     // Pass 3 — contract z: out[c-plane, idx] = Σ_k A3[c,k] t2[k-plane, idx].
-    for c in 0..n {
-        let dst = &mut out[c * plane..(c + 1) * plane];
-        let m0 = a3[c * n];
-        let src0 = &t2[..plane];
-        for i in 0..plane {
-            dst[i] = m0 * src0[i];
-        }
-        for k in 1..n {
-            let m = a3[c * n + k];
-            let src = &t2[k * plane..(k + 1) * plane];
-            for i in 0..plane {
-                dst[i] = m.mul_add(src[i], dst[i]);
-            }
-        }
-    }
+    rows::<true>(plane, m, &mut out[..nn], a3, t2, Init::Product, false);
 }
 
+/// [`tensor3_body`] on the buffers of `s`, always inlined like
+/// [`helm_on`].
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tensor3_fixed<const N: usize>(
-    a1t: &[f64],
-    a2: &[f64],
-    a3: &[f64],
-    u: &[f64],
-    out: &mut [f64],
-    s: &mut Tensor3Scratch,
-) {
-    tensor3_body(N, a1t, a2, a3, u, out, &mut s.t1, &mut s.t2);
-}
-
-#[inline(always)]
-fn tensor3_dyn(
+fn tensor3_on(
     n: usize,
+    m: usize,
     a1t: &[f64],
     a2: &[f64],
     a3: &[f64],
@@ -478,14 +367,22 @@ fn tensor3_dyn(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    tensor3_body(n, a1t, a2, a3, u, out, &mut s.t1, &mut s.t2);
+    tensor3_body(n, m, a1t, a2, a3, u, out, &mut s.t1, &mut s.t2);
 }
 
+/// AVX2+FMA twin at a compile-time node count `N`; `m` is the same count
+/// at run time (see [`tensor3_body`]).
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
 // SAFETY: callers must have verified avx2+fma support (the `tensor3`
 // dispatcher checks via `simd::level()`).
 unsafe fn tensor3_fixed_avx2<const N: usize>(
+    m: usize,
     a1t: &[f64],
     a2: &[f64],
     a3: &[f64],
@@ -493,9 +390,14 @@ unsafe fn tensor3_fixed_avx2<const N: usize>(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    tensor3_fixed::<N>(a1t, a2, a3, u, out, s);
+    tensor3_on(N, m, a1t, a2, a3, u, out, s);
 }
 
+/// AVX2+FMA twin at a run-time node count.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 // SAFETY: callers must have verified avx2+fma support (the `tensor3`
@@ -509,74 +411,54 @@ unsafe fn tensor3_dyn_avx2(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    tensor3_dyn(n, a1t, a2, a3, u, out, s);
-}
-
-/// Transpose `a1` into the scratch (`n×n`); the resulting slice is what
-/// pass 1 streams contiguously.
-fn transpose_into(at: &mut Vec<f64>, a1: &[f64], n: usize) {
-    at.resize(n * n, 0.0);
-    for r in 0..n {
-        for c in 0..n {
-            at[c * n + r] = a1[r * n + c];
-        }
-    }
+    tensor3_on(n, n, a1t, a2, a3, u, out, s);
 }
 
 /// Fused square tensor apply `out = (A3 ⊗ A2 ⊗ A1)·u` for `n×n` matrices
-/// (the FDM eigenbasis transforms). Same dispatch and determinism
-/// contract as [`helmholtz_element`].
+/// (the FDM eigenbasis transforms), given `a1t = A1ᵀ`. Same dispatch and
+/// determinism contract as [`helmholtz_element`].
 pub fn tensor3(
-    a1: &DMat,
+    a1t: &DMat,
     a2: &DMat,
     a3: &DMat,
     u: &[f64],
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    let n = a1.rows();
+    let n = a1t.rows();
     debug_assert!(
-        a1.cols() == n && a2.rows() == n && a2.cols() == n && a3.rows() == n && a3.cols() == n,
+        a1t.cols() == n && a2.rows() == n && a2.cols() == n && a3.rows() == n && a3.cols() == n,
         "tensor3 requires square same-size matrices"
     );
-    let nn = n * n * n;
-    s.t1.resize(nn, 0.0);
-    s.t2.resize(nn, 0.0);
-    let mut at = std::mem::take(&mut s.at);
-    transpose_into(&mut at, a1.data(), n);
-    let (d2, d3) = (a2.data(), a3.data());
+    s.prepare(n);
+    let (d1, d2, d3) = (a1t.data(), a2.data(), a3.data());
+    // The fixed-N twins take the contraction length hidden from the
+    // optimizer, so it stays a run-time value (see `tensor3_body`).
     match (simd::level(), n) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma is only selected after feature detection.
         (SimdLevel::Avx2Fma, 4 | 6 | 8 | 10 | 12) => unsafe {
-            helm_dispatch_n!(n, tensor3_fixed_avx2, &at, d2, d3, u, out, s)
+            helm_dispatch_n!(n, tensor3_fixed_avx2, black_box(n), d1, d2, d3, u, out, s)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        (SimdLevel::Avx2Fma, _) => unsafe { tensor3_dyn_avx2(n, &at, d2, d3, u, out, s) },
-        (_, 4 | 6 | 8 | 10 | 12) => helm_dispatch_n!(n, tensor3_fixed, &at, d2, d3, u, out, s),
-        (_, _) => tensor3_dyn(n, &at, d2, d3, u, out, s),
+        (SimdLevel::Avx2Fma, _) => unsafe { tensor3_dyn_avx2(n, d1, d2, d3, u, out, s) },
+        _ => tensor3_on(n, n, d1, d2, d3, u, out, s),
     }
-    s.at = at;
 }
 
 /// Portable-path twin of [`tensor3`] for the identity tests.
 pub fn tensor3_scalar(
-    a1: &DMat,
+    a1t: &DMat,
     a2: &DMat,
     a3: &DMat,
     u: &[f64],
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    let n = a1.rows();
-    let nn = n * n * n;
-    s.t1.resize(nn, 0.0);
-    s.t2.resize(nn, 0.0);
-    let mut at = std::mem::take(&mut s.at);
-    transpose_into(&mut at, a1.data(), n);
-    tensor3_dyn(n, &at, a2.data(), a3.data(), u, out, s);
-    s.at = at;
+    let n = a1t.rows();
+    s.prepare(n);
+    tensor3_on(n, n, a1t.data(), a2.data(), a3.data(), u, out, s);
 }
 
 #[cfg(test)]
@@ -723,14 +605,14 @@ mod tests {
             let u = rand_vec(n * n * n, 42);
             let mut out = vec![0.0; n * n * n];
             let mut s = Tensor3Scratch::new();
-            tensor3(&a, &b, &c, &u, &mut out, &mut s);
+            tensor3(&a.transpose(), &b, &c, &u, &mut out, &mut s);
             let naive = tensor_apply3_naive(&a, &b, &c, &u);
             let scale = naive.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             for (f, r) in out.iter().zip(&naive) {
                 assert!((f - r).abs() <= 1e-11 * scale, "n={n}: {f} vs {r}");
             }
             let mut out2 = vec![0.0; n * n * n];
-            tensor3_scalar(&a, &b, &c, &u, &mut out2, &mut s);
+            tensor3_scalar(&a.transpose(), &b, &c, &u, &mut out2, &mut s);
             for (f, r) in out.iter().zip(&out2) {
                 assert_eq!(f.to_bits(), r.to_bits(), "n={n} scalar twin");
             }

@@ -169,10 +169,6 @@ unsafe fn apply3_fixed_avx2<const R: usize, const C: usize>(
     apply3_body([R; 3], [C; 3], &s.axt, ay, az, u, out, &mut s.t1, &mut s.t2);
 }
 
-/// Outputs one pass accumulates at once: four 4-lane vectors of running
-/// sums per block, enough independent chains to hide the add latency.
-const BLOCK: usize = 4 * LANES;
-
 /// The three contraction passes. `m`/`n` are the output/input extents
 /// per direction, `axt` is `Axᵀ` (`nx × mx`), `ay`/`az` are row-major.
 /// Literal extents const-propagate through the always-inlined body.
@@ -197,13 +193,7 @@ fn apply3_body(
 
     // Pass 1 — contract x: t1[a,j,k] = Σ_i Ax[a,i] u[i,j,k], along the
     // contiguous rows of Axᵀ (no zero skip: 0·∞ must stay NaN).
-    for (uin, dst) in u
-        .chunks_exact(nx)
-        .zip(t1.chunks_exact_mut(mx))
-        .take(ny * nz)
-    {
-        blocks(dst, uin, axt, false, false);
-    }
+    rows::<false>(mx, nx, t1, u, axt, Init::Zero, false);
 
     // Pass 2 — contract y: t2[a,b,k] = Σ_j Ay[b,j] t1[a,j,k].
     for (t1k, t2k) in t1
@@ -211,81 +201,157 @@ fn apply3_body(
         .zip(t2.chunks_exact_mut(mx * my))
         .take(nz)
     {
-        for (brow, dst) in ay.chunks_exact(ny).zip(t2k.chunks_exact_mut(mx)).take(my) {
-            blocks(dst, brow, t1k, true, false);
-        }
+        rows::<false>(mx, ny, t2k, ay, t1k, Init::Zero, true);
     }
 
     // Pass 3 — contract z: out[a,b,c] = Σ_k Az[c,k] t2[a,b,k].
-    let plane = mx * my;
-    for (crow, dst) in az
-        .chunks_exact(nz)
-        .zip(out.chunks_exact_mut(plane))
-        .take(mz)
-    {
-        blocks(dst, crow, t2, true, false);
-    }
+    rows::<false>(mx * my, nz, out, az, t2, Init::Zero, true);
 }
 
-/// `dst[a] = init + Σ_t c_t · src[t·len + a]` for every `a < len =
-/// dst.len()`, where `init` is `+0.0`, or `dst[a]` itself when `add` is
-/// set; terms in ascending `t`, one separately rounded multiply and add
-/// each; `skip_zero` drops exactly-zero coefficients. Outputs go in
-/// blocks of compile-time width — [`BLOCK`], then one each of 8, 4 and 2
-/// if they fit, then a single output — so the running sums stay in
-/// registers; blocking only regroups outputs and leaves each output's
-/// chain unchanged. IEEE multiplication commutes, so `c·s` here has the
-/// bits of the `Ax[a,i]·u[i]` order pass 1 states.
-#[inline(always)]
-fn blocks(dst: &mut [f64], coefs: &[f64], src: &[f64], skip_zero: bool, add: bool) {
-    let len = dst.len();
-    let mut a0 = 0;
-    while a0 + BLOCK <= len {
-        block::<BLOCK>(a0, dst, coefs, src, skip_zero, add);
-        a0 += BLOCK;
-    }
-    if a0 + 2 * LANES <= len {
-        block::<{ 2 * LANES }>(a0, dst, coefs, src, skip_zero, add);
-        a0 += 2 * LANES;
-    }
-    if a0 + LANES <= len {
-        block::<LANES>(a0, dst, coefs, src, skip_zero, add);
-        a0 += LANES;
-    }
-    if a0 + 2 <= len {
-        block::<2>(a0, dst, coefs, src, skip_zero, add);
-        a0 += 2;
-    }
-    if a0 < len {
-        block::<1>(a0, dst, coefs, src, skip_zero, add);
-    }
+/// Outputs one single-row block accumulates at once: four 4-lane vectors
+/// of running sums, enough independent chains to hide the add latency.
+const BLOCK: usize = 4 * LANES;
+
+/// Output rows one multi-row block accumulates at once. With blocks of
+/// at most two vectors per row that is eight running-sum vectors, which
+/// leaves registers for the shared source and the broadcast coefficient.
+const ROWS: usize = 4;
+
+/// How each output's chain starts (DESIGN.md §15).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Init {
+    /// At `+0.0`.
+    Zero,
+    /// At the output's current value (the transposed adds).
+    Dst,
+    /// At the plain product of the first term, the chain continuing
+    /// from the second.
+    Product,
 }
 
-/// The `W` outputs of [`blocks`] starting at `a0`.
+/// The contraction body. `dst` holds rows of `len` outputs and `coefs`
+/// one row of `terms` coefficients per output row; every row reads the
+/// same `src`, whose row `t` holds the `len` values of term `t`:
+/// `dst[r][a] = init + Σ_t coefs[r][t] · src[t·len + a]` for
+/// `t < terms`, in ascending `t`, each term one multiply and one add
+/// rounded separately, or one `mul_add` rounded once when `FMA` is set;
+/// `skip_zero` drops exactly-zero coefficients (not with
+/// [`Init::Product`]). Rows go in groups of [`ROWS`], then one of
+/// two and a single one, and each group's outputs in blocks of
+/// compile-time width, so the running sums stay in registers: a lone row
+/// in blocks of [`BLOCK`], then one each of 8, 4 and 2 if they fit, then
+/// a single output; a group in blocks of at most 8 per row. Grouping
+/// only regroups outputs and leaves each output's chain unchanged. IEEE
+/// multiplication commutes, so `c·s` here has the bits of the
+/// `Ax[a,i]·u[i]` order pass 1 states.
 #[inline(always)]
-fn block<const W: usize>(
-    a0: usize,
+pub(crate) fn rows<const FMA: bool>(
+    len: usize,
+    terms: usize,
     dst: &mut [f64],
     coefs: &[f64],
     src: &[f64],
+    init: Init,
     skip_zero: bool,
-    add: bool,
 ) {
-    let len = dst.len();
-    let mut acc = [0.0f64; W];
-    if add {
-        acc.copy_from_slice(&dst[a0..a0 + W]);
+    let nrows = dst.len() / len;
+    let mut r0 = 0;
+    while r0 + ROWS <= nrows {
+        group::<ROWS, FMA>(len, terms, r0, dst, coefs, src, init, skip_zero);
+        r0 += ROWS;
     }
-    for (t, &c) in coefs.iter().enumerate() {
-        if skip_zero && c == 0.0 {
-            continue;
+    if r0 + 2 <= nrows {
+        group::<2, FMA>(len, terms, r0, dst, coefs, src, init, skip_zero);
+        r0 += 2;
+    }
+    if r0 < nrows {
+        group::<1, FMA>(len, terms, r0, dst, coefs, src, init, skip_zero);
+    }
+}
+
+/// Rows `r0..r0 + R` of [`rows`], in blocks of outputs.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn group<const R: usize, const FMA: bool>(
+    len: usize,
+    terms: usize,
+    r0: usize,
+    dst: &mut [f64],
+    coefs: &[f64],
+    src: &[f64],
+    init: Init,
+    skip_zero: bool,
+) {
+    let dst = &mut dst[r0 * len..(r0 + R) * len];
+    let coefs = &coefs[r0 * terms..(r0 + R) * terms];
+    let mut a0 = 0;
+    while R == 1 && a0 + BLOCK <= len {
+        block::<BLOCK, R, FMA>(a0, len, dst, coefs, src, init, skip_zero);
+        a0 += BLOCK;
+    }
+    while a0 + 2 * LANES <= len {
+        block::<{ 2 * LANES }, R, FMA>(a0, len, dst, coefs, src, init, skip_zero);
+        a0 += 2 * LANES;
+    }
+    if a0 + LANES <= len {
+        block::<LANES, R, FMA>(a0, len, dst, coefs, src, init, skip_zero);
+        a0 += LANES;
+    }
+    if a0 + 2 <= len {
+        block::<2, R, FMA>(a0, len, dst, coefs, src, init, skip_zero);
+        a0 += 2;
+    }
+    if a0 < len {
+        block::<1, R, FMA>(a0, len, dst, coefs, src, init, skip_zero);
+    }
+}
+
+/// The `W` outputs starting at `a0` of each of the `R` rows of a
+/// [`group`]: `R·W` running sums.
+#[inline(always)]
+fn block<const W: usize, const R: usize, const FMA: bool>(
+    a0: usize,
+    len: usize,
+    dst: &mut [f64],
+    coefs: &[f64],
+    src: &[f64],
+    init: Init,
+    skip_zero: bool,
+) {
+    let terms = coefs.len() / R;
+    let crow: [&[f64]; R] = std::array::from_fn(|r| &coefs[r * terms..(r + 1) * terms]);
+    let mut acc = [[0.0f64; W]; R];
+    match init {
+        Init::Zero => {}
+        Init::Dst => {
+            for (r, a) in acc.iter_mut().enumerate() {
+                a.copy_from_slice(&dst[r * len + a0..r * len + a0 + W]);
+            }
         }
+        Init::Product => {
+            let s = &src[a0..a0 + W];
+            for (a, c) in acc.iter_mut().zip(crow) {
+                for (x, &sv) in a.iter_mut().zip(s) {
+                    *x = c[0] * sv;
+                }
+            }
+        }
+    }
+    for t in usize::from(init == Init::Product)..terms {
         let s = &src[t * len + a0..t * len + a0 + W];
-        for l in 0..W {
-            acc[l] += c * s[l];
+        for (a, c) in acc.iter_mut().zip(crow) {
+            let c = c[t];
+            if skip_zero && c == 0.0 {
+                continue;
+            }
+            for (x, &sv) in a.iter_mut().zip(s) {
+                *x = if FMA { c.mul_add(sv, *x) } else { *x + c * sv };
+            }
         }
     }
-    dst[a0..a0 + W].copy_from_slice(&acc);
+    for (r, a) in acc.iter().enumerate() {
+        dst[r * len + a0..r * len + a0 + W].copy_from_slice(a);
+    }
 }
 
 /// A reference-space direction of an element: `X` runs along the
@@ -450,24 +516,16 @@ fn deriv_body(n: usize, axis: Axis, add: bool, d: &[f64], dt: &[f64], u: &[f64],
     let u = &u[..plane * n];
     let out = &mut out[..plane * n];
     let (coef_rows, src_rows) = if add { (dt, d) } else { (d, dt) };
+    let (coef_rows, src_rows) = (&coef_rows[..plane], &src_rows[..plane]);
+    let init = if add { Init::Dst } else { Init::Zero };
     match axis {
-        Axis::X => {
-            for (uin, dst) in u.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
-                blocks(dst, uin, src_rows, false, add);
-            }
-        }
+        Axis::X => rows::<false>(n, n, out, u, src_rows, init, false),
         Axis::Y => {
             for (uk, ok) in u.chunks_exact(plane).zip(out.chunks_exact_mut(plane)) {
-                for (row, dst) in coef_rows.chunks_exact(n).zip(ok.chunks_exact_mut(n)) {
-                    blocks(dst, row, uk, false, add);
-                }
+                rows::<false>(n, n, ok, coef_rows, uk, init, false);
             }
         }
-        Axis::Z => {
-            for (row, dst) in coef_rows.chunks_exact(n).zip(out.chunks_exact_mut(plane)) {
-                blocks(dst, row, u, false, add);
-            }
-        }
+        Axis::Z => rows::<false>(plane, n, out, coef_rows, u, init, false),
     }
 }
 

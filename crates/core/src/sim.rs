@@ -442,143 +442,131 @@ impl<'a> Simulation<'a> {
         let nu = self.cfg.viscosity();
         let alpha = self.cfg.diffusivity();
         let istep = self.state.istep + 1;
-        let k = effective_order(istep, TIME_ORDER);
-        // Step-size history (current step first) for variable-step
-        // coefficients; uniform histories reproduce the classic tables.
-        let mut dts = vec![dt];
-        dts.extend(self.state.dt_hist.iter().take(k.saturating_sub(1)));
-        while dts.len() < k {
-            dts.push(dt);
-        }
-        let bd = bdf_coeffs_variable(k, &dts);
-        let ext = ext_coeffs_variable(k, &dts);
         let mut stats = StepStats {
             converged: true,
             ..Default::default()
         };
 
-        // ---- explicit forcing + histories (Other) --------------------------
+        // ---- coefficients, explicit forcing + histories (Other) -----------
         struct Sums {
             su: [Vec<f64>; 3],
             st: Vec<f64>,
             u_ext: [Vec<f64>; 3],
+            /// The BDF coefficient of the new level.
+            bd0: f64,
         }
         let comm = self.comm;
-        let sums = {
-            let mut timers = std::mem::take(&mut self.timers);
-            let out = timers.region(Phase::Other, comm, || {
-                let (f, ft) = self.compute_forcing();
-                self.state.push_forcing_lag(f, ft, TIME_ORDER);
-                self.state.push_solution_lag(TIME_ORDER);
+        // Each region runs on a clone of the timers (an `Arc` bump) so its
+        // closure can borrow `self`.
+        let sums = self.timers.clone().region(Phase::Other, comm, || {
+            let k = effective_order(istep, TIME_ORDER);
+            // Step-size history (current step first) for variable-step
+            // coefficients; uniform histories reproduce the classic
+            // tables.
+            let mut dts = vec![dt];
+            dts.extend(self.state.dt_hist.iter().take(k.saturating_sub(1)));
+            while dts.len() < k {
+                dts.push(dt);
+            }
+            let bd = bdf_coeffs_variable(k, &dts);
+            let ext = ext_coeffs_variable(k, &dts);
 
-                let mut su = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
-                let mut st = vec![0.0; n];
-                for (i, &bdi) in bd.iter().enumerate().skip(1) {
-                    let ul = &self.state.u_lag[i - 1];
-                    let tl = &self.state.t_lag[i - 1];
-                    let c = bdi / dt;
-                    for d in 0..3 {
-                        for (s, v) in su[d].iter_mut().zip(&ul[d]) {
-                            *s += c * v;
-                        }
-                    }
-                    for (s, v) in st.iter_mut().zip(tl) {
+            let (f, ft) = self.compute_forcing();
+            self.state.push_forcing_lag(f, ft, TIME_ORDER);
+            self.state.push_solution_lag(TIME_ORDER);
+
+            let mut su = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            let mut st = vec![0.0; n];
+            for (i, &bdi) in bd.iter().enumerate().skip(1) {
+                let ul = &self.state.u_lag[i - 1];
+                let tl = &self.state.t_lag[i - 1];
+                let c = bdi / dt;
+                for d in 0..3 {
+                    for (s, v) in su[d].iter_mut().zip(&ul[d]) {
                         *s += c * v;
                     }
                 }
-                for (j, &ej) in ext.iter().enumerate() {
-                    let fl = &self.state.f_lag[j.min(self.state.f_lag.len() - 1)];
-                    let ftl = &self.state.ft_lag[j.min(self.state.ft_lag.len() - 1)];
-                    for d in 0..3 {
-                        for (s, v) in su[d].iter_mut().zip(&fl[d]) {
-                            *s += ej * v;
-                        }
-                    }
-                    for (s, v) in st.iter_mut().zip(ftl) {
+                for (s, v) in st.iter_mut().zip(tl) {
+                    *s += c * v;
+                }
+            }
+            for (j, &ej) in ext.iter().enumerate() {
+                let fl = &self.state.f_lag[j.min(self.state.f_lag.len() - 1)];
+                let ftl = &self.state.ft_lag[j.min(self.state.ft_lag.len() - 1)];
+                for d in 0..3 {
+                    for (s, v) in su[d].iter_mut().zip(&fl[d]) {
                         *s += ej * v;
                     }
                 }
-                // Extrapolated velocity for the rotational pressure term.
-                let mut u_ext = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
-                for (j, &ej) in ext.iter().enumerate() {
-                    let ul = &self.state.u_lag[j.min(self.state.u_lag.len() - 1)];
-                    for d in 0..3 {
-                        for (s, v) in u_ext[d].iter_mut().zip(&ul[d]) {
-                            *s += ej * v;
-                        }
+                for (s, v) in st.iter_mut().zip(ftl) {
+                    *s += ej * v;
+                }
+            }
+            // Extrapolated velocity for the rotational pressure term.
+            let mut u_ext = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            for (j, &ej) in ext.iter().enumerate() {
+                let ul = &self.state.u_lag[j.min(self.state.u_lag.len() - 1)];
+                for d in 0..3 {
+                    for (s, v) in u_ext[d].iter_mut().zip(&ul[d]) {
+                        *s += ej * v;
                     }
                 }
-                Sums { su, st, u_ext }
-            });
-            self.timers = timers;
-            out
-        };
-        let Sums { su, st, u_ext } = sums;
+            }
+            Sums {
+                su,
+                st,
+                u_ext,
+                bd0: bd[0],
+            }
+        });
+        let Sums { su, st, u_ext, bd0 } = sums;
 
         // ---- pressure ------------------------------------------------------
-        let p_stats = {
-            let mut timers = std::mem::take(&mut self.timers);
-            let out = timers.region(Phase::Pressure, comm, || {
-                self.pressure_solve(&su, &u_ext, nu)
-            });
-            self.timers = timers;
-            out
-        };
+        let p_stats = self.timers.clone().region(Phase::Pressure, comm, || {
+            self.pressure_solve(&su, &u_ext, nu)
+        });
         stats.p_iters = p_stats.iterations;
         stats.p_residual = p_stats.final_residual;
         stats.converged &= p_stats.converged;
 
         // ---- velocity ------------------------------------------------------
-        let v_stats = {
-            let mut timers = std::mem::take(&mut self.timers);
-            let out = timers.region(Phase::Velocity, comm, || {
-                self.velocity_solve(&su, nu, bd[0] / dt)
-            });
-            self.timers = timers;
-            out
-        };
+        let v_stats = self.timers.clone().region(Phase::Velocity, comm, || {
+            self.velocity_solve(&su, nu, bd0 / dt)
+        });
         for d in 0..3 {
             stats.v_iters[d] = v_stats[d].iterations;
             stats.converged &= v_stats[d].converged;
         }
 
         // ---- temperature ---------------------------------------------------
-        let t_stats = {
-            let mut timers = std::mem::take(&mut self.timers);
-            let out = timers.region(Phase::Temperature, comm, || {
-                self.temperature_solve(&st, alpha, bd[0] / dt)
-            });
-            self.timers = timers;
-            out
-        };
+        let t_stats = self.timers.clone().region(Phase::Temperature, comm, || {
+            self.temperature_solve(&st, alpha, bd0 / dt)
+        });
         stats.t_iters = t_stats.iterations;
         stats.converged &= t_stats.converged;
 
         // The verdict scan (every field, every node) is real per-step work;
-        // attribute it to Other so the Fig. 4 bins account for it.
-        stats.verdict = {
-            let mut timers = std::mem::take(&mut self.timers);
-            let out = timers.region(Phase::Other, comm, || {
-                self.classify_step(&[
-                    (StepPhase::Pressure, p_stats.health),
-                    (StepPhase::Velocity(0), v_stats[0].health),
-                    (StepPhase::Velocity(1), v_stats[1].health),
-                    (StepPhase::Velocity(2), v_stats[2].health),
-                    (StepPhase::Temperature, t_stats.health),
-                ])
-            });
-            self.timers = timers;
-            out
-        };
+        // attribute it to Other so the Fig. 4 bins account for it, with the
+        // step's closing bookkeeping.
+        stats.verdict = self.timers.clone().region(Phase::Other, comm, || {
+            let verdict = self.classify_step(&[
+                (StepPhase::Pressure, p_stats.health),
+                (StepPhase::Velocity(0), v_stats[0].health),
+                (StepPhase::Velocity(1), v_stats[1].health),
+                (StepPhase::Velocity(2), v_stats[2].health),
+                (StepPhase::Temperature, t_stats.health),
+            ]);
+            self.state.istep = istep;
+            self.state.time += dt;
+            self.state.dt_hist.insert(0, dt);
+            self.state.dt_hist.truncate(TIME_ORDER);
+            verdict
+        });
         // A faulted exchange may have corrupted the cached lifting term.
         if matches!(stats.verdict, StepVerdict::Diverged(_)) {
             self.h_lift_key = None;
         }
 
-        self.state.istep = istep;
-        self.state.time += dt;
-        self.state.dt_hist.insert(0, dt);
-        self.state.dt_hist.truncate(TIME_ORDER);
         self.timers.complete_step();
         stats.wall_seconds = wall_start.elapsed().as_secs_f64();
         self.record_step_telemetry(&stats, &p_stats, &v_stats, &t_stats);

@@ -121,7 +121,7 @@ impl PhaseTimers {
 
     /// Time a region attributed to `phase`. The trailing barrier (when
     /// enabled) is inside the timed region, as in the paper's methodology.
-    pub fn region<T>(&mut self, phase: Phase, comm: &dyn Communicator, f: impl FnOnce() -> T) -> T {
+    pub fn region<T>(&self, phase: Phase, comm: &dyn Communicator, f: impl FnOnce() -> T) -> T {
         if self.barrier_sync {
             comm.barrier();
         }
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn region_returns_value() {
         let comm = SingleComm::new();
-        let mut t = PhaseTimers::new(true);
+        let t = PhaseTimers::new(true);
         let v = t.region(Phase::Pressure, &comm, || 42);
         assert_eq!(v, 42);
     }
@@ -278,7 +278,7 @@ mod tests {
     fn phase_regions_feed_the_shared_span_tree() {
         let comm = SingleComm::new();
         let tel = Telemetry::enabled();
-        let mut t = PhaseTimers::with_telemetry(tel.clone(), false);
+        let t = PhaseTimers::with_telemetry(tel.clone(), false);
         t.region(Phase::Pressure, &comm, || {
             // Nested instrumentation lands under the phase span.
             let _inner = tel.span("krylov");

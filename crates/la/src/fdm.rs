@@ -188,9 +188,10 @@ impl ElementFdm {
         for (e, f) in self.factors[e0..e1].iter().enumerate() {
             let base = (e0 + e) * nn;
             let zbase = e * nn;
-            // w = Sᵀ r — fused square SIMD contraction straight off `r`.
+            // w = Sᵀ r — fused square SIMD contraction straight off `r`;
+            // `tensor3` takes its first factor transposed, so `S` itself.
             tensor3(
-                &f.st[0],
+                &f.s[0],
                 &f.st[1],
                 &f.st[2],
                 &r[base..base + nn],
@@ -220,7 +221,7 @@ impl ElementFdm {
             }
             // z += S w. `axpy(1.0, ..)` is bitwise identical to the plain
             // add: fma(1·x + y) rounds once over an exact product.
-            tensor3(&f.s[0], &f.s[1], &f.s[2], tmp, sw, scratch);
+            tensor3(&f.st[0], &f.s[1], &f.s[2], tmp, sw, scratch);
             rbx_basis::simd::axpy(1.0, &sw[..nn], &mut z[zbase..zbase + nn]);
         }
     }

@@ -191,6 +191,195 @@ fn dispatched_matches_scalar_to_zero_ulp() {
     }
 }
 
+/// `helmholtz_element` written out per output: the gradient chains start
+/// at `+0.0` and add one `mul_add` per term in ascending index, the
+/// metric combine nests its fused terms as the kernel states, and each
+/// output's transposed chain runs over r, then s, then t from `+0.0`
+/// before the mass term. `d[a][b]` is `D[a, b]`; `idx = i + n·(j + n·k)`.
+#[allow(clippy::too_many_arguments)]
+fn helm_chain_reference(
+    n: usize,
+    d: &DMat,
+    g: &[Vec<f64>],
+    mass: &[f64],
+    h1: f64,
+    h2: f64,
+    u: &[f64],
+) -> Vec<f64> {
+    let nn = n * n * n;
+    let at = |i: usize, j: usize, k: usize| i + n * (j + n * k);
+    if h1 == 0.0 {
+        return (0..nn)
+            .map(|x| if h2 != 0.0 { h2 * mass[x] * u[x] } else { 0.0 })
+            .collect();
+    }
+    let (mut wr, mut ws, mut wt) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
+    for k in 0..n {
+        for j in 0..n {
+            for i in 0..n {
+                let (mut ur, mut us, mut ut) = (0.0f64, 0.0f64, 0.0f64);
+                for m in 0..n {
+                    ur = u[at(m, j, k)].mul_add(d[(i, m)], ur);
+                }
+                for m in 0..n {
+                    us = d[(j, m)].mul_add(u[at(i, m, k)], us);
+                }
+                for m in 0..n {
+                    ut = d[(k, m)].mul_add(u[at(i, j, m)], ut);
+                }
+                let x = at(i, j, k);
+                wr[x] = h1 * g[1][x].mul_add(us, g[0][x].mul_add(ur, g[2][x] * ut));
+                ws[x] = h1 * g[3][x].mul_add(us, g[1][x].mul_add(ur, g[4][x] * ut));
+                wt[x] = h1 * g[4][x].mul_add(us, g[2][x].mul_add(ur, g[5][x] * ut));
+            }
+        }
+    }
+    let mut y = vec![0.0; nn];
+    for k in 0..n {
+        for j in 0..n {
+            for i in 0..n {
+                let mut acc = 0.0f64;
+                for m in 0..n {
+                    acc = wr[at(m, j, k)].mul_add(d[(m, i)], acc);
+                }
+                for m in 0..n {
+                    acc = d[(m, j)].mul_add(ws[at(i, m, k)], acc);
+                }
+                for m in 0..n {
+                    acc = d[(m, k)].mul_add(wt[at(i, j, m)], acc);
+                }
+                let x = at(i, j, k);
+                y[x] = if h2 != 0.0 {
+                    (h2 * mass[x]).mul_add(u[x], acc)
+                } else {
+                    acc
+                };
+            }
+        }
+    }
+    y
+}
+
+/// `tensor3` written out per output: each pass starts at the plain
+/// product of its first term and adds the rest with one `mul_add` each,
+/// in ascending index.
+fn tensor3_chain_reference(n: usize, a1: &DMat, a2: &DMat, a3: &DMat, u: &[f64]) -> Vec<f64> {
+    let nn = n * n * n;
+    let at = |i: usize, j: usize, k: usize| i + n * (j + n * k);
+    let (mut t1, mut t2, mut out) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
+    for k in 0..n {
+        for j in 0..n {
+            for a in 0..n {
+                let mut acc = u[at(0, j, k)] * a1[(a, 0)];
+                for i in 1..n {
+                    acc = u[at(i, j, k)].mul_add(a1[(a, i)], acc);
+                }
+                t1[at(a, j, k)] = acc;
+            }
+        }
+    }
+    for k in 0..n {
+        for b in 0..n {
+            for a in 0..n {
+                let mut acc = a2[(b, 0)] * t1[at(a, 0, k)];
+                for j in 1..n {
+                    acc = a2[(b, j)].mul_add(t1[at(a, j, k)], acc);
+                }
+                t2[at(a, b, k)] = acc;
+            }
+        }
+    }
+    for c in 0..n {
+        for b in 0..n {
+            for a in 0..n {
+                let mut acc = a3[(c, 0)] * t2[at(a, b, 0)];
+                for k in 1..n {
+                    acc = a3[(c, k)].mul_add(t2[at(a, b, k)], acc);
+                }
+                out[at(a, b, c)] = acc;
+            }
+        }
+    }
+    out
+}
+
+/// The fused kernels keep the per-output chains their loop nests
+/// computed before they ran the shared blocked body: 0 ulp against the
+/// written-out references above at every n in 2..=12 (the fixed-N and
+/// runtime-N paths, odd n included), dispatched and portable, through the
+/// `h1 = 0` and `h2 = 0` branches, on data with signed zeros, on an
+/// all-`−0.0` input (which only the plain-product start of `tensor3`
+/// keeps negative), and with one NaN or infinity (NaN positions agree).
+#[test]
+fn fused_kernels_keep_their_per_output_chains() {
+    let mut saw_neg_zero = false;
+    for n in 2..=12 {
+        let nn = n * n * n;
+        let d = deriv_matrix(&gll(n).points);
+        let dm = DerivMatrix::new(d.clone());
+        let g: Vec<Vec<f64>> = (0..6)
+            .map(|i| {
+                let base = if i == 0 || i == 3 || i == 5 { 2.0 } else { 0.1 };
+                rand_vec(nn, 200 + i as u64)
+                    .iter()
+                    .map(|v| base + 0.1 * v)
+                    .collect()
+            })
+            .collect();
+        let gr: [&[f64]; 6] = [&g[0], &g[1], &g[2], &g[3], &g[4], &g[5]];
+        let mass: Vec<f64> = rand_vec(nn, 210).iter().map(|v| 1.0 + 0.2 * v).collect();
+        let a1 = DMat::from_fn(n, n, |i, j| 0.5 + ((i * 3 + j) as f64 * 0.7).sin().abs());
+        let a2 = DMat::from_fn(n, n, |i, j| 0.25 + (i as f64 - j as f64).abs() * 0.125);
+        let a3 = DMat::from_fn(n, n, |i, j| if i == j { 1.5 } else { 0.2 });
+        let a1t = a1.transpose();
+
+        let mut signed = rand_vec(nn, 220 + n as u64);
+        for (x, v) in signed.iter_mut().enumerate() {
+            match x % 7 {
+                0 => *v = 0.0,
+                3 => *v = -0.0,
+                _ => {}
+            }
+        }
+        let mut with_nan = rand_vec(nn, 230 + n as u64);
+        with_nan[nn / 2] = f64::NAN;
+        let mut with_inf = rand_vec(nn, 240 + n as u64);
+        with_inf[nn / 3] = f64::INFINITY;
+        let inputs: [(&str, Vec<f64>); 4] = [
+            ("signed zeros", signed),
+            ("all -0.0", vec![-0.0; nn]),
+            ("NaN", with_nan),
+            ("inf", with_inf),
+        ];
+        let mut fs = FusedScratch::new();
+        let mut ts = Tensor3Scratch::new();
+        for (label, u) in &inputs {
+            for (h1, h2) in [(1.3, 0.7), (1.3, 0.0), (0.0, 0.7), (0.0, 0.0)] {
+                let want = helm_chain_reference(n, &d, &g, &mass, h1, h2, u);
+                let tag = format!("helmholtz_element n={n} {label} h1={h1} h2={h2}");
+                let mut y = vec![9.0; nn];
+                helmholtz_element(&dm, &gr, &mass, h1, h2, u, &mut y, &mut fs);
+                assert_bits_or_nan(&tag, &want, &y);
+                let mut y = vec![9.0; nn];
+                helmholtz_element_scalar(&dm, &gr, &mass, h1, h2, u, &mut y, &mut fs);
+                assert_bits_or_nan(&format!("{tag} portable"), &want, &y);
+            }
+            let want = tensor3_chain_reference(n, &a1, &a2, &a3, u);
+            saw_neg_zero |= want.iter().any(|v| v.to_bits() == (-0.0f64).to_bits());
+            let mut out = vec![9.0; nn];
+            tensor3(&a1t, &a2, &a3, u, &mut out, &mut ts);
+            assert_bits_or_nan(&format!("tensor3 n={n} {label}"), &want, &out);
+            let mut out = vec![9.0; nn];
+            tensor3_scalar(&a1t, &a2, &a3, u, &mut out, &mut ts);
+            assert_bits_or_nan(&format!("tensor3 n={n} {label} portable"), &want, &out);
+        }
+    }
+    assert!(
+        saw_neg_zero,
+        "no -0.0 reached a tensor3 output: the test lost its teeth"
+    );
+}
+
 /// Every `(rows, cols)` shape `tensor_apply3` instantiates at compile
 /// time: dealiasing ⌈3N/2⌉ × N and back, the coarse grid's 2 × N and
 /// 3 × N transfers and back, and the square modal transforms, N = 4…12.
